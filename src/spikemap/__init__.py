@@ -10,107 +10,10 @@ and random-ensemble parameter sweeps.
 
 __version__ = "0.1.0"
 
-from .model import (
-    Bounds,
-    CapacityError,
-    NetworkParams,
-    Trajectory,
-    ValidationError,
-    compute_bounds,
-    firing_times,
-    max_dist,
-    simulate,
-    spiking_state,
-    step,
-    step_noisy,
-    synaptic_current,
-)
-from .coding import (
-    IllegalCodeError,
-    TransitionGraph,
-    build_transition_graph,
-    check_legal,
-    encode,
-    fire_set,
-    is_markov_natural,
-    pattern_cardinality,
-    pattern_to_str,
-    reconstruct,
-    reconstruct_periodic,
-    reconstruct_trajectory,
-    str_to_pattern,
-)
-from .orbits import (
-    OmegaSample,
-    OrbitReport,
-    RegimeLabel,
-    Undetermined,
-    classify_regime,
-    dist_attractor_to_S,
-    dist_traj_to_S,
-    effective_lyapunov,
-    find_periodic_orbit,
-    markov_horizon,
-    omega_sample,
-    period_bound,
-    period_bound_log2,
-    stable_manifold_radius,
-)
-from .ensemble import (
-    EnsembleSpec,
-    LyapCell,
-    SweepCell,
-    lyapunov_map,
-    sample_network,
-    sweep,
-)
+from . import coding, ensemble, model, orbits
+from .model import *  # noqa: F401,F403
+from .coding import *  # noqa: F401,F403
+from .orbits import *  # noqa: F401,F403
+from .ensemble import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "Bounds",
-    "CapacityError",
-    "EnsembleSpec",
-    "IllegalCodeError",
-    "LyapCell",
-    "NetworkParams",
-    "OmegaSample",
-    "OrbitReport",
-    "RegimeLabel",
-    "SweepCell",
-    "Trajectory",
-    "TransitionGraph",
-    "Undetermined",
-    "ValidationError",
-    "build_transition_graph",
-    "check_legal",
-    "classify_regime",
-    "compute_bounds",
-    "dist_attractor_to_S",
-    "dist_traj_to_S",
-    "effective_lyapunov",
-    "encode",
-    "find_periodic_orbit",
-    "fire_set",
-    "firing_times",
-    "is_markov_natural",
-    "lyapunov_map",
-    "markov_horizon",
-    "max_dist",
-    "omega_sample",
-    "pattern_cardinality",
-    "pattern_to_str",
-    "period_bound",
-    "period_bound_log2",
-    "reconstruct",
-    "reconstruct_periodic",
-    "reconstruct_trajectory",
-    "sample_network",
-    "simulate",
-    "spiking_state",
-    "stable_manifold_radius",
-    "step",
-    "step_noisy",
-    "str_to_pattern",
-    "sweep",
-    "synaptic_current",
-]
+__all__ = ["__version__", *model.__all__, *coding.__all__, *orbits.__all__, *ensemble.__all__]

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 2 for input/validation/IO errors, 3 when a request
 exceeds a capability limit.  All randomized commands are bit-reproducible
-under ``--seed``; every output file embeds its effective configuration.
+under ``--seed``; every output file but the raster embeds its configuration.
 """
 
 from __future__ import annotations
@@ -21,13 +21,8 @@ from .model import (
     simulate,
 )
 from .coding import build_transition_graph
-from .orbits import (
-    classify_regime,
-    dist_attractor_to_S,
-    effective_lyapunov,
-    omega_sample,
-)
-from .ensemble import lyapunov_map, sweep
+from .orbits import classify_regime, dist_attractor_to_S, omega_sample
+from .ensemble import _lyap_samples, lyapunov_map, sweep
 from . import fileio
 
 
@@ -161,25 +156,14 @@ def _cmd_lyap(args) -> int:
         raise ValidationError("lyap needs exactly one of --net or ensemble flags (--gammas/--cs/--n)")
     if args.net is not None:
         net = fileio.read_network(args.net)
-        rng = np.random.default_rng(args.seed)
-        v_min, v_max = compute_bounds(net)
+        vals = _lyap_samples(net, args.inits, np.random.default_rng(args.seed),
+                             args.ball, args.directions, args.horizon, args.burn_in)
         config = _base_config(args, "lyap", [
             "net", "inits", "ball", "horizon", "burn_in", "directions", "seed",
         ])
-        rows = []
-        for k in range(args.inits):
-            v0 = rng.uniform(v_min, v_max, net.n)
-            lam = effective_lyapunov(
-                net, v0, args.ball, args.directions, args.horizon, rng, burn_in=args.burn_in,
-            )
-            rows.append((k, lam))
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write("".join(f"# {k}={v}\n" for k, v in config.items()))
-            f.write("init,lyapunov\n")
-            for k, lam in rows:
-                f.write(f"{k},{fileio.fmt_float(lam)}\n")
-        mean = float(np.mean([lam for _, lam in rows]))
-        print(f"lambda_mean={fileio.fmt_float(mean)} inits={args.inits}")
+        fileio._write_csv(args.out, config, "init,lyapunov",
+                          (f"{k},{fileio.fmt_float(lam)}" for k, lam in enumerate(vals)))
+        print(f"lambda_mean={fileio.fmt_float(float(np.mean(vals)))} inits={args.inits}")
         return 0
     if args.cs is None or args.n is None:
         raise ValidationError("ensemble lyap requires --gammas, --cs, and --n")

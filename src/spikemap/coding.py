@@ -20,6 +20,9 @@ from .model import (
     NetworkParams,
     Trajectory,
     ValidationError,
+    _advance,
+    _as_vector,
+    _fires,
     compute_bounds,
 )
 
@@ -83,7 +86,7 @@ def encode(traj, theta: Optional[float] = None) -> np.ndarray:
         states = np.asarray(traj, dtype=np.float64)
         if theta is None:
             raise ValidationError("encode of a raw state array requires theta")
-    return (np.atleast_2d(states) >= theta).astype(np.uint8)
+    return _fires(np.atleast_2d(states), theta).astype(np.uint8)
 
 
 def _check_raster(raster, n: int) -> np.ndarray:
@@ -102,14 +105,11 @@ def reconstruct_trajectory(net: NetworkParams, v0, raster) -> np.ndarray:
     initial condition drops out at its first recorded spike.
     """
     raster = _check_raster(raster, net.n)
-    v = np.asarray(v0, dtype=np.float64)
-    if v.shape != (net.n,):
-        raise ValidationError(f"v0 must have shape ({net.n},), got {v.shape}")
+    v = _as_vector(v0, net.n, "v0")
     out = np.empty((raster.shape[0], net.n), dtype=np.float64)
     out[0] = v
     for t in range(1, raster.shape[0]):
-        eta = raster[t - 1].astype(np.float64)
-        v = net.gamma * v * (1.0 - eta) + net.weights @ eta + net.i_ext
+        v = _advance(net, v, raster[t - 1].astype(np.float64))
         out[t] = v
     return out
 
@@ -154,8 +154,7 @@ def reconstruct_periodic(net: NetworkParams, cycle) -> np.ndarray:
     # placeholder start is irrelevant, so pass two is exact at every phase.
     states = np.empty((p, net.n), dtype=np.float64)
     for s in range(2 * p):
-        e = eta[s % p]
-        v = net.gamma * v * (1.0 - e) + net.weights @ e + net.i_ext
+        v = _advance(net, v, eta[s % p])
         if s >= p:
             states[(s + 1) % p] = v
     got = encode(states, net.theta)
@@ -313,12 +312,12 @@ def build_transition_graph(net: NetworkParams, cap: int = GRAPH_CAP_DEFAULT) -> 
     currents = src_bits.astype(np.float64) @ net.weights.T + net.i_ext
     theta, gamma = net.theta, net.gamma
     v_min = compute_bounds(net).v_min
-    forced_bit = (currents >= theta).astype(np.uint8)
+    forced_bit = _fires(currents, theta).astype(np.uint8)
     if gamma > 0.0:
         fire_ok = gamma * theta + currents > theta
     else:
-        fire_ok = currents >= theta
-    stay_ok = gamma * v_min + currents < theta
+        fire_ok = _fires(currents, theta)
+    stay_ok = ~_fires(gamma * v_min + currents, theta)
     for arr in (src_bits, currents, forced_bit, fire_ok, stay_ok):
         arr.flags.writeable = False
     return TransitionGraph(

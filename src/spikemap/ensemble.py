@@ -10,13 +10,14 @@ the per-cell log-distance surface is the plot-ready product.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkParams, ValidationError, compute_bounds
+from .model import NetworkParams, ValidationError, _as_count, compute_bounds
 from .orbits import (
+    _fan_out,
     classify_regime,
     dist_attractor_to_S,
     effective_lyapunov,
@@ -47,8 +48,7 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
+        _as_count(self.n, "n")
         if not (self.c >= 0 and np.isfinite(self.c)):
             raise ValidationError(f"c must be >= 0, got {self.c}")
 
@@ -98,11 +98,36 @@ def _stream(seed: int, gamma: float, c: float, *indices: int) -> np.random.Gener
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
+def _draw_network(seed: int, gamma: float, c: float, net_idx: int, n: int,
+                  theta: float, i_ext: float) -> NetworkParams:
+    """Network net_idx of the (gamma, c) cell, drawn from its own value-keyed stream."""
+    spec = EnsembleSpec(n=n, c=c, gamma=gamma, theta=theta, i_ext=i_ext, seed=seed)
+    return sample_network(spec, _stream(seed, gamma, c, net_idx))
+
+
+def _grid_cells(worker, gammas, cs, networks_per_cell: int, seed: int, threads: int, *params):
+    """Run worker on every network of the (gamma, c) grid, fanned out over threads.
+
+    A task is (seed, gamma, c, network index, *params).  Yields
+    (gamma, c, [one result per network]) per cell in grid order (gammas
+    outer, cs inner), each as soon as its networks are done.
+    """
+    gammas = [float(g) for g in gammas]
+    cs = [float(c) for c in cs]
+    if not gammas or not cs:
+        raise ValidationError("gamma and c grids must be nonempty")
+    _as_count(networks_per_cell, "networks_per_cell")
+    grid = [(g, c) for g in gammas for c in cs]
+    tasks = [(seed, g, c, k, *params) for g, c in grid for k in range(networks_per_cell)]
+    with closing(_fan_out(worker, tasks, threads)) as results:
+        for g, c in grid:
+            yield g, c, [next(results) for _ in range(networks_per_cell)]
+
+
 def _run_sweep_network(args):
     (seed, gamma, c, net_idx, n, theta, i_ext, inits,
      max_transient, max_period, tol, polish_steps, epsilon_singular) = args
-    spec = EnsembleSpec(n=n, c=c, gamma=gamma, theta=theta, i_ext=i_ext, seed=seed)
-    net = sample_network(spec, _stream(seed, gamma, c, net_idx))
+    net = _draw_network(seed, gamma, c, net_idx, n, theta, i_ext)
     sample = omega_sample(
         net,
         inits,
@@ -119,14 +144,6 @@ def _run_sweep_network(args):
     d = dist_attractor_to_S(sample.orbits) if sample.orbits else None
     periods = [o.period for o in sample.orbits]
     return regime.kind, d, periods, sample.undetermined
-
-
-def _grid(gammas, cs):
-    gammas = [float(g) for g in gammas]
-    cs = [float(c) for c in cs]
-    if not gammas or not cs:
-        raise ValidationError("gamma and c grids must be nonempty")
-    return gammas, cs
 
 
 def sweep(
@@ -154,63 +171,51 @@ def sweep(
     schedule cannot change any cell.  Rows come back in grid order (gammas
     outer, cs inner); ``progress(done, total, cell)`` is called per cell.
     """
-    gammas, cs = _grid(gammas, cs)
-    tasks = []
-    for g in gammas:
-        for c in cs:
-            for k in range(networks_per_cell):
-                tasks.append((seed, g, c, k, n, theta, i_ext, inits_per_network,
-                              max_transient, max_period, tol, polish_steps, epsilon_singular))
-    pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else None
-    results = pool.map(_run_sweep_network, tasks, chunksize=1) if pool else map(_run_sweep_network, tasks)
+    gammas, cs = list(gammas), list(cs)
     cells = []
-    total = len(gammas) * len(cs)
-    try:
-        for g in gammas:
-            for c in cs:
-                kinds, dists, periods, undet = [], [], [], 0
-                for _ in range(networks_per_cell):
-                    kind, d, ps, u = next(results)
-                    kinds.append(kind)
-                    if d is not None:
-                        dists.append(d)
-                    periods.extend(ps)
-                    undet += u
-                death = sum(k == "NeuralDeath" for k in kinds) / networks_per_cell
-                avg_d = float(np.mean(dists)) if dists else math.nan
-                log_d = (
-                    float(np.mean([math.log10(max(d, LOG10_FLOOR)) for d in dists]))
-                    if dists else math.nan
-                )
-                avg_p = float(np.mean(periods)) if periods else math.nan
-                undet_frac = undet / (networks_per_cell * inits_per_network)
-                cells.append(SweepCell(
-                    gamma=g, c=c, samples=networks_per_cell,
-                    avg_d_as=avg_d, log10_d_as=log_d, death_fraction=death,
-                    avg_period=avg_p, undetermined_fraction=undet_frac,
-                ))
-                if progress is not None:
-                    progress(len(cells), total, cells[-1])
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for g, c, nets in _grid_cells(
+        _run_sweep_network, gammas, cs, networks_per_cell, seed, threads,
+        n, theta, i_ext, inits_per_network, max_transient, max_period, tol, polish_steps,
+        epsilon_singular,
+    ):
+        dists = [d for _, d, _, _ in nets if d is not None]
+        periods = [p for _, _, ps, _ in nets for p in ps]
+        death = sum(kind == "NeuralDeath" for kind, _, _, _ in nets) / networks_per_cell
+        avg_d = float(np.mean(dists)) if dists else math.nan
+        log_d = (
+            float(np.mean([math.log10(max(d, LOG10_FLOOR)) for d in dists]))
+            if dists else math.nan
+        )
+        avg_p = float(np.mean(periods)) if periods else math.nan
+        undet_frac = sum(u for _, _, _, u in nets) / (networks_per_cell * inits_per_network)
+        cells.append(SweepCell(
+            gamma=g, c=c, samples=networks_per_cell,
+            avg_d_as=avg_d, log10_d_as=log_d, death_fraction=death,
+            avg_period=avg_p, undetermined_fraction=undet_frac,
+        ))
+        if progress is not None:
+            progress(len(cells), len(gammas) * len(cs), cells[-1])
     return cells
+
+
+def _lyap_samples(net: NetworkParams, inits: int, rng: np.random.Generator, ball_radius: float,
+                  num_directions: int, horizon: int, burn_in: int) -> list[float]:
+    """effective_lyapunov of net from inits starts drawn uniformly in its invariant box."""
+    _as_count(inits, "inits")
+    v_min, v_max = compute_bounds(net)
+    return [
+        effective_lyapunov(net, rng.uniform(v_min, v_max, net.n), ball_radius, num_directions,
+                           horizon, rng, burn_in=burn_in)
+        for _ in range(inits)
+    ]
 
 
 def _run_lyap_network(args):
     (seed, gamma, c, net_idx, n, theta, i_ext, inits,
      ball_radius, num_directions, horizon, burn_in) = args
-    spec = EnsembleSpec(n=n, c=c, gamma=gamma, theta=theta, i_ext=i_ext, seed=seed)
-    net = sample_network(spec, _stream(seed, gamma, c, net_idx))
-    rng = _stream(seed, gamma, c, net_idx, 2)
-    v_min, v_max = compute_bounds(net)
-    vals = []
-    for _ in range(inits):
-        v0 = rng.uniform(v_min, v_max, net.n)
-        vals.append(effective_lyapunov(
-            net, v0, ball_radius, num_directions, horizon, rng, burn_in=burn_in,
-        ))
-    return vals
+    net = _draw_network(seed, gamma, c, net_idx, n, theta, i_ext)
+    return _lyap_samples(net, inits, _stream(seed, gamma, c, net_idx, 2),
+                         ball_radius, num_directions, horizon, burn_in)
 
 
 def lyapunov_map(
@@ -230,27 +235,11 @@ def lyapunov_map(
     threads: int = 1,
 ) -> list[LyapCell]:
     """Mean finite-ball expansion rate per (gamma, c) cell."""
-    gammas, cs = _grid(gammas, cs)
-    tasks = []
-    for g in gammas:
-        for c in cs:
-            for k in range(networks_per_cell):
-                tasks.append((seed, g, c, k, n, theta, i_ext, inits_per_network,
-                              ball_radius, num_directions, horizon, burn_in))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_lyap_network, tasks, chunksize=1))
-    else:
-        results = [_run_lyap_network(t) for t in tasks]
-    cells = []
-    it = iter(results)
-    for g in gammas:
-        for c in cs:
-            vals = []
-            for _ in range(networks_per_cell):
-                vals.extend(next(it))
-            cells.append(LyapCell(
-                gamma=g, c=c, samples=networks_per_cell,
-                mean_lyapunov=float(np.mean(vals)),
-            ))
-    return cells
+    return [
+        LyapCell(gamma=g, c=c, samples=networks_per_cell,
+                 mean_lyapunov=float(np.mean([lam for vals in nets for lam in vals])))
+        for g, c, nets in _grid_cells(
+            _run_lyap_network, gammas, cs, networks_per_cell, seed, threads,
+            n, theta, i_ext, inits_per_network, ball_radius, num_directions, horizon, burn_in,
+        )
+    ]

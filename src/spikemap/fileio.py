@@ -1,9 +1,12 @@
 """Self-describing file formats: network JSON, trajectory CSV, raster text,
-transition-graph JSON, orbit-report JSON, and sweep/heatmap CSV.
+transition-graph JSON, orbit-report JSON, and sweep/heatmap/lyap CSV.
 
 Every CSV starts with ``# key=value`` comment lines echoing the effective
-configuration, floats are written in shortest round-trip form, and each
-writer has a reader that reproduces the in-memory objects exactly.
+configuration, and the graph and orbit JSON embed it under ``"config"``.
+Floats are written in shortest round-trip form.  The network, trajectory,
+raster and sweep readers reproduce the written objects exactly; the graph
+and orbit readers return the parsed JSON as a plain dict, and the heatmap
+and lyap CSVs, made for plotting, have no reader.
 """
 
 from __future__ import annotations
@@ -43,40 +46,56 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def _config_lines(config: Optional[dict]) -> str:
-    if not config:
-        return ""
-    return "".join(f"# {k}={v}\n" for k, v in config.items())
+def _write_csv(path, config: Optional[dict], header: str, rows) -> None:
+    """The config as ``# key=value`` lines, then the header, then the preformatted rows."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        if config:
+            f.write("".join(f"# {k}={v}\n" for k, v in config.items()))
+        f.write(header + "\n")
+        for row in rows:
+            f.write(row + "\n")
 
 
-def _read_config(lines: list[str]) -> dict:
+def _read_csv(path) -> tuple[dict, list[str]]:
+    """(config, rows): the ``# key=value`` lines as a dict, then the nonblank data lines."""
+    with open(path, "r", encoding="utf-8") as f:
+        lines = f.read().splitlines()
     config = {}
     for line in lines:
-        body = line[1:].strip()
-        key, _, value = body.partition("=")
-        config[key] = value
-    return config
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            config[key] = value
+    return config, [ln for ln in lines if ln and not ln.startswith("#")]
 
 
-def write_network(path, net: NetworkParams) -> None:
-    payload = {
-        "n": net.n,
-        "gamma": net.gamma,
-        "theta": net.theta,
-        "weights": [[float(x) for x in row] for row in net.weights],
-        "i_ext": [float(x) for x in net.i_ext],
-    }
+def _write_json(path, payload: dict, config: Optional[dict] = None) -> None:
+    if config:
+        payload["config"] = {k: str(v) for k, v in config.items()}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=1)
         f.write("\n")
 
 
-def read_network(path) -> NetworkParams:
+def _read_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            payload = json.load(f)
+            return json.load(f)
     except json.JSONDecodeError as e:
-        raise ValidationError(f"malformed network file {path}: {e}") from e
+        raise ValidationError(f"malformed JSON file {path}: {e}") from e
+
+
+def write_network(path, net: NetworkParams) -> None:
+    _write_json(path, {
+        "n": net.n,
+        "gamma": net.gamma,
+        "theta": net.theta,
+        "weights": [[float(x) for x in row] for row in net.weights],
+        "i_ext": [float(x) for x in net.i_ext],
+    })
+
+
+def read_network(path) -> NetworkParams:
+    payload = _read_json(path)
     try:
         return NetworkParams(
             n=payload["n"],
@@ -90,24 +109,18 @@ def read_network(path) -> NetworkParams:
 
 
 def write_trajectory_csv(path, traj: Trajectory, config: Optional[dict] = None) -> None:
-    n = traj.net.n
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(_config_lines(config))
-        f.write("t," + ",".join(f"v_{i}" for i in range(n)) + "\n")
-        for t in range(len(traj)):
-            f.write(str(t) + "," + ",".join(fmt_float(x) for x in traj.states[t]) + "\n")
+    _write_csv(
+        path, config, "t," + ",".join(f"v_{i}" for i in range(traj.net.n)),
+        (str(t) + "," + ",".join(fmt_float(x) for x in v) for t, v in enumerate(traj.states)),
+    )
 
 
 def read_trajectory_csv(path) -> tuple[dict, np.ndarray, np.ndarray]:
     """Returns (config, times, states)."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    comments = [ln for ln in lines if ln.startswith("#")]
-    rows = [ln for ln in lines if ln and not ln.startswith("#")]
+    config, rows = _read_csv(path)
     if not rows:
         raise ValidationError(f"trajectory file {path} has no data")
-    header = rows[0].split(",")
-    if header[0] != "t":
+    if rows[0].split(",")[0] != "t":
         raise ValidationError(f"trajectory file {path} has an unexpected header")
     times = []
     states = []
@@ -115,7 +128,7 @@ def read_trajectory_csv(path) -> tuple[dict, np.ndarray, np.ndarray]:
         parts = row.split(",")
         times.append(int(parts[0]))
         states.append([float(x) for x in parts[1:]])
-    return _read_config(comments), np.asarray(times), np.asarray(states, dtype=np.float64)
+    return config, np.asarray(times), np.asarray(states, dtype=np.float64)
 
 
 def write_raster_text(path, raster) -> None:
@@ -147,17 +160,11 @@ def write_graph_json(
         }
         for a, b, kind in graph.iter_edges(include_illegal=include_illegal)
     ]
-    payload = {"n": graph.n, "edges": edges}
-    if config:
-        payload["config"] = {k: str(v) for k, v in config.items()}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=1)
-        f.write("\n")
+    _write_json(path, {"n": graph.n, "edges": edges}, config)
 
 
 def read_graph_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+    return _read_json(path)
 
 
 def write_orbits_json(
@@ -186,43 +193,34 @@ def write_orbits_json(
         "undetermined": undetermined,
         "orbits": items,
     }
-    if config:
-        payload["config"] = {k: str(v) for k, v in config.items()}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=1)
-        f.write("\n")
+    _write_json(path, payload, config)
 
 
 def read_orbits_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+    return _read_json(path)
 
 
 SWEEP_HEADER = "gamma,c,samples,avg_d_as,log10_d_as,death_fraction,avg_period,undetermined_fraction"
 
 
 def write_sweep_csv(path, cells: list[SweepCell], config: Optional[dict] = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(_config_lines(config))
-        f.write(SWEEP_HEADER + "\n")
-        for cell in cells:
-            f.write(",".join([
-                fmt_float(cell.gamma),
-                fmt_float(cell.c),
-                str(cell.samples),
-                fmt_float(cell.avg_d_as),
-                fmt_float(cell.log10_d_as),
-                fmt_float(cell.death_fraction),
-                fmt_float(cell.avg_period),
-                fmt_float(cell.undetermined_fraction),
-            ]) + "\n")
+    _write_csv(path, config, SWEEP_HEADER, (
+        ",".join([
+            fmt_float(cell.gamma),
+            fmt_float(cell.c),
+            str(cell.samples),
+            fmt_float(cell.avg_d_as),
+            fmt_float(cell.log10_d_as),
+            fmt_float(cell.death_fraction),
+            fmt_float(cell.avg_period),
+            fmt_float(cell.undetermined_fraction),
+        ])
+        for cell in cells
+    ))
 
 
 def read_sweep_csv(path) -> tuple[dict, list[SweepCell]]:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    comments = [ln for ln in lines if ln.startswith("#")]
-    rows = [ln for ln in lines if ln and not ln.startswith("#")]
+    config, rows = _read_csv(path)
     if not rows or rows[0] != SWEEP_HEADER:
         raise ValidationError(f"sweep file {path} has an unexpected header")
     cells = []
@@ -234,27 +232,23 @@ def read_sweep_csv(path) -> tuple[dict, list[SweepCell]]:
             death_fraction=float(death), avg_period=float(period),
             undetermined_fraction=float(undet),
         ))
-    return _read_config(comments), cells
+    return config, cells
 
 
 def write_heatmap_csv(path, cells: list[SweepCell], gammas, cs, config: Optional[dict] = None) -> None:
     """log10 attractor-distance matrix, gamma rows by c columns, for direct plotting."""
     value = {(cell.gamma, cell.c): cell.log10_d_as for cell in cells}
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(_config_lines(config))
-        f.write("gamma\\c," + ",".join(fmt_float(c) for c in cs) + "\n")
-        for g in gammas:
-            f.write(fmt_float(g) + "," + ",".join(
-                fmt_float(value.get((float(g), float(c)), math.nan)) for c in cs
-            ) + "\n")
+    _write_csv(path, config, "gamma\\c," + ",".join(fmt_float(c) for c in cs), (
+        fmt_float(g) + "," + ",".join(
+            fmt_float(value.get((float(g), float(c)), math.nan)) for c in cs
+        )
+        for g in gammas
+    ))
 
 
 def write_lyap_csv(path, cells: list[LyapCell], config: Optional[dict] = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(_config_lines(config))
-        f.write("gamma,c,samples,mean_lyapunov\n")
-        for cell in cells:
-            f.write(",".join([
-                fmt_float(cell.gamma), fmt_float(cell.c),
-                str(cell.samples), fmt_float(cell.mean_lyapunov),
-            ]) + "\n")
+    _write_csv(path, config, "gamma,c,samples,mean_lyapunov", (
+        ",".join([fmt_float(cell.gamma), fmt_float(cell.c), str(cell.samples),
+                  fmt_float(cell.mean_lyapunov)])
+        for cell in cells
+    ))

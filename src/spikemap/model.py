@@ -55,6 +55,18 @@ def _as_vector(x, n: int, name: str) -> np.ndarray:
     return v
 
 
+def _as_count(k: int, name: str) -> int:
+    if k < 1:
+        raise ValidationError(f"{name} must be >= 1, got {k}")
+    return k
+
+
+# The firing test, the one place the threshold decision is made: exactly
+# v >= theta, with no tolerance band.  Bound to the ufunc itself so the hot
+# path pays no extra Python frame.
+_fires = np.greater_equal
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Fixed parameters of an N-neuron network.
@@ -75,9 +87,7 @@ class NetworkParams:
     i_ext: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n)
-        if n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
+        n = _as_count(int(self.n), "n")
         gamma = float(self.gamma)
         theta = float(self.theta)
         if not (0.0 <= gamma < 1.0):
@@ -123,7 +133,7 @@ def compute_bounds(net: NetworkParams) -> Bounds:
 
 def spiking_state(v: float, theta: float) -> int:
     """1 iff v >= theta.  The comparison is exactly >=, with no tolerance."""
-    return 1 if v >= theta else 0
+    return 1 if _fires(v, theta) else 0
 
 
 def synaptic_current(net: NetworkParams, eta) -> np.ndarray:
@@ -134,11 +144,25 @@ def synaptic_current(net: NetworkParams, eta) -> np.ndarray:
     return net.weights @ e
 
 
+def _advance(net: NetworkParams, v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The affine map on the domain of firing pattern z (a float 0/1 vector).
+
+    Simulation and reconstruction share this one summation order, so they agree bit for bit.
+    """
+    return net.gamma * v * (1.0 - z) + net.weights @ z + net.i_ext
+
+
 def step(net: NetworkParams, v) -> np.ndarray:
     """One synchronous update.  All firing states are read from the input state."""
     v = np.asarray(v, dtype=np.float64)
-    z = (v >= net.theta).astype(np.float64)
-    return net.gamma * v * (1.0 - z) + net.weights @ z + net.i_ext
+    return _advance(net, v, _fires(v, net.theta).astype(np.float64))
+
+
+def _check_noise(sigma_b: float, rng: Optional[np.random.Generator]) -> None:
+    if not (np.isfinite(sigma_b) and sigma_b >= 0.0):
+        raise ValidationError(f"sigma_b must be finite and >= 0, got {sigma_b}")
+    if sigma_b > 0.0 and rng is None:
+        raise ValidationError("sigma_b > 0 requires a seeded rng")
 
 
 def step_noisy(net: NetworkParams, v, sigma_b: float, rng: Optional[np.random.Generator]) -> np.ndarray:
@@ -146,12 +170,9 @@ def step_noisy(net: NetworkParams, v, sigma_b: float, rng: Optional[np.random.Ge
 
     sigma_b = 0 is bit-identical to :func:`step`.
     """
-    if not (np.isfinite(sigma_b) and sigma_b >= 0.0):
-        raise ValidationError(f"sigma_b must be finite and >= 0, got {sigma_b}")
+    _check_noise(sigma_b, rng)
     if sigma_b == 0.0:
         return step(net, v)
-    if rng is None:
-        raise ValidationError("sigma_b > 0 requires a seeded rng")
     return step(net, v) + rng.normal(0.0, sigma_b, net.n)
 
 
@@ -177,19 +198,19 @@ def simulate(
     """Iterate the map t_max times from v0, recording states and the raster.
 
     With sigma_b > 0 a Gaussian perturbation is added at every step (an rng
-    is then required); runs are reproducible given the rng seed.
+    is then required); runs are reproducible given the rng seed.  A negative
+    or non-finite sigma_b is rejected.
     """
     if t_max < 0:
         raise ValidationError(f"t_max must be >= 0, got {t_max}")
-    if sigma_b > 0.0 and rng is None:
-        raise ValidationError("sigma_b > 0 requires a seeded rng")
+    _check_noise(sigma_b, rng)
     v = _as_vector(v0, net.n, "v0")
     states = np.empty((t_max + 1, net.n), dtype=np.float64)
     states[0] = v
     for t in range(1, t_max + 1):
         v = step_noisy(net, v, sigma_b, rng) if sigma_b > 0.0 else step(net, v)
         states[t] = v
-    raster = (states >= net.theta).astype(np.uint8)
+    raster = _fires(states, net.theta).astype(np.uint8)
     states.flags.writeable = False
     raster.flags.writeable = False
     return Trajectory(net=net, states=states, raster=raster)

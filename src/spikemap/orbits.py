@@ -11,6 +11,7 @@ scale above the gap.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +24,9 @@ from .model import (
     NetworkParams,
     Trajectory,
     ValidationError,
+    _as_count,
+    _as_vector,
+    _fires,
     compute_bounds,
     max_dist,
     step,
@@ -83,7 +87,7 @@ class Undetermined:
 
 
 def _pattern_key(v: np.ndarray, theta: float) -> bytes:
-    return (v >= theta).tobytes()
+    return _fires(v, theta).tobytes()
 
 
 def _brent_scan(net, v, budget, max_period, tol):
@@ -223,9 +227,7 @@ def find_periodic_orbit(
         raise ValidationError("horizons must satisfy max_transient >= 0, max_period >= 1")
     if tol < 0:
         raise ValidationError(f"tol must be >= 0, got {tol}")
-    v0 = np.asarray(v0, dtype=np.float64)
-    if v0.shape != (net.n,):
-        raise ValidationError(f"v0 must have shape ({net.n},), got {v0.shape}")
+    v0 = _as_vector(v0, net.n, "v0")
     horizon = max_transient + 2 * max_period
     v = v0
     for _ in range(max_transient):
@@ -278,12 +280,17 @@ def _same_orbit(a: OrbitReport, b: OrbitReport, tol: float) -> bool:
     return False
 
 
-def _detect_from(args):
-    net, v0, max_transient, max_period, tol, polish_steps = args
-    return find_periodic_orbit(
-        net, v0, max_transient=max_transient, max_period=max_period,
-        tol=tol, polish_steps=polish_steps,
-    )
+def _fan_out(fn, tasks: list, threads: int):
+    """Yield fn(task) for each task in task order, as results arrive.
+
+    threads > 1 runs the calls on that many worker processes (fn and tasks must pickle).
+    """
+    _as_count(threads, "threads")
+    if threads == 1 or len(tasks) < 2:
+        yield from map(fn, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(fn, tasks, chunksize=1)
 
 
 def omega_sample(
@@ -302,20 +309,17 @@ def omega_sample(
     raster is exact) and then by state proximity within tol.  Undetermined
     runs are counted, never raised.
     """
-    if num_inits < 1:
-        raise ValidationError(f"num_inits must be >= 1, got {num_inits}")
+    _as_count(num_inits, "num_inits")
     v_min, v_max = compute_bounds(net)
     v0s = rng.uniform(v_min, v_max, size=(num_inits, net.n))
-    tasks = [(net, v0s[k], max_transient, max_period, tol, polish_steps) for k in range(num_inits)]
-    if threads > 1 and num_inits > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_detect_from, tasks))
-    else:
-        results = [_detect_from(t) for t in tasks]
+    detect = functools.partial(
+        find_periodic_orbit, net, max_transient=max_transient, max_period=max_period,
+        tol=tol, polish_steps=polish_steps,
+    )
     orbits: list[OrbitReport] = []
     undetermined = 0
     horizon = max_transient + 2 * max_period
-    for res in results:
+    for res in _fan_out(detect, list(v0s), threads):
         if isinstance(res, Undetermined):
             undetermined += 1
             continue
@@ -376,8 +380,7 @@ def markov_horizon(epsilon: float, domain_diameter: float, gamma: float) -> int:
 
 def period_bound_log2(n: int, d_as: float, gamma: float) -> float:
     """log2 of the cycle-count/period bound: n * log(d_as) / log(gamma)."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _as_count(n, "n")
     if not (0.0 < gamma < 1.0):
         raise ValidationError(f"gamma must lie in (0, 1), got {gamma}")
     if not (d_as > 0 and np.isfinite(d_as)):
@@ -498,8 +501,8 @@ def effective_lyapunov(
     """
     if not (ball_radius > 0 and np.isfinite(ball_radius)):
         raise ValidationError(f"ball_radius must be positive, got {ball_radius}")
-    if num_directions < 1 or horizon < 1:
-        raise ValidationError("num_directions and horizon must be >= 1")
+    _as_count(num_directions, "num_directions")
+    _as_count(horizon, "horizon")
     mother = np.asarray(v0, dtype=np.float64)
     for _ in range(burn_in):
         mother = step(net, mother)

@@ -94,3 +94,10 @@ class TestLyapunovMap:
                                 inits_per_network=2, ball_radius=1e-3, horizon=300,
                                 i_ext=0.1, burn_in=200, seed=1)
         assert cells[0].mean_lyapunov <= math.log(0.5) + 1e-6
+
+    def test_threads_match_serial(self):
+        kwargs = dict(n=4, networks_per_cell=2, inits_per_network=2, ball_radius=1e-3,
+                      horizon=100, burn_in=20, seed=4)
+        serial = sm.lyapunov_map([0.4, 0.7], [0.5, 2.0], **kwargs)
+        parallel = sm.lyapunov_map([0.4, 0.7], [0.5, 2.0], threads=2, **kwargs)
+        assert serial == parallel

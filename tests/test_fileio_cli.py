@@ -291,3 +291,26 @@ class TestCliLyap:
 
 def test_cli_bad_subcommand_exit_2():
     assert main(["frobnicate"]) == 2
+
+
+_SWEEP = ["sweep", "--n", "3", "--gammas", "0.5", "--cs", "1.0", "--inits", "1",
+          "--max-transient", "50", "--max-period", "20"]
+_ENSEMBLE_LYAP = ["lyap", "--n", "3", "--gammas", "0.5", "--cs", "1.0", "--horizon", "20"]
+
+
+@pytest.mark.parametrize("argv", [
+    _SWEEP + ["--networks", "0"],
+    _SWEEP + ["--threads", "0"],
+    ["orbit", "--net", "{net}", "--inits", "2", "--max-transient", "5", "--max-period", "5",
+     "--threads", "0"],
+    _ENSEMBLE_LYAP + ["--networks", "0"],
+    _ENSEMBLE_LYAP + ["--inits", "0"],
+    _ENSEMBLE_LYAP + ["--threads", "0"],
+    ["lyap", "--net", "{net}", "--inits", "0", "--horizon", "20"],
+    ["simulate", "--net", "{net}", "--t-max", "5", "--noise", "-1", "--seed", "0"],
+], ids=["sweep-networks", "sweep-threads", "orbit-threads", "lyap-networks",
+        "lyap-inits", "lyap-threads", "lyap-net-inits", "simulate-noise"])
+def test_meaningless_arguments_exit_2(argv, ex1_file, tmp_path, capsys):
+    argv = [a.format(net=ex1_file) for a in argv] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -128,6 +128,12 @@ class TestSimulate:
         with pytest.raises(sm.ValidationError):
             sm.simulate(example1_net(), [0.0], 5, sigma_b=0.1)
 
+    @pytest.mark.parametrize("sigma_b", [-1.0, float("nan")])
+    def test_meaningless_noise_rejected(self, sigma_b):
+        # rejected at entry, not silently run without noise
+        with pytest.raises(sm.ValidationError):
+            sm.simulate(example1_net(), [0.0], 5, sigma_b=sigma_b, rng=np.random.default_rng(0))
+
     def test_negative_horizon_rejected(self):
         with pytest.raises(sm.ValidationError):
             sm.simulate(example1_net(), [0.0], -1)
