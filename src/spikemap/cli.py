@@ -17,6 +17,7 @@ from .model import (
     CapacityError,
     NetworkParams,
     ValidationError,
+    _as_count,
     compute_bounds,
     simulate,
 )
@@ -155,6 +156,7 @@ def _cmd_lyap(args) -> int:
     if (args.net is None) == (args.gammas is None):
         raise ValidationError("lyap needs exactly one of --net or ensemble flags (--gammas/--cs/--n)")
     if args.net is not None:
+        _as_count(args.threads, "threads")  # unused on this path, but a count all the same
         net = fileio.read_network(args.net)
         vals = _lyap_samples(net, args.inits, np.random.default_rng(args.seed),
                              args.ball, args.directions, args.horizon, args.burn_in)

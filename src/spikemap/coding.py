@@ -165,6 +165,11 @@ def reconstruct_periodic(net: NetworkParams, cycle) -> np.ndarray:
     return states
 
 
+def _pattern_index(bits: np.ndarray):
+    """Index of a 0/1 pattern (or of each row of a stack of them): bit i is neuron i."""
+    return bits.astype(np.int64) @ (np.int64(1) << np.arange(bits.shape[-1], dtype=np.int64))
+
+
 @dataclass(frozen=True)
 class TransitionGraph:
     """Feasibility structure of pattern-to-pattern transitions.
@@ -173,20 +178,21 @@ class TransitionGraph:
     conditions factorize neuron by neuron: a fired neuron's next bit is
     forced by its (state-independent) incoming current, while a quiescent
     neuron may be forced or free depending on whether the current plus the
-    leaked potential can straddle the threshold on [v_min, theta).  An edge
-    is ``unconditional`` when every neuron's requirement holds for all
-    admissible potentials, ``conditional`` when it holds only on a
-    sub-interval, and ``illegal`` when some neuron's requirement is
-    infeasible.
+    leaked potential can straddle the threshold on [v_min, theta).  So the
+    legal successors of pattern a form a cube, held as two bit masks (bit i
+    is neuron i): pattern b follows a iff it agrees with ``forced[a]`` on
+    every neuron outside ``free[a]``.  An edge is ``unconditional`` when the
+    cube is one pattern, ``conditional`` when it has free neurons (whose
+    outcome then depends on the potential), and ``illegal`` when b lies
+    outside the cube.
     """
 
     net: NetworkParams
     v_min: float
-    src_bits: np.ndarray   # (2^N, N) uint8
-    currents: np.ndarray   # (2^N, N) current injected by each source pattern
-    forced_bit: np.ndarray  # (2^N, N) uint8, next bit of fired neurons
-    fire_ok: np.ndarray    # (2^N, N) bool, quiescent neuron can reach theta
-    stay_ok: np.ndarray    # (2^N, N) bool, quiescent neuron can stay below theta
+    src_bits: np.ndarray  # (2^N, N) uint8, row a is the bits of pattern a
+    currents: np.ndarray  # (2^N, N) current injected by each source pattern
+    forced: np.ndarray    # (2^N,) int64 mask, next bits of the non-free neurons
+    free: np.ndarray      # (2^N,) int64 mask, neurons whose next bit is free
 
     @property
     def n(self) -> int:
@@ -207,28 +213,20 @@ class TransitionGraph:
         bits = np.asarray(eta).astype(np.uint8)
         if bits.shape != (self.n,):
             raise ValidationError(f"pattern must have length {self.n}")
-        return int(np.dot(bits, 1 << np.arange(self.n)))
+        return int(_pattern_index(bits))
 
     def pattern(self, idx: int) -> np.ndarray:
         return self.src_bits[idx]
 
-    def _free_mask(self, a: int) -> np.ndarray:
-        quiescent = self.src_bits[a] == 0
-        return quiescent & self.fire_ok[a] & self.stay_ok[a]
+    def _legal(self, a, b):
+        """Whether b is a legal successor of a; a and b are indices or index arrays."""
+        return b & ~self.free[a] == self.forced[a]
 
     def edge_kind(self, src, dst) -> str:
         a, b = self._index(src), self._index(dst)
-        sa = self.src_bits[a]
-        sb = self.src_bits[b]
-        fired = sa == 1
-        if not np.array_equal(sb[fired], self.forced_bit[a][fired]):
+        if not self._legal(a, b):
             return EDGE_ILLEGAL
-        quiescent = ~fired
-        want_fire = quiescent & (sb == 1)
-        want_stay = quiescent & (sb == 0)
-        if not self.fire_ok[a][want_fire].all() or not self.stay_ok[a][want_stay].all():
-            return EDGE_ILLEGAL
-        return EDGE_CONDITIONAL if self._free_mask(a).any() else EDGE_UNCONDITIONAL
+        return EDGE_CONDITIONAL if self.free[a] else EDGE_UNCONDITIONAL
 
     def conditional_intervals(self, src, dst) -> dict[int, tuple[float, float]]:
         """Per-neuron sub-intervals of [v_min, theta) that enable a conditional edge.
@@ -237,11 +235,11 @@ class TransitionGraph:
         intervals are half-open [lo, hi).
         """
         a, b = self._index(src), self._index(dst)
-        if self.edge_kind(a, b) == EDGE_ILLEGAL:
+        if not self._legal(a, b):
             raise ValidationError("edge is illegal; no enabling interval exists")
         theta, gamma = self.net.theta, self.net.gamma
         out: dict[int, tuple[float, float]] = {}
-        for i in np.flatnonzero(self._free_mask(a)):
+        for i in np.flatnonzero(self.pattern(self.free[a])):
             split = (theta - self.currents[a, i]) / gamma  # gamma > 0 whenever a neuron is free
             if self.src_bits[b, i] == 1:
                 out[int(i)] = (max(self.v_min, split), theta)
@@ -250,30 +248,22 @@ class TransitionGraph:
         return out
 
     def successors(self, src) -> list[tuple[int, str]]:
-        """Legal successor pattern indices of a source pattern, with edge kinds."""
+        """Legal successor pattern indices of a source pattern, ascending, with edge kinds."""
         a = self._index(src)
-        sa = self.src_bits[a]
-        base = np.where(sa == 1, self.forced_bit[a], 0).astype(np.uint8)
-        quiescent = sa == 0
-        base[quiescent & self.fire_ok[a] & ~self.stay_ok[a]] = 1
-        free = np.flatnonzero(self._free_mask(a))
-        kind = EDGE_CONDITIONAL if free.size else EDGE_UNCONDITIONAL
-        weights = 1 << np.arange(self.n)
-        base_idx = int(np.dot(base, weights))
-        out = []
-        for combo in range(1 << free.size):
-            idx = base_idx
-            for k, i in enumerate(free):
-                if combo >> k & 1:
-                    idx += int(weights[i])
-            out.append((idx, kind))
-        return out
+        forced, free = int(self.forced[a]), int(self.free[a])
+        kind = EDGE_CONDITIONAL if free else EDGE_UNCONDITIONAL
+        out, s = [], 0
+        while True:
+            out.append((forced | s, kind))
+            s = (s - free) & free  # next submask of free in ascending order; 0 after the last
+            if not s:
+                return out
 
     def counts(self) -> dict[str, int]:
         """Edge counts by kind over all 2^N x 2^N pairs, computed without enumeration."""
-        free_counts = [int(self._free_mask(a).sum()) for a in range(self.num_patterns)]
-        conditional = sum(1 << c for c in free_counts if c > 0)
-        unconditional = sum(1 for c in free_counts if c == 0)
+        cube_dims = self.src_bits[self.free].sum(axis=1, dtype=np.int64)
+        conditional = int((1 << cube_dims[cube_dims > 0]).sum())
+        unconditional = int(np.count_nonzero(cube_dims == 0))
         total = (1 << self.n) ** 2
         return {
             EDGE_UNCONDITIONAL: unconditional,
@@ -293,8 +283,7 @@ class TransitionGraph:
     @property
     def is_markov(self) -> bool:
         """True iff every domain maps into a single domain (no free neuron anywhere)."""
-        quiescent = self.src_bits == 0
-        return not (quiescent & self.fire_ok & self.stay_ok).any()
+        return not self.free.any()
 
 
 def build_transition_graph(net: NetworkParams, cap: int = GRAPH_CAP_DEFAULT) -> TransitionGraph:
@@ -312,22 +301,18 @@ def build_transition_graph(net: NetworkParams, cap: int = GRAPH_CAP_DEFAULT) -> 
     currents = src_bits.astype(np.float64) @ net.weights.T + net.i_ext
     theta, gamma = net.theta, net.gamma
     v_min = compute_bounds(net).v_min
-    forced_bit = _fires(currents, theta).astype(np.uint8)
-    if gamma > 0.0:
-        fire_ok = gamma * theta + currents > theta
-    else:
-        fire_ok = _fires(currents, theta)
-    stay_ok = ~_fires(gamma * v_min + currents, theta)
-    for arr in (src_bits, currents, forced_bit, fire_ok, stay_ok):
+    fired = src_bits == 1
+    # A quiescent neuron stays below theta from v_min and reaches it from some v < theta
+    # (strict >: the supremum is not attained; at gamma = 0 the two exclude each other).
+    # One that cannot stay below fires, as in step, even where rounding allows neither.
+    stays = ~_fires(gamma * v_min + currents, theta)
+    reaches = gamma * theta + currents > theta
+    forced = _pattern_index(np.where(fired, _fires(currents, theta), ~stays))
+    free = _pattern_index(~fired & stays & reaches)
+    for arr in (src_bits, currents, forced, free):
         arr.flags.writeable = False
     return TransitionGraph(
-        net=net,
-        v_min=v_min,
-        src_bits=src_bits,
-        currents=currents,
-        forced_bit=forced_bit,
-        fire_ok=fire_ok,
-        stay_ok=stay_ok,
+        net=net, v_min=v_min, src_bits=src_bits, currents=currents, forced=forced, free=free
     )
 
 
@@ -338,7 +323,5 @@ def is_markov_natural(net: NetworkParams, cap: int = GRAPH_CAP_DEFAULT) -> bool:
 
 def check_legal(raster, graph: TransitionGraph) -> bool:
     """True iff every consecutive pattern pair of the raster is a feasible transition."""
-    r = _check_raster(raster, graph.n)
-    return all(
-        graph.edge_kind(r[t], r[t + 1]) != EDGE_ILLEGAL for t in range(r.shape[0] - 1)
-    )
+    idx = _pattern_index(_check_raster(raster, graph.n))
+    return bool(graph._legal(idx[:-1], idx[1:]).all())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkParams, ValidationError, _as_count, compute_bounds
+from .model import NetworkParams, ValidationError, _as_count, _as_finite, compute_bounds
 from .orbits import (
     _fan_out,
     classify_regime,
@@ -49,8 +49,7 @@ class EnsembleSpec:
 
     def __post_init__(self):
         _as_count(self.n, "n")
-        if not (self.c >= 0 and np.isfinite(self.c)):
-            raise ValidationError(f"c must be >= 0, got {self.c}")
+        _as_finite(self.c, "c", allow_zero=True)
 
 
 def sample_network(spec: EnsembleSpec, rng: np.random.Generator) -> NetworkParams:

@@ -61,6 +61,15 @@ def _as_count(k: int, name: str) -> int:
     return k
 
 
+def _as_finite(x: float, name: str, allow_zero: bool = False) -> float:
+    """x as a float, checked finite and > 0 (>= 0 with allow_zero); NaN fails both."""
+    x = float(x)
+    if not (np.isfinite(x) and (x >= 0.0 if allow_zero else x > 0.0)):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ValidationError(f"{name} must be finite and {bound}, got {x}")
+    return x
+
+
 # The firing test, the one place the threshold decision is made: exactly
 # v >= theta, with no tolerance band.  Bound to the ufunc itself so the hot
 # path pays no extra Python frame.
@@ -89,11 +98,9 @@ class NetworkParams:
     def __post_init__(self):
         n = _as_count(int(self.n), "n")
         gamma = float(self.gamma)
-        theta = float(self.theta)
+        theta = _as_finite(self.theta, "theta")
         if not (0.0 <= gamma < 1.0):
             raise ValidationError(f"gamma must lie in [0, 1), got {gamma}")
-        if not (np.isfinite(theta) and theta > 0.0):
-            raise ValidationError(f"theta must be finite and > 0, got {theta}")
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (n, n):
             raise ValidationError(f"weights must have shape ({n}, {n}), got {w.shape}")
@@ -159,8 +166,7 @@ def step(net: NetworkParams, v) -> np.ndarray:
 
 
 def _check_noise(sigma_b: float, rng: Optional[np.random.Generator]) -> None:
-    if not (np.isfinite(sigma_b) and sigma_b >= 0.0):
-        raise ValidationError(f"sigma_b must be finite and >= 0, got {sigma_b}")
+    _as_finite(sigma_b, "sigma_b", allow_zero=True)
     if sigma_b > 0.0 and rng is None:
         raise ValidationError("sigma_b > 0 requires a seeded rng")
 

@@ -25,6 +25,7 @@ from .model import (
     Trajectory,
     ValidationError,
     _as_count,
+    _as_finite,
     _as_vector,
     _fires,
     compute_bounds,
@@ -178,9 +179,7 @@ def _polish(net, x0, period, tol, budget):
         if d == period:
             break
         shifted = np.roll(states, -d, axis=0)
-        if (exact and np.array_equal(shifted, states)) or (
-            not exact and float(np.max(np.abs(shifted - states))) <= tol
-        ):
+        if (np.array_equal(shifted, states) if exact else max_dist(shifted, states) <= tol):
             minimal = d
             break
     states = states[:minimal]
@@ -223,10 +222,9 @@ def find_periodic_orbit(
     Never raises on failure: no recurrence inside the horizon yields
     ``Undetermined(max_transient + 2*max_period)``.
     """
-    if max_transient < 0 or max_period < 1:
-        raise ValidationError("horizons must satisfy max_transient >= 0, max_period >= 1")
-    if tol < 0:
-        raise ValidationError(f"tol must be >= 0, got {tol}")
+    if max_transient < 0 or max_period < 1 or polish_steps < 0:
+        raise ValidationError("need max_transient >= 0, max_period >= 1, polish_steps >= 0")
+    _as_finite(tol, "tol", allow_zero=True)
     v0 = _as_vector(v0, net.n, "v0")
     horizon = max_transient + 2 * max_period
     v = v0
@@ -275,7 +273,7 @@ def _same_orbit(a: OrbitReport, b: OrbitReport, tol: float) -> bool:
     p = a.period
     for r in range(p):
         if np.array_equal(np.roll(b.cycle_raster, -r, axis=0), a.cycle_raster):
-            if float(np.max(np.abs(np.roll(b.states, -r, axis=0) - a.states))) <= tol:
+            if max_dist(np.roll(b.states, -r, axis=0), a.states) <= tol:
                 return True
     return False
 
@@ -365,10 +363,8 @@ def markov_horizon(epsilon: float, domain_diameter: float, gamma: float) -> int:
     floor((log eps - log diam) / log gamma).  Special cases: epsilon >=
     diameter needs 0 steps; gamma = 0 collapses in a single step.
     """
-    if not (epsilon > 0 and np.isfinite(epsilon)):
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    if not (domain_diameter > 0 and np.isfinite(domain_diameter)):
-        raise ValidationError(f"domain_diameter must be positive, got {domain_diameter}")
+    _as_finite(epsilon, "epsilon")
+    _as_finite(domain_diameter, "domain_diameter")
     if not (0.0 <= gamma < 1.0):
         raise ValidationError(f"gamma must lie in [0, 1), got {gamma}")
     if epsilon >= domain_diameter:
@@ -383,8 +379,7 @@ def period_bound_log2(n: int, d_as: float, gamma: float) -> float:
     _as_count(n, "n")
     if not (0.0 < gamma < 1.0):
         raise ValidationError(f"gamma must lie in (0, 1), got {gamma}")
-    if not (d_as > 0 and np.isfinite(d_as)):
-        raise ValidationError(f"d_as must be positive, got {d_as}")
+    _as_finite(d_as, "d_as")
     if d_as >= 1.0:
         warnings.warn("period bound is vacuous for attractor distances >= 1", stacklevel=2)
         return 0.0
@@ -433,14 +428,6 @@ class RegimeLabel:
         return RegimeLabel(s)
 
 
-def _is_quiescent_fixed_point(o: OrbitReport) -> bool:
-    return o.period == 1 and not o.cycle_raster.any()
-
-
-def _is_full_activity_fixed_point(o: OrbitReport) -> bool:
-    return o.period == 1 and o.cycle_raster.all()
-
-
 def classify_regime(
     net: NetworkParams,
     orbits: list,
@@ -455,14 +442,16 @@ def classify_regime(
     FullActivity); remaining cases are NearSingular when the measured
     attractor gap falls below epsilon_singular, else StablePeriodic.
     """
+    _as_finite(epsilon_singular, "epsilon_singular")
     if undetermined_count > 0:
         return RegimeLabel("Undetermined", float(horizon))
     if not orbits:
         raise RuntimeError("no orbits and no undetermined runs: empty sample")
-    if len(orbits) == 1 and _is_quiescent_fixed_point(orbits[0]):
-        return RegimeLabel("NeuralDeath")
-    if len(orbits) == 1 and _is_full_activity_fixed_point(orbits[0]):
-        return RegimeLabel("FullActivity")
+    if len(orbits) == 1 and orbits[0].period == 1:
+        if not orbits[0].cycle_raster.any():
+            return RegimeLabel("NeuralDeath")
+        if orbits[0].cycle_raster.all():
+            return RegimeLabel("FullActivity")
     d = dist_attractor_to_S(orbits)
     if d < epsilon_singular:
         return RegimeLabel("NearSingular", d)
@@ -499,10 +488,11 @@ def effective_lyapunov(
     direction fired) contribute no sample and the companions are re-seeded;
     if every step collapses the result is -inf.
     """
-    if not (ball_radius > 0 and np.isfinite(ball_radius)):
-        raise ValidationError(f"ball_radius must be positive, got {ball_radius}")
+    _as_finite(ball_radius, "ball_radius")
     _as_count(num_directions, "num_directions")
     _as_count(horizon, "horizon")
+    if burn_in < 0:
+        raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
     mother = np.asarray(v0, dtype=np.float64)
     for _ in range(burn_in):
         mother = step(net, mother)
@@ -514,15 +504,13 @@ def effective_lyapunov(
         for k in range(num_directions):
             comps[k] = step(net, comps[k])
         seps = np.max(np.abs(comps - mother), axis=1)
-        m = float(seps.max())
-        if m == 0.0:
-            comps = mother + ball_radius * _cube_directions(rng, num_directions, net.n)
-            continue
-        total += math.log(m / ball_radius)
-        samples += 1
         dead = seps == 0.0
         if dead.any():
             comps[dead] = mother + ball_radius * _cube_directions(rng, int(dead.sum()), net.n)
+            if dead.all():
+                continue
+        total += math.log(float(seps.max()) / ball_radius)
+        samples += 1
         live = ~dead
         comps[live] = mother + (comps[live] - mother) * (ball_radius / seps[live, None])
     if samples == 0:

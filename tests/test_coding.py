@@ -186,6 +186,20 @@ class TestTransitionGraph:
                 tally[kind] += 1
             assert tally == g.counts()
 
+    def test_rounding_boundary_neuron_fires(self):
+        # fl(gamma*theta + 1) and fl(gamma*v_min + 1) both round to theta: the quiescent
+        # neuron can neither stay below nor strictly cross, and step fires it
+        net = sm.NetworkParams(n=1, gamma=1e-17, theta=1.0, weights=[[0.0]], i_ext=[1.0])
+        g = sm.build_transition_graph(net)
+        tally = {EDGE_UNCONDITIONAL: 0, EDGE_CONDITIONAL: 0, EDGE_ILLEGAL: 0}
+        for _, _, kind in g.iter_edges(include_illegal=True):
+            tally[kind] += 1
+        assert tally == g.counts()
+        assert g.successors(0) == [(1, EDGE_UNCONDITIONAL)]
+        traj = sm.simulate(net, [0.0], 3)
+        assert traj.raster.ravel().tolist() == [0, 1, 1, 1]
+        assert sm.check_legal(traj.raster, g)
+
     def test_conditional_interval_is_sharp(self):
         # stepping from just inside/outside the stored interval flips the outcome
         net = sm.NetworkParams(n=1, gamma=0.7, theta=1.0, weights=[[1.2]], i_ext=[0.4])

@@ -295,6 +295,7 @@ def test_cli_bad_subcommand_exit_2():
 
 _SWEEP = ["sweep", "--n", "3", "--gammas", "0.5", "--cs", "1.0", "--inits", "1",
           "--max-transient", "50", "--max-period", "20"]
+_ORBIT = ["orbit", "--net", "{net}", "--inits", "2", "--max-transient", "5", "--max-period", "5"]
 _ENSEMBLE_LYAP = ["lyap", "--n", "3", "--gammas", "0.5", "--cs", "1.0", "--horizon", "20"]
 
 
@@ -308,8 +309,15 @@ _ENSEMBLE_LYAP = ["lyap", "--n", "3", "--gammas", "0.5", "--cs", "1.0", "--horiz
     _ENSEMBLE_LYAP + ["--threads", "0"],
     ["lyap", "--net", "{net}", "--inits", "0", "--horizon", "20"],
     ["simulate", "--net", "{net}", "--t-max", "5", "--noise", "-1", "--seed", "0"],
+    _ORBIT + ["--tol", "nan"],
+    _ORBIT + ["--eps-singular", "nan"],
+    _ORBIT + ["--polish", "-3"],
+    ["lyap", "--net", "{net}", "--inits", "1", "--horizon", "20", "--burn-in", "-5"],
+    ["lyap", "--net", "{net}", "--inits", "1", "--horizon", "20", "--threads", "0"],
 ], ids=["sweep-networks", "sweep-threads", "orbit-threads", "lyap-networks",
-        "lyap-inits", "lyap-threads", "lyap-net-inits", "simulate-noise"])
+        "lyap-inits", "lyap-threads", "lyap-net-inits", "simulate-noise",
+        "orbit-tol", "orbit-eps-singular", "orbit-polish", "lyap-net-burn-in",
+        "lyap-net-threads"])
 def test_meaningless_arguments_exit_2(argv, ex1_file, tmp_path, capsys):
     argv = [a.format(net=ex1_file) for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
