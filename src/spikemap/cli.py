@@ -192,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"spikemap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    max_transient_help = "cap on the transient, not a burn-in: detection stops once the cycle is found"
 
     p = sub.add_parser("simulate", help="iterate the map and dump trajectory + raster")
     p.add_argument("--net", required=True, help="network JSON file")
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="sample long-run orbits and classify the regime")
     p.add_argument("--net", required=True)
     p.add_argument("--inits", type=int, default=20)
-    p.add_argument("--max-transient", type=int, default=100_000)
+    p.add_argument("--max-transient", type=int, default=100_000, help=max_transient_help)
     p.add_argument("--max-period", type=int, default=10_000)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--polish", type=int, default=20_000)
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inits", type=int, default=5)
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--i-ext", type=float, default=0.0)
-    p.add_argument("--max-transient", type=int, default=3_000)
+    p.add_argument("--max-transient", type=int, default=3_000, help=max_transient_help)
     p.add_argument("--max-period", type=int, default=1_000)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)

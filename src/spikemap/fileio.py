@@ -152,12 +152,9 @@ def read_raster_text(path) -> np.ndarray:
 def write_graph_json(
     path, graph: TransitionGraph, include_illegal: bool = False, config: Optional[dict] = None
 ) -> None:
+    names = [pattern_to_str(bits) for bits in graph.src_bits]
     edges = [
-        {
-            "from": pattern_to_str(graph.pattern(a)),
-            "to": pattern_to_str(graph.pattern(b)),
-            "kind": kind,
-        }
+        {"from": names[a], "to": names[b], "kind": kind}
         for a, b, kind in graph.iter_edges(include_illegal=include_illegal)
     ]
     _write_json(path, {"n": graph.n, "edges": edges}, config)

@@ -171,6 +171,11 @@ def _check_noise(sigma_b: float, rng: Optional[np.random.Generator]) -> None:
         raise ValidationError("sigma_b > 0 requires a seeded rng")
 
 
+def _step_plus_noise(net: NetworkParams, v, sigma_b: float, rng: np.random.Generator) -> np.ndarray:
+    """One update plus the noise draw, unchecked: the one place noise is added."""
+    return step(net, v) + rng.normal(0.0, sigma_b, net.n)
+
+
 def step_noisy(net: NetworkParams, v, sigma_b: float, rng: Optional[np.random.Generator]) -> np.ndarray:
     """One update plus i.i.d. Gaussian noise of standard deviation sigma_b per neuron.
 
@@ -179,7 +184,7 @@ def step_noisy(net: NetworkParams, v, sigma_b: float, rng: Optional[np.random.Ge
     _check_noise(sigma_b, rng)
     if sigma_b == 0.0:
         return step(net, v)
-    return step(net, v) + rng.normal(0.0, sigma_b, net.n)
+    return _step_plus_noise(net, v, sigma_b, rng)
 
 
 @dataclass(frozen=True)
@@ -214,7 +219,7 @@ def simulate(
     states = np.empty((t_max + 1, net.n), dtype=np.float64)
     states[0] = v
     for t in range(1, t_max + 1):
-        v = step_noisy(net, v, sigma_b, rng) if sigma_b > 0.0 else step(net, v)
+        v = _step_plus_noise(net, v, sigma_b, rng) if sigma_b > 0.0 else step(net, v)
         states[t] = v
     raster = _fires(states, net.theta).astype(np.uint8)
     states.flags.writeable = False

@@ -32,7 +32,7 @@ from .model import (
     max_dist,
     step,
 )
-from .coding import encode
+from .coding import IllegalCodeError, encode, reconstruct_periodic
 
 __all__ = [
     "OrbitReport",
@@ -94,8 +94,11 @@ def _pattern_key(v: np.ndarray, theta: float) -> bytes:
 def _brent_scan(net, v, budget, max_period, tol):
     """Brent cycle search with tolerance: O(1) state comparisons per step.
 
-    Returns (lam, hare_state, steps_used); lam is None when no within-tol
-    recurrence with period <= max_period shows up inside the budget.
+    The power is capped at max_period, so the anchor moves at least every
+    max_period steps: once the trajectory is on a cycle of period p <=
+    max_period and past step p - 1, the cycle is caught within 2*max_period
+    steps.  Returns (lam, hare_state, steps_used); lam is None when no
+    within-tol recurrence shows up inside the budget.
     """
     theta = net.theta
     anchor = v
@@ -105,16 +108,12 @@ def _brent_scan(net, v, budget, max_period, tol):
     hare = step(net, v)
     used = 1
     while used <= budget:
-        if (
-            lam <= max_period
-            and _pattern_key(hare, theta) == anchor_key
-            and max_dist(hare, anchor) <= tol
-        ):
+        if _pattern_key(hare, theta) == anchor_key and max_dist(hare, anchor) <= tol:
             return lam, hare, used
         if lam == power:
             anchor = hare
             anchor_key = _pattern_key(anchor, theta)
-            power *= 2
+            power = min(2 * power, max_period)
             lam = 0
         hare = step(net, hare)
         used += 1
@@ -128,16 +127,41 @@ def _divisors(p: int):
             yield d
 
 
+def _closed_form_zeros(net, chunk, x):
+    """x with the coordinates whose exact cycle value is 0 set to 0, when certified.
+
+    The raster determines the orbit (``reconstruct_periodic`` of chunk's
+    first period).  A coordinate whose cycle value is 0 would otherwise
+    decay through the subnormals, about 1074*ln2/|ln gamma| steps, to a float
+    fixed point next to 0; 0 itself is exact.  Other coordinates keep their
+    iterate: a nonzero closed form carries rounding, may sit a few ulps off
+    the float cycle the iteration lands on, and would save only
+    log(tol/ulp)/|ln gamma| steps.  The closed form is used only when every chunk state lies strictly
+    closer to it than its threshold gap: such a perturbation keeps the raster
+    and decays onto the cycle.  Returns x itself when nothing changes.
+    """
+    try:
+        exact = reconstruct_periodic(net, encode(chunk[:-1], net.theta))
+    except IllegalCodeError:
+        return x
+    zero = (exact[0] == 0.0) & (x != 0.0)
+    if not zero.any() or max_dist(chunk[:-1], exact) >= np.min(np.abs(exact - net.theta)):
+        return x
+    return np.where(zero, exact[0], x)
+
+
 def _polish(net, x0, period, tol, budget):
     """Verify and sharpen a candidate cycle.
 
     Iterates in chunks of one period; the firing pattern must keep repeating
     the first chunk's pattern sequence, otherwise the candidate was a
     pseudo-orbit and we reject (returning the advanced state so the caller
-    can resume scanning).  Acceptance is by bit-identical chunk recurrence,
-    or by within-tol closure once the budget runs out; division by the
-    pattern check keeps tol-acceptance honest.  On success the minimal
-    period is extracted by divisor reduction.
+    can resume scanning).  After the first chunk, coordinates whose
+    closed-form cycle value is exactly 0 jump there instead of following the
+    geometric decay into the subnormals.  Acceptance is by bit-identical
+    chunk recurrence, or by within-tol closure once the budget runs out;
+    division by the pattern check keeps tol-acceptance honest.  On success
+    the minimal period is extracted by divisor reduction.
     """
     theta = net.theta
     budget = max(budget, 2 * period)
@@ -166,6 +190,10 @@ def _polish(net, x0, period, tol, budget):
             if keys[period] != keys[0]:
                 return None, x
             cyc_keys = keys[:period]
+            seed = _closed_form_zeros(net, chunk, x)
+            if seed is not x:
+                x = seed
+                continue
         if np.array_equal(chunk[period], chunk[0]):
             exact = True
             break
@@ -211,11 +239,15 @@ def find_periodic_orbit(
 ) -> Union[OrbitReport, Undetermined]:
     """Detect the cycle a trajectory settles on, or report Undetermined.
 
-    Burns max_transient steps, then scans up to 2*max_period further steps
-    for a within-tol recurrence with matching firing pattern (Brent's
-    method).  A candidate period is verified by re-simulation: its pattern
-    sequence must keep repeating and the cycle must close, after which the
-    states are polished to the exact floating-point cycle when one exists.
+    Scans the trajectory from v0 for a within-tol recurrence with matching
+    firing pattern (Brent's method) and stops at the first one; the scan
+    takes at most max_transient + 2*max_period steps, so max_transient is a
+    cap on the transient, not a burn-in.  A trajectory that runs on a cycle
+    of period p <= max_period from step max_transient on is found whenever
+    p - 1 <= max_transient.  A candidate period is verified by re-simulation:
+    its pattern sequence must keep repeating and the cycle must close, after
+    which the states are polished to the exact floating-point cycle when one
+    exists (a coordinate whose closed-form cycle value is 0 is set to 0).
     The report is re-based at the first time the trajectory from v0 enters
     the detected cycle.
 
@@ -227,10 +259,7 @@ def find_periodic_orbit(
     _as_finite(tol, "tol", allow_zero=True)
     v0 = _as_vector(v0, net.n, "v0")
     horizon = max_transient + 2 * max_period
-    v = v0
-    for _ in range(max_transient):
-        v = step(net, v)
-    budget = 2 * max_period
+    v, budget = v0, horizon
     for _ in range(8):  # pseudo-orbit rejections restart the scan downstream
         if budget <= 0:
             break

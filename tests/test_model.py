@@ -138,6 +138,18 @@ class TestSimulate:
         with pytest.raises(sm.ValidationError):
             sm.simulate(example1_net(), [0.0], -1)
 
+    def test_noise_matches_step_noisy_loop(self):
+        # simulate checks the noise once, then adds it exactly as step_noisy does
+        rng = np.random.default_rng(8)
+        net = random_net(rng, n=5, coupling=2.0, i_ext_high=0.3)
+        v0 = rng.uniform(*sm.compute_bounds(net), net.n)
+        traj = sm.simulate(net, v0, 200, sigma_b=0.05, rng=np.random.default_rng(17))
+        loop_rng = np.random.default_rng(17)
+        v = v0
+        for t in range(1, 201):
+            v = sm.step_noisy(net, v, 0.05, loop_rng)
+            assert np.array_equal(traj.states[t], v)
+
 
 class TestFiringTimes:
     def test_silent(self):

@@ -51,6 +51,62 @@ class TestFindPeriodicOrbit:
         assert report.min_threshold_gap == 0.0
         assert report.cycle_raster.sum() == 1
 
+    def test_ghost_cycle_found_within_horizon(self):
+        # the cycle is reached at t = 1; scanning from t = 0 finds it within the
+        # horizon 60 + 2*54, where a burn-in of 60 steps left too little room
+        report = sm.find_periodic_orbit(example1_net(), [0.0], max_transient=60, max_period=54)
+        assert report.period == 54
+        assert report.min_threshold_gap == 0.0
+
+    def test_cycle_entered_by_max_transient_is_found(self):
+        # one spike runs down a chain of 64 neurons into a ring of 54: the
+        # trajectory is on a period-54 cycle from t = 64 on.  With the Brent
+        # power capped at max_period the anchor moves every 54 steps, so the
+        # cycle closes at t = 171, inside the horizon 64 + 2*54; doubling the
+        # power instead would place the anchor at t = 127 and need until t = 181
+        chain, ring = 64, 54
+        n = chain + ring
+        w = np.zeros((n, n))
+        w[np.arange(1, n), np.arange(n - 1)] = 1.5
+        w[chain, n - 1] = 1.5
+        net = sm.NetworkParams(n=n, gamma=0.5, theta=1.0, weights=w, i_ext=np.zeros(n))
+        v0 = np.zeros(n)
+        v0[0] = 1.5
+        report = sm.find_periodic_orbit(net, v0, max_transient=chain, max_period=ring)
+        assert report.period == ring
+        assert report.transient == chain
+
+    def test_dead_fixed_point_is_exactly_zero(self):
+        # for gamma > 0.5 the leak stalls a few subnormals away from 0; the
+        # closed-form cycle value 0 is exact
+        net = quiescent_net(gamma=0.875)
+        report = sm.find_periodic_orbit(net, [0.7, -0.2, 0.9], max_transient=3000, max_period=1000)
+        assert report.period == 1
+        assert np.array_equal(report.states, np.zeros((1, 3)))
+        assert not np.signbit(report.states).any()
+        assert report.min_threshold_gap == 1.0
+
+    def test_step_calls_do_not_grow_with_max_transient(self, monkeypatch):
+        # max_transient caps the scan; a start that settles early costs the same
+        calls = [0]
+        real_step = sm.orbits.step
+
+        def counting_step(net, v):
+            calls[0] += 1
+            return real_step(net, v)
+
+        monkeypatch.setattr(sm.orbits, "step", counting_step)
+        net = quiescent_net(gamma=0.875, i_ext=0.05)
+        used = []
+        for max_transient in (3000, 100_000):
+            calls[0] = 0
+            report = sm.find_periodic_orbit(net, [0.7, -0.2, 0.9],
+                                            max_transient=max_transient, max_period=1000)
+            assert report.period == 1
+            used.append(calls[0])
+        assert used[0] == used[1]
+        assert used[0] < 3000
+
     def test_closure_and_raster_invariants(self):
         rng = np.random.default_rng(21)
         found = 0
