@@ -137,7 +137,7 @@ def reconstruct_periodic(net: NetworkParams, cycle) -> np.ndarray:
     if p == 0:
         raise ValidationError("cycle must be nonempty")
     eta = cycle.astype(np.float64)
-    currents = eta @ net.weights.T + net.i_ext  # currents[t] = current injected by pattern t
+    currents = _advance(net, 0.0, eta)  # currents[t]: where pattern t sends a fired neuron
     fires_somewhere = cycle.any(axis=0)
 
     # Phase-0 state: closed-form geometric sum for never-firing coordinates;
@@ -298,7 +298,7 @@ def build_transition_graph(net: NetworkParams, cap: int = GRAPH_CAP_DEFAULT) -> 
     num = 1 << n
     idx = np.arange(num, dtype=np.uint64)[:, None]
     src_bits = ((idx >> np.arange(n, dtype=np.uint64)[None, :]) & 1).astype(np.uint8)
-    currents = src_bits.astype(np.float64) @ net.weights.T + net.i_ext
+    currents = _advance(net, 0.0, src_bits.astype(np.float64))  # as step sends a fired neuron
     theta, gamma = net.theta, net.gamma
     v_min = compute_bounds(net).v_min
     fired = src_bits == 1

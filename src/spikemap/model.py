@@ -151,16 +151,21 @@ def synaptic_current(net: NetworkParams, eta) -> np.ndarray:
     return net.weights @ e
 
 
-def _advance(net: NetworkParams, v: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The affine map on the domain of firing pattern z (a float 0/1 vector).
+def _advance(net: NetworkParams, v, z: np.ndarray) -> np.ndarray:
+    """The affine map on the domain of firing pattern z: a float 0/1 vector or a (K, N) stack.
 
-    Simulation and reconstruction share this one summation order, so they agree bit for bit.
+    The one place W z is summed: a stack's product hands each row to the same gemv as
+    ``W @ z`` (a gemm, ``Z @ W.T``, sums in another order), so every caller agrees bit for bit.
     """
-    return net.gamma * v * (1.0 - z) + net.weights @ z + net.i_ext
+    wz = net.weights @ z if z.ndim == 1 else np.matmul(net.weights, z[..., None])[..., 0]
+    return net.gamma * v * (1.0 - z) + wz + net.i_ext
 
 
 def step(net: NetworkParams, v) -> np.ndarray:
-    """One synchronous update.  All firing states are read from the input state."""
+    """One synchronous update.  All firing states are read from the input state.
+
+    A (K, N) stack of states advances row by row, each row bit-identical to a single call.
+    """
     v = np.asarray(v, dtype=np.float64)
     return _advance(net, v, _fires(v, net.theta).astype(np.float64))
 
@@ -171,20 +176,14 @@ def _check_noise(sigma_b: float, rng: Optional[np.random.Generator]) -> None:
         raise ValidationError("sigma_b > 0 requires a seeded rng")
 
 
-def _step_plus_noise(net: NetworkParams, v, sigma_b: float, rng: np.random.Generator) -> np.ndarray:
-    """One update plus the noise draw, unchecked: the one place noise is added."""
-    return step(net, v) + rng.normal(0.0, sigma_b, net.n)
-
-
 def step_noisy(net: NetworkParams, v, sigma_b: float, rng: Optional[np.random.Generator]) -> np.ndarray:
     """One update plus i.i.d. Gaussian noise of standard deviation sigma_b per neuron.
 
     sigma_b = 0 is bit-identical to :func:`step`.
     """
     _check_noise(sigma_b, rng)
-    if sigma_b == 0.0:
-        return step(net, v)
-    return _step_plus_noise(net, v, sigma_b, rng)
+    out = step(net, v)
+    return out + rng.normal(0.0, sigma_b, out.shape) if sigma_b > 0.0 else out
 
 
 @dataclass(frozen=True)
@@ -209,17 +208,18 @@ def simulate(
     """Iterate the map t_max times from v0, recording states and the raster.
 
     With sigma_b > 0 a Gaussian perturbation is added at every step (an rng
-    is then required); runs are reproducible given the rng seed.  A negative
-    or non-finite sigma_b is rejected.
+    is then required), drawn as one (t_max, N) block, which equals t_max
+    draws of N.  A negative or non-finite sigma_b is rejected.
     """
     if t_max < 0:
         raise ValidationError(f"t_max must be >= 0, got {t_max}")
     _check_noise(sigma_b, rng)
     v = _as_vector(v0, net.n, "v0")
+    noise = rng.normal(0.0, sigma_b, (t_max, net.n)) if sigma_b > 0.0 else None
     states = np.empty((t_max + 1, net.n), dtype=np.float64)
     states[0] = v
     for t in range(1, t_max + 1):
-        v = _step_plus_noise(net, v, sigma_b, rng) if sigma_b > 0.0 else step(net, v)
+        v = step(net, v) if noise is None else step(net, v) + noise[t - 1]
         states[t] = v
     raster = _fires(states, net.theta).astype(np.uint8)
     states.flags.writeable = False

@@ -522,16 +522,15 @@ def effective_lyapunov(
     _as_count(horizon, "horizon")
     if burn_in < 0:
         raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
-    mother = np.asarray(v0, dtype=np.float64)
+    mother = _as_vector(v0, net.n, "v0")
     for _ in range(burn_in):
         mother = step(net, mother)
-    comps = mother + ball_radius * _cube_directions(rng, num_directions, net.n)
+    pts = np.vstack([mother, mother + ball_radius * _cube_directions(rng, num_directions, net.n)])
     total = 0.0
     samples = 0
     for _ in range(horizon):
-        mother = step(net, mother)
-        for k in range(num_directions):
-            comps[k] = step(net, comps[k])
+        pts = step(net, pts)  # row 0 is the mother, the rest its companions
+        mother, comps = pts[0], pts[1:]
         seps = np.max(np.abs(comps - mother), axis=1)
         dead = seps == 0.0
         if dead.any():

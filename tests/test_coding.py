@@ -239,6 +239,46 @@ class TestTransitionGraph:
                     assert len(seen) == 1
 
 
+class TestGraphAgreesWithStep:
+    """The graph's currents are step's bits, so its forced bits agree at the threshold."""
+
+    def test_threshold_equal_to_a_fired_neurons_current(self):
+        # theta set, bit for bit, to what step sends a fired neuron: the neuron then lands
+        # exactly on the threshold and fires.  Every (pattern, fired neuron) pair with a
+        # positive current is one net; the pairs include those where a gemm (Z @ W.T)
+        # sums differently from step's gemv and the graph used to forbid the step taken.
+        n = 8
+        w = np.random.default_rng(1).normal(0.0, 1.5 / np.sqrt(n), (n, n))
+        bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.float64)
+        probe = sm.NetworkParams(n=n, gamma=0.5, theta=1.0, weights=w, i_ext=np.zeros(n))
+        nets = 0
+        for a in range(1 << n):
+            current = sm.step(probe, 2.0 * bits[a])  # pattern a fires exactly the bits of a
+            for i in np.flatnonzero(bits[a]):
+                if current[i] <= 0.0:
+                    continue
+                net = sm.NetworkParams(n=n, gamma=0.5, theta=current[i], weights=w,
+                                       i_ext=np.zeros(n))
+                v0 = np.where(bits[a] == 1, net.theta, sm.compute_bounds(net).v_min)
+                traj = sm.simulate(net, v0, 1)
+                assert traj.states[1, i] == net.theta
+                g = sm.build_transition_graph(net)
+                assert sm.check_legal(traj.raster, g)
+                assert g.edge_kind(traj.raster[0], traj.raster[1]) != EDGE_ILLEGAL
+                nets += 1
+        assert nets > 400
+
+    @pytest.mark.parametrize("n,seed", [(8, 21), (16, 22)])
+    def test_fired_coordinates_match_step_on_every_pattern(self, n, seed):
+        net = random_net(np.random.default_rng(seed), n=n, coupling=2.0, i_ext_high=0.5)
+        g = sm.build_transition_graph(net)
+        fired = g.src_bits == 1
+        after = sm.step(net, np.where(fired, net.theta, g.v_min))
+        assert np.array_equal(after[fired], g.currents[fired])
+        forced_bits = (g.forced[:, None] >> np.arange(n)) & 1
+        assert np.array_equal((after >= net.theta)[fired], forced_bits[fired] == 1)
+
+
 class TestIsMarkovNatural:
     def test_gamma_zero_always(self):
         rng = np.random.default_rng(14)

@@ -74,6 +74,31 @@ class TestStep:
         assert sm.step(net, np.zeros(2)).tolist() == [0.0, 0.0]
 
 
+class TestBatchedStep:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40),
+           st.just(0.0) | st.floats(0.0, 0.99), st.integers(0, 2**32 - 1))
+    def test_stack_matches_looped_rows_bit_for_bit(self, n, k, gamma, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(0.0, 1.5 / np.sqrt(n), (n, n))
+        quarters = rng.random((n, n)) < 0.5
+        w[quarters] = np.round(4.0 * w[quarters]) / 4.0  # exact sums that can land on theta
+        i_ext = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 0.3, n))
+        net = sm.NetworkParams(n=n, gamma=gamma, theta=1.0, weights=w, i_ext=i_ext)
+        states = rng.uniform(*sm.compute_bounds(net), (k, n))
+        states[rng.random((k, n)) < 0.3] = net.theta
+        looped = np.array([sm.step(net, row) for row in states])
+        assert sm.step(net, states).tobytes() == looped.tobytes()
+
+    def test_noisy_stack_draws_one_block(self):
+        rng = np.random.default_rng(3)
+        net = random_net(rng, n=4)
+        states = rng.uniform(*sm.compute_bounds(net), (6, 4))
+        got = sm.step_noisy(net, states, 0.1, np.random.default_rng(9))
+        want = sm.step(net, states) + np.random.default_rng(9).normal(0.0, 0.1, (6, 4))
+        assert np.array_equal(got, want)
+
+
 class TestStepNoisy:
     def test_zero_noise_is_bit_identical(self):
         rng = np.random.default_rng(0)

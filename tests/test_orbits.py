@@ -335,6 +335,80 @@ class TestClassifyRegime:
             assert sm.RegimeLabel.parse(str(label)).kind == label.kind
 
 
+def looped_lyapunov(net, v0, ball_radius, num_directions, horizon, rng, burn_in=0):
+    """effective_lyapunov with one step per trajectory; also counts the collapsed steps.
+
+    Returns (estimate, partial, total): steps on which some (partial) or all (total)
+    companions collapsed onto the mother and were re-seeded.
+    """
+    def directions(k):
+        u = rng.uniform(-1.0, 1.0, size=(k, net.n))
+        scale = np.max(np.abs(u), axis=1, keepdims=True)
+        scale[scale == 0.0] = 1.0
+        return u / scale
+
+    mother = np.asarray(v0, dtype=np.float64)
+    for _ in range(burn_in):
+        mother = sm.step(net, mother)
+    comps = mother + ball_radius * directions(num_directions)
+    total, samples, partial, collapsed = 0.0, 0, 0, 0
+    for _ in range(horizon):
+        mother = sm.step(net, mother)
+        for k in range(num_directions):
+            comps[k] = sm.step(net, comps[k])
+        seps = np.max(np.abs(comps - mother), axis=1)
+        dead = seps == 0.0
+        if dead.any():
+            comps[dead] = mother + ball_radius * directions(int(dead.sum()))
+            if dead.all():
+                collapsed += 1
+                continue
+            partial += 1
+        total += math.log(float(seps.max()) / ball_radius)
+        samples += 1
+        live = ~dead
+        comps[live] = mother + (comps[live] - mother) * (ball_radius / seps[live, None])
+    return (total / samples if samples else -math.inf), partial, collapsed
+
+
+class TestEffectiveLyapunovBatched:
+    """The mother and companions advance as one stack, bit-identically to looping step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.just(0.0) | st.floats(0.0, 0.95),
+           st.sampled_from([1e-6, 1e-3, 0.1, 1.0]), st.integers(0, 20), st.integers(0, 2**32 - 1))
+    def test_matches_looped_reference(self, n, k, gamma, ball, burn_in, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, n=n, gamma=gamma, coupling=2.0, i_ext_high=0.5)
+        v0 = rng.uniform(*sm.compute_bounds(net), n)
+        lam = sm.effective_lyapunov(net, v0, ball, k, 60, np.random.default_rng(seed),
+                                    burn_in=burn_in)
+        ref, _, _ = looped_lyapunov(net, v0, ball, k, 60, np.random.default_rng(seed),
+                                    burn_in=burn_in)
+        assert lam == ref
+
+    def test_partial_and_total_collapse_reseed_alike(self):
+        # period-3 ramp 0.6, 0.9, 1.05: a ball of 0.1 around 1.05 fires some companions
+        # (they collapse onto the mother) but not all; one of 1e-3 fires them all
+        net = sm.NetworkParams(n=1, gamma=0.5, theta=1.0, weights=[[0.0]], i_ext=[0.6])
+        for ball, which in ((0.1, 1), (1e-3, 2)):
+            lam = sm.effective_lyapunov(net, [0.6], ball, 6, 90, np.random.default_rng(2))
+            ref = looped_lyapunov(net, [0.6], ball, 6, 90, np.random.default_rng(2))
+            assert ref[which] > 0
+            assert lam == ref[0]
+
+    def test_all_collapsed_is_minus_inf(self):
+        net = quiescent_net(i_ext=2.0)  # every neuron fires every step
+        lam = sm.effective_lyapunov(net, np.full(3, 2.0), 1e-3, 4, 30, np.random.default_rng(3))
+        assert lam == looped_lyapunov(net, np.full(3, 2.0), 1e-3, 4, 30,
+                                      np.random.default_rng(3))[0] == -math.inf
+
+    @pytest.mark.parametrize("v0", [[0.0, math.nan, 0.0], [0.0], np.zeros((4, 3))])
+    def test_v0_is_checked(self, v0):
+        with pytest.raises(sm.ValidationError):
+            sm.effective_lyapunov(quiescent_net(), v0, 1e-3, 4, 10, np.random.default_rng(0))
+
+
 class TestEffectiveLyapunov:
     def test_quiescent_equals_log_gamma(self):
         net = quiescent_net(gamma=0.5)
