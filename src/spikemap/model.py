@@ -154,10 +154,10 @@ def synaptic_current(net: NetworkParams, eta) -> np.ndarray:
 def _advance(net: NetworkParams, v, z: np.ndarray) -> np.ndarray:
     """The affine map on the domain of firing pattern z: a float 0/1 vector or a (K, N) stack.
 
-    The one place W z is summed: a stack's product hands each row to the same gemv as
-    ``W @ z`` (a gemm, ``Z @ W.T``, sums in another order), so every caller agrees bit for bit.
+    The one place W z is summed, in one form for any shape: each row enters the product
+    as a column, so every caller agrees bit for bit (``Z @ W.T`` sums in another order).
     """
-    wz = net.weights @ z if z.ndim == 1 else np.matmul(net.weights, z[..., None])[..., 0]
+    wz = np.matmul(net.weights, z[..., None])[..., 0]
     return net.gamma * v * (1.0 - z) + wz + net.i_ext
 
 
@@ -208,18 +208,17 @@ def simulate(
     """Iterate the map t_max times from v0, recording states and the raster.
 
     With sigma_b > 0 a Gaussian perturbation is added at every step (an rng
-    is then required), drawn as one (t_max, N) block, which equals t_max
-    draws of N.  A negative or non-finite sigma_b is rejected.
+    is then required), drawn step by step so that only the states are held.
+    A negative or non-finite sigma_b is rejected.
     """
     if t_max < 0:
         raise ValidationError(f"t_max must be >= 0, got {t_max}")
     _check_noise(sigma_b, rng)
     v = _as_vector(v0, net.n, "v0")
-    noise = rng.normal(0.0, sigma_b, (t_max, net.n)) if sigma_b > 0.0 else None
     states = np.empty((t_max + 1, net.n), dtype=np.float64)
     states[0] = v
     for t in range(1, t_max + 1):
-        v = step(net, v) if noise is None else step(net, v) + noise[t - 1]
+        v = step(net, v) + rng.normal(0.0, sigma_b, net.n) if sigma_b > 0.0 else step(net, v)
         states[t] = v
     raster = _fires(states, net.theta).astype(np.uint8)
     states.flags.writeable = False

@@ -273,7 +273,8 @@ class TestGraphAgreesWithStep:
         net = random_net(np.random.default_rng(seed), n=n, coupling=2.0, i_ext_high=0.5)
         g = sm.build_transition_graph(net)
         fired = g.src_bits == 1
-        after = sm.step(net, np.where(fired, net.theta, g.v_min))
+        # one state per call, the path simulate takes, so a stacked call is not its own reference
+        after = np.array([sm.step(net, v) for v in np.where(fired, net.theta, g.v_min)])
         assert np.array_equal(after[fired], g.currents[fired])
         forced_bits = (g.forced[:, None] >> np.arange(n)) & 1
         assert np.array_equal((after >= net.theta)[fired], forced_bits[fired] == 1)
