@@ -81,14 +81,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_graph(args) -> int:
     net = fileio.read_network(args.net)
+    if args.include_illegal and 2 * net.n > args.cap:
+        raise CapacityError(f"--include-illegal needs 2N <= --cap={args.cap}, got N={net.n}")
     graph = build_transition_graph(net, cap=args.cap)
     config = _base_config(args, "graph", ["net", "cap", "include_illegal"])
     fileio.write_graph_json(args.out, graph, include_illegal=args.include_illegal, config=config)
-    counts = graph.counts()
-    print(
-        f"unconditional={counts['unconditional']} "
-        f"conditional={counts['conditional']} illegal={counts['illegal']}"
-    )
+    print(" ".join(f"{kind}={count}" for kind, count in graph.counts().items()))
     return 0
 
 
@@ -205,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="classify all pattern transitions")
     p.add_argument("--net", required=True)
-    p.add_argument("--cap", type=int, default=16, help="max N for 2^N enumeration")
+    p.add_argument("--cap", type=int, default=16, help="max N (2N with --include-illegal)")
     p.add_argument("--include-illegal", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_graph)

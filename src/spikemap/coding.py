@@ -45,6 +45,8 @@ __all__ = [
 EDGE_UNCONDITIONAL = "unconditional"
 EDGE_CONDITIONAL = "conditional"
 EDGE_ILLEGAL = "illegal"
+_EDGE_KINDS = (EDGE_UNCONDITIONAL, EDGE_CONDITIONAL, EDGE_ILLEGAL)  # kind codes 0, 1, 2
+_EDGE_BLOCK = 1 << 16  # edges per block of the enumeration, give or take one source's
 
 GRAPH_CAP_DEFAULT = 16
 
@@ -224,9 +226,7 @@ class TransitionGraph:
 
     def edge_kind(self, src, dst) -> str:
         a, b = self._index(src), self._index(dst)
-        if not self._legal(a, b):
-            return EDGE_ILLEGAL
-        return EDGE_CONDITIONAL if self.free[a] else EDGE_UNCONDITIONAL
+        return _EDGE_KINDS[int(self.free[a] != 0) if self._legal(a, b) else 2]
 
     def conditional_intervals(self, src, dst) -> dict[int, tuple[float, float]]:
         """Per-neuron sub-intervals of [v_min, theta) that enable a conditional edge.
@@ -250,35 +250,48 @@ class TransitionGraph:
     def successors(self, src) -> list[tuple[int, str]]:
         """Legal successor pattern indices of a source pattern, ascending, with edge kinds."""
         a = self._index(src)
-        forced, free = int(self.forced[a]), int(self.free[a])
-        kind = EDGE_CONDITIONAL if free else EDGE_UNCONDITIONAL
-        out, s = [], 0
-        while True:
-            out.append((forced | s, kind))
-            s = (s - free) & free  # next submask of free in ascending order; 0 after the last
-            if not s:
-                return out
+        _, b, kind = next(self._edge_blocks(sources=(a, a + 1)))
+        return list(zip(b.tolist(), [_EDGE_KINDS[k] for k in kind.tolist()]))
 
     def counts(self) -> dict[str, int]:
         """Edge counts by kind over all 2^N x 2^N pairs, computed without enumeration."""
         cube_dims = self.src_bits[self.free].sum(axis=1, dtype=np.int64)
         conditional = int((1 << cube_dims[cube_dims > 0]).sum())
         unconditional = int(np.count_nonzero(cube_dims == 0))
-        total = (1 << self.n) ** 2
-        return {
-            EDGE_UNCONDITIONAL: unconditional,
-            EDGE_CONDITIONAL: conditional,
-            EDGE_ILLEGAL: total - unconditional - conditional,
-        }
+        illegal = (1 << self.n) ** 2 - unconditional - conditional
+        return dict(zip(_EDGE_KINDS, (unconditional, conditional, illegal)))
 
     def iter_edges(self, include_illegal: bool = False) -> Iterator[tuple[int, int, str]]:
-        for a in range(self.num_patterns):
+        """Every (a, b, kind), sources ascending, then targets ascending; lazy, in numpy blocks."""
+        for a, b, kind in self._edge_blocks(include_illegal):
+            yield from zip(a.tolist(), b.tolist(), [_EDGE_KINDS[k] for k in kind.tolist()])
+
+    def _edge_blocks(self, include_illegal: bool = False, sources: Optional[tuple] = None):
+        """Edges of sources lo..hi-1 (default all), in order, as (a, b, kind index) array blocks.
+
+        a's legal targets are ``forced[a] | s`` for the submasks s of ``free[a]``, ascending:
+        the bits of k = 0..2^d-1 deposited in order onto the d set bits of ``free[a]``.
+        """
+        num = self.num_patterns
+        lo, hi = sources or (0, num)
+        dims = self.src_bits[self.free[lo:hi]].sum(axis=1, dtype=np.int64)
+        sizes = np.full(hi - lo, num) if include_illegal else np.int64(1) << dims
+        cuts = np.searchsorted(np.cumsum(sizes), np.arange(0, sizes.sum(), _EDGE_BLOCK), "right")
+        bounds = [*np.unique(lo + cuts).tolist(), hi]
+        for s0, s1 in zip(bounds, bounds[1:]):
+            size, d_blk = sizes[s0 - lo:s1 - lo], dims[s0 - lo:s1 - lo]
+            a = np.repeat(np.arange(s0, s1), size)
+            kind = (self.free[a] != 0).astype(np.int64)
             if include_illegal:
-                for b in range(self.num_patterns):
-                    yield a, b, self.edge_kind(a, b)
+                b = np.tile(np.arange(num), s1 - s0)
+                kind[~self._legal(a, b)] = 2
             else:
-                for b, kind in self.successors(a):
-                    yield a, b, kind
+                b, first = self.forced[a], np.cumsum(size) - size
+                for d in np.unique(d_blk[d_blk > 0]).tolist():
+                    rows, k = np.flatnonzero(d_blk == d), np.arange(1 << d)
+                    bit = np.nonzero(self.src_bits[self.free[s0 + rows]])[1].reshape(-1, d, 1)
+                    b[first[rows, None] + k] |= sum(((k >> j) & 1) << bit[:, j] for j in range(d))
+            yield a, b, kind
 
     @property
     def is_markov(self) -> bool:

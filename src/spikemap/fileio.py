@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .model import NetworkParams, Trajectory, ValidationError
-from .coding import TransitionGraph, pattern_to_str, str_to_pattern
+from .coding import _EDGE_KINDS, TransitionGraph, pattern_to_str
 from .orbits import OrbitReport, RegimeLabel
 from .ensemble import LyapCell, SweepCell
 
@@ -68,12 +68,15 @@ def _read_csv(path) -> tuple[dict, list[str]]:
     return config, [ln for ln in lines if ln and not ln.startswith("#")]
 
 
-def _write_json(path, payload: dict, config: Optional[dict] = None) -> None:
+def _json_text(payload: dict, config: Optional[dict] = None) -> str:
     if config:
         payload["config"] = {k: str(v) for k, v in config.items()}
+    return json.dumps(payload, indent=1) + "\n"
+
+
+def _write_json(path, payload: dict, config: Optional[dict] = None) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=1)
-        f.write("\n")
+        f.write(_json_text(payload, config))
 
 
 def _read_json(path) -> dict:
@@ -111,7 +114,7 @@ def read_network(path) -> NetworkParams:
 def write_trajectory_csv(path, traj: Trajectory, config: Optional[dict] = None) -> None:
     _write_csv(
         path, config, "t," + ",".join(f"v_{i}" for i in range(traj.net.n)),
-        (str(t) + "," + ",".join(fmt_float(x) for x in v) for t, v in enumerate(traj.states)),
+        (f"{t}," + ",".join(map(repr, v)) for t, v in enumerate(traj.states.tolist())),
     )
 
 
@@ -143,21 +146,35 @@ def read_raster_text(path) -> np.ndarray:
         lines = [ln.strip() for ln in f if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValidationError(f"raster file {path} is empty")
-    width = len(lines[0])
-    if any(len(ln) != width for ln in lines):
+    if len(set(map(len, lines))) != 1:
         raise ValidationError(f"raster file {path} has ragged lines")
-    return np.stack([str_to_pattern(ln) for ln in lines])
+    bits = np.frombuffer("".join(lines).encode(), dtype=np.uint8) - np.uint8(ord("0"))
+    if (bits > 1).any():  # any other character, '/' and below included, wraps above 1
+        raise ValidationError(f"raster file {path} has characters other than 0/1")
+    return bits.reshape(len(lines), -1)
 
 
 def write_graph_json(
     path, graph: TransitionGraph, include_illegal: bool = False, config: Optional[dict] = None
 ) -> None:
-    names = [pattern_to_str(bits) for bits in graph.src_bits]
-    edges = [
-        {"from": names[a], "to": names[b], "kind": kind}
-        for a, b, kind in graph.iter_edges(include_illegal=include_illegal)
-    ]
-    _write_json(path, {"n": graph.n, "edges": edges}, config)
+    """The graph as ``json.dump({"n", "edges", "config"}, indent=1)`` writes it, but streamed.
+
+    Edges in ``iter_edges`` order (sources, then targets, ascending), assembled in numpy blocks.
+    """
+    n = graph.n
+    records = [f',\n  {{\n   "from": "{"F" * n}",\n   "to": "{"T" * n}",\n   "kind": "{kind}"\n  }}'
+               for kind in _EDGE_KINDS]  # one edge of each kind, opening with its separator
+    table = np.array(records, dtype=bytes).view(np.uint8).reshape(len(records), -1)  # NUL-padded
+    at_from, at_to = records[0].index("F"), records[0].index("T")
+    names = graph.src_bits + np.uint8(ord("0"))
+    before, _, after = _json_text({"n": n, "edges": []}, config).partition('"edges": []')
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(before + '"edges": [')
+        for i, (a, b, kind) in enumerate(graph._edge_blocks(include_illegal)):
+            text = table[kind]
+            text[:, at_from:at_from + n], text[:, at_to:at_to + n] = names[a], names[b]
+            f.write(text[text != 0][i == 0:].tobytes().decode())  # the first edge drops its comma
+        f.write("\n ]" + after)
 
 
 def read_graph_json(path) -> dict:

@@ -49,3 +49,36 @@ def direct_sum_state(net, v0, raster, t):
             acc += net.gamma ** (t - n) * survive * current
         out[i] = acc
     return out
+
+
+def quarter_net(rng, n, gamma):
+    """Random net with half its weights rounded to quarters, so sums can land on theta exactly."""
+    w = rng.normal(0.0, 1.5 / np.sqrt(n), (n, n))
+    quarters = rng.random((n, n)) < 0.5
+    w[quarters] = np.round(4.0 * w[quarters]) / 4.0
+    i_ext = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 0.3, n))
+    return sm.NetworkParams(n=n, gamma=gamma, theta=1.0, weights=w, i_ext=i_ext)
+
+
+def submask_walk_edges(graph, include_illegal=False):
+    """Every edge (a, b, kind), sources ascending, then targets ascending, walked in Python.
+
+    Independent of the graph's own enumeration: b follows a iff it agrees
+    with forced[a] outside free[a], and the legal targets of a are walked as
+    the submasks of free[a] in ascending order.
+    """
+    edges = []
+    for a in range(graph.num_patterns):
+        forced, free = int(graph.forced[a]), int(graph.free[a])
+        kind = "conditional" if free else "unconditional"
+        if include_illegal:
+            edges += [(a, b, kind if b & ~free == forced else "illegal")
+                      for b in range(graph.num_patterns)]
+            continue
+        s = 0
+        while True:
+            edges.append((a, forced | s, kind))
+            s = (s - free) & free  # next submask of free in ascending order; 0 after the last
+            if not s:
+                break
+    return edges

@@ -1,10 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import spikemap as sm
+from spikemap import coding
 from spikemap.coding import EDGE_CONDITIONAL, EDGE_ILLEGAL, EDGE_UNCONDITIONAL
-from conftest import batch_step, direct_sum_state, example1_net, random_net
+from conftest import (
+    batch_step, direct_sum_state, example1_net, quarter_net, random_net, submask_walk_edges,
+)
 
 
 class TestEncode:
@@ -237,6 +242,33 @@ class TestTransitionGraph:
                     assert g.edge_kind(a, np.array(pat)) != EDGE_ILLEGAL
                 if len(g.successors(a)) == 1:
                     assert len(seen) == 1
+
+
+class TestEdgeEnumeration:
+    """The numpy enumeration lists the same edges, in the same order, as a submask walk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.just(0.0) | st.floats(0.0, 0.99), st.integers(0, 2**32 - 1),
+           st.integers(1, 300))
+    def test_matches_submask_walk(self, n, gamma, seed, block):
+        g = sm.build_transition_graph(quarter_net(np.random.default_rng(seed), n, gamma))
+        legal = submask_walk_edges(g)
+        with mock.patch.object(coding, "_EDGE_BLOCK", block):  # blocks that split anywhere
+            assert list(g.iter_edges()) == legal
+            everything = list(g.iter_edges(include_illegal=True))
+        assert everything == submask_walk_edges(g, include_illegal=True)
+        for a in range(g.num_patterns):
+            assert g.successors(a) == [(b, kind) for src, b, kind in legal if src == a]
+        tally = {EDGE_UNCONDITIONAL: 0, EDGE_CONDITIONAL: 0, EDGE_ILLEGAL: 0}
+        for _, _, kind in everything:
+            tally[kind] += 1
+        assert tally == g.counts()
+
+    def test_n16_graph_in_several_blocks(self):
+        g = sm.build_transition_graph(quarter_net(np.random.default_rng(16), 16, 0.5))
+        legal = submask_walk_edges(g)
+        assert len(legal) > 2 * coding._EDGE_BLOCK
+        assert list(g.iter_edges()) == legal
 
 
 class TestGraphAgreesWithStep:

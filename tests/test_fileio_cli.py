@@ -1,13 +1,15 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spikemap as sm
-from spikemap import fileio
+from spikemap import coding, fileio
 from spikemap.cli import main
-from conftest import example1_net, random_net
+from conftest import example1_net, quarter_net, random_net, submask_walk_edges
 
 
 @pytest.fixture
@@ -61,6 +63,66 @@ class TestTrajectoryAndRasterFiles:
         path.write_text("010\n01\n")
         with pytest.raises(sm.ValidationError):
             fileio.read_raster_text(path)
+
+    @pytest.mark.parametrize("text", ["010\n0x0\n", "010\n012\n", "0/0\n", "0 1\n",
+                                      "0\u00e91\n", "# just a comment\n\n"])
+    def test_raster_file_bad_characters_and_empty(self, tmp_path, text):
+        path = tmp_path / "r.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(sm.ValidationError):
+            fileio.read_raster_text(path)
+
+    def test_raster_file_skips_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("# a comment\n\n 011 \n\n100\n# 2\n")
+        got = fileio.read_raster_text(path)
+        assert got.dtype == np.uint8 and got.tolist() == [[0, 1, 1], [1, 0, 0]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=60), st.integers(1, 6),
+           st.booleans())
+    def test_trajectory_csv_matches_fmt_float_writer(self, tmp_path_factory, values, n, noisy):
+        # reference: fmt_float per value
+        tmp = tmp_path_factory.mktemp("traj")
+        rng = np.random.default_rng(len(values))
+        net = random_net(rng, n=n)
+        if noisy:
+            traj = sm.simulate(net, rng.uniform(-1, 1, n), len(values), sigma_b=0.01, rng=rng)
+        else:
+            states = np.resize(np.array(values), (len(values), n))
+            traj = sm.Trajectory(net=net, states=states, raster=np.zeros(states.shape, np.uint8))
+        config = {"command": "simulate", "seed": 3}
+        fileio.write_trajectory_csv(tmp / "new.csv", traj, config)
+        with open(tmp / "old.csv", "w", encoding="utf-8", newline="\n") as f:
+            f.write("".join(f"# {k}={v}\n" for k, v in config.items()))
+            f.write("t," + ",".join(f"v_{i}" for i in range(n)) + "\n")
+            for t, v in enumerate(traj.states):
+                f.write(str(t) + "," + ",".join(fileio.fmt_float(x) for x in v) + "\n")
+        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+class TestGraphFile:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.just(0.0) | st.floats(0.0, 0.99), st.integers(0, 2**32 - 1),
+           st.booleans(), st.booleans(), st.integers(1, 300))
+    def test_bytes_match_dict_writer(self, tmp_path_factory, n, gamma, seed, include_illegal,
+                                     with_config, block):
+        # reference: a list of edge dicts, then json.dump(indent=1)
+        tmp = tmp_path_factory.mktemp("graph")
+        g = sm.build_transition_graph(quarter_net(np.random.default_rng(seed), n, gamma))
+        config = {"net": 'a "quoted" \\path\\n\u00e9t.json', "cap": 16,  # escaped by json
+                  "include_illegal": include_illegal} if with_config else None
+        with mock.patch.object(coding, "_EDGE_BLOCK", block):
+            fileio.write_graph_json(tmp / "new.json", g, include_illegal, config)
+        names = ["".join(str(int(x)) for x in bits) for bits in g.src_bits]
+        payload = {"n": n, "edges": [{"from": names[a], "to": names[b], "kind": kind}
+                                     for a, b, kind in submask_walk_edges(g, include_illegal)]}
+        if config:
+            payload["config"] = {k: str(v) for k, v in config.items()}
+        with open(tmp / "old.json", "w", encoding="utf-8") as f:
+            json.dump(payload, f, indent=1)
+            f.write("\n")
+        assert (tmp / "new.json").read_bytes() == (tmp / "old.json").read_bytes()
 
 
 class TestSweepFiles:
@@ -180,6 +242,18 @@ class TestCliGraph:
         nf = tmp_path / "n.json"
         fileio.write_network(nf, net)
         assert main(["graph", "--net", str(nf), "--out", str(tmp_path / "g.json")]) == 3
+
+    @pytest.mark.parametrize("n,cap,code", [(9, None, 3), (8, None, 0), (9, "18", 0)])
+    def test_include_illegal_needs_2n_within_cap(self, tmp_path, n, cap, code):
+        nf = tmp_path / "n.json"
+        fileio.write_network(nf, quarter_net(np.random.default_rng(n), n, 0.5))
+        out = tmp_path / "g.json"
+        argv = ["graph", "--net", str(nf), "--include-illegal", "--out", str(out)]
+        assert main(argv + (["--cap", cap] if cap else [])) == code
+        if code:
+            assert not out.exists()
+        else:
+            assert len(fileio.read_graph_json(out)["edges"]) == 4 ** n
 
 
 class TestCliOrbit:
