@@ -17,11 +17,13 @@ import numpy as np
 
 from .model import NetworkParams, ValidationError, _as_count, _as_finite, compute_bounds
 from .orbits import (
+    _detect,
     _fan_out,
+    _sample,
+    _starts,
     classify_regime,
     dist_attractor_to_S,
     effective_lyapunov,
-    omega_sample,
 )
 
 __all__ = [
@@ -105,11 +107,12 @@ def _draw_network(seed: int, gamma: float, c: float, net_idx: int, n: int,
 
 
 def _grid_cells(worker, gammas, cs, networks_per_cell: int, seed: int, threads: int, *params):
-    """Run worker on every network of the (gamma, c) grid, fanned out over threads.
+    """Run worker on every network of the (gamma, c) grid, in threads contiguous chunks.
 
-    A task is (seed, gamma, c, network index, *params).  Yields
-    (gamma, c, [one result per network]) per cell in grid order (gammas
-    outer, cs inner), each as soon as its networks are done.
+    A task is (seed, gamma, c, network index, *params), and worker takes a
+    chunk of tasks and returns one result per task.  Yields (gamma, c, [one
+    result per network]) per cell in grid order (gammas outer, cs inner), each
+    as soon as the chunk holding its networks is done.
     """
     gammas = [float(g) for g in gammas]
     cs = [float(c) for c in cs]
@@ -123,26 +126,27 @@ def _grid_cells(worker, gammas, cs, networks_per_cell: int, seed: int, threads: 
             yield g, c, [next(results) for _ in range(networks_per_cell)]
 
 
-def _run_sweep_network(args):
-    (seed, gamma, c, net_idx, n, theta, i_ext, inits,
-     max_transient, max_period, tol, polish_steps, epsilon_singular) = args
-    net = _draw_network(seed, gamma, c, net_idx, n, theta, i_ext)
-    sample = omega_sample(
-        net,
-        inits,
-        _stream(seed, gamma, c, net_idx, 1),
-        max_transient=max_transient,
-        max_period=max_period,
-        tol=tol,
-        polish_steps=polish_steps,
-    )
-    regime = classify_regime(
-        net, sample.orbits, sample.undetermined,
-        epsilon_singular=epsilon_singular, horizon=sample.horizon,
-    )
-    d = dist_attractor_to_S(sample.orbits) if sample.orbits else None
-    periods = [o.period for o in sample.orbits]
-    return regime.kind, d, periods, sample.undetermined
+def _run_sweep_chunk(tasks) -> list:
+    """(regime kind, attractor gap or None, periods, undetermined count) per network.
+
+    Every start of every network in the chunk is detected in one lockstep batch.
+    """
+    nets, starts = [], []
+    for seed, gamma, c, net_idx, n, theta, i_ext, inits, *_ in tasks:
+        nets.append(_draw_network(seed, gamma, c, net_idx, n, theta, i_ext))
+        starts.append(_starts(nets[-1], inits, _stream(seed, gamma, c, net_idx, 1)))
+    max_transient, max_period, tol, polish_steps, epsilon_singular = tasks[0][-5:]
+    out = []
+    for net, results in zip(nets, _detect(nets, np.array(starts), max_transient, max_period,
+                                          tol, polish_steps)):
+        sample = _sample(results, tol, max_transient + 2 * max_period)
+        regime = classify_regime(
+            net, sample.orbits, sample.undetermined,
+            epsilon_singular=epsilon_singular, horizon=sample.horizon,
+        )
+        d = dist_attractor_to_S(sample.orbits) if sample.orbits else None
+        out.append((regime.kind, d, [o.period for o in sample.orbits], sample.undetermined))
+    return out
 
 
 def sweep(
@@ -167,13 +171,15 @@ def sweep(
 
     Cells are independent: each network's random stream is derived from
     (seed, gamma, c, network index) by value, so permuting the grids or the
-    schedule cannot change any cell.  Rows come back in grid order (gammas
-    outer, cs inner); ``progress(done, total, cell)`` is called per cell.
+    schedule cannot change any cell.  Orbit detection runs on every start of
+    every network of a worker's chunk at once: the whole grid at threads=1.
+    Rows come back in grid order (gammas outer, cs inner);
+    ``progress(done, total, cell)`` is called per cell, as each chunk finishes.
     """
     gammas, cs = list(gammas), list(cs)
     cells = []
     for g, c, nets in _grid_cells(
-        _run_sweep_network, gammas, cs, networks_per_cell, seed, threads,
+        _run_sweep_chunk, gammas, cs, networks_per_cell, seed, threads,
         n, theta, i_ext, inits_per_network, max_transient, max_period, tol, polish_steps,
         epsilon_singular,
     ):
@@ -209,12 +215,15 @@ def _lyap_samples(net: NetworkParams, inits: int, rng: np.random.Generator, ball
     ]
 
 
-def _run_lyap_network(args):
-    (seed, gamma, c, net_idx, n, theta, i_ext, inits,
-     ball_radius, num_directions, horizon, burn_in) = args
-    net = _draw_network(seed, gamma, c, net_idx, n, theta, i_ext)
-    return _lyap_samples(net, inits, _stream(seed, gamma, c, net_idx, 2),
-                         ball_radius, num_directions, horizon, burn_in)
+def _run_lyap_chunk(tasks) -> list:
+    """The rates of each task's network and starts."""
+    out = []
+    for (seed, gamma, c, net_idx, n, theta, i_ext, inits,
+         ball_radius, num_directions, horizon, burn_in) in tasks:
+        net = _draw_network(seed, gamma, c, net_idx, n, theta, i_ext)
+        out.append(_lyap_samples(net, inits, _stream(seed, gamma, c, net_idx, 2),
+                                 ball_radius, num_directions, horizon, burn_in))
+    return out
 
 
 def lyapunov_map(
@@ -238,7 +247,7 @@ def lyapunov_map(
         LyapCell(gamma=g, c=c, samples=networks_per_cell,
                  mean_lyapunov=float(np.mean([lam for vals in nets for lam in vals])))
         for g, c, nets in _grid_cells(
-            _run_lyap_network, gammas, cs, networks_per_cell, seed, threads,
+            _run_lyap_chunk, gammas, cs, networks_per_cell, seed, threads,
             n, theta, i_ext, inits_per_network, ball_radius, num_directions, horizon, burn_in,
         )
     ]

@@ -119,26 +119,28 @@ def write_trajectory_csv(path, traj: Trajectory, config: Optional[dict] = None) 
 
 
 def read_trajectory_csv(path) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Returns (config, times, states)."""
+    """Returns (config, times, states), parsed in one numpy pass."""
     config, rows = _read_csv(path)
     if not rows:
         raise ValidationError(f"trajectory file {path} has no data")
-    if rows[0].split(",")[0] != "t":
+    header = rows[0].split(",")
+    if header[0] != "t":
         raise ValidationError(f"trajectory file {path} has an unexpected header")
-    times = []
-    states = []
-    for row in rows[1:]:
-        parts = row.split(",")
-        times.append(int(parts[0]))
-        states.append([float(x) for x in parts[1:]])
-    return config, np.asarray(times), np.asarray(states, dtype=np.float64)
+    row = np.dtype([("t", np.int64), ("v", np.float64, (len(header) - 1,))])
+    try:
+        data = np.loadtxt(rows[1:], delimiter=",", dtype=row, ndmin=1) if rows[1:] else np.empty(0, row)
+    except ValueError as e:
+        raise ValidationError(f"trajectory file {path} has a malformed row: {e}") from e
+    return config, data["t"], data["v"]
 
 
 def write_raster_text(path, raster) -> None:
+    """One line of 0/1 characters per row, as ``pattern_to_str`` spells it, written in one pass."""
     raster = np.atleast_2d(np.asarray(raster, dtype=np.uint8))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for row in raster:
-            f.write(pattern_to_str(row) + "\n")
+    text = np.full((raster.shape[0], raster.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = np.where(raster != 0, ord("1"), ord("0"))
+    with open(path, "wb") as f:
+        f.write(text.tobytes())
 
 
 def read_raster_text(path) -> np.ndarray:

@@ -117,6 +117,32 @@ class NetworkParams:
         object.__setattr__(self, "i_ext", ie)
 
 
+@dataclass(frozen=True)
+class _Stack:
+    """M networks of one size N, shaped to advance (M, S, N) states: S of them per network.
+
+    Each network's parameters are held once and broadcast over its S states, so
+    ``step(stack, v)`` sums every state's ``W z`` with its own network's matrix, in
+    the one form of :func:`_advance`: each row bit-identical to a single call.
+    ``stack[idx]`` is the stack of the networks idx selects.
+    """
+
+    weights: np.ndarray  # (M, 1, N, N)
+    gamma: np.ndarray    # (M, 1, 1)
+    theta: np.ndarray    # (M, 1, 1)
+    i_ext: np.ndarray    # (M, 1, N)
+
+    @staticmethod
+    def of(nets) -> "_Stack":
+        def stacked(name):
+            return np.array([getattr(net, name) for net in nets], dtype=np.float64)[:, None]
+        return _Stack(stacked("weights"), stacked("gamma")[..., None], stacked("theta")[..., None],
+                      stacked("i_ext"))
+
+    def __getitem__(self, idx) -> "_Stack":
+        return _Stack(self.weights[idx], self.gamma[idx], self.theta[idx], self.i_ext[idx])
+
+
 class Bounds(NamedTuple):
     v_min: float
     v_max: float
@@ -152,7 +178,8 @@ def synaptic_current(net: NetworkParams, eta) -> np.ndarray:
 
 
 def _advance(net: NetworkParams, v, z: np.ndarray) -> np.ndarray:
-    """The affine map on the domain of firing pattern z: a float 0/1 vector or a (K, N) stack.
+    """The affine map on the domain of firing pattern z: a float 0/1 vector or a (K, N) stack,
+    or (M, S, N) states when net is a :class:`_Stack` of M networks.
 
     The one place W z is summed, in one form for any shape: each row enters the product
     as a column, so every caller agrees bit for bit (``Z @ W.T`` sums in another order).
@@ -164,7 +191,8 @@ def _advance(net: NetworkParams, v, z: np.ndarray) -> np.ndarray:
 def step(net: NetworkParams, v) -> np.ndarray:
     """One synchronous update.  All firing states are read from the input state.
 
-    A (K, N) stack of states advances row by row, each row bit-identical to a single call.
+    A (K, N) stack of states advances row by row, each row bit-identical to a single call;
+    so do (M, S, N) states on a :class:`_Stack` of M networks.
     """
     v = np.asarray(v, dtype=np.float64)
     return _advance(net, v, _fires(v, net.theta).astype(np.float64))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -23,6 +22,7 @@ import numpy as np
 from .model import (
     NetworkParams,
     Trajectory,
+    _Stack,
     ValidationError,
     _as_count,
     _as_finite,
@@ -91,34 +91,48 @@ def _pattern_key(v: np.ndarray, theta: float) -> bytes:
     return _fires(v, theta).tobytes()
 
 
-def _brent_scan(net, v, budget, max_period, tol):
-    """Brent cycle search with tolerance: O(1) state comparisons per step.
+def _brent_scan(stack, v, budget, rows, max_period, tol):
+    """Brent cycle search with tolerance, in lockstep over the rows of (M, S, N) states v
+    that the (M, S) mask rows selects, each on its own network of the stack.
 
-    The power is capped at max_period, so the anchor moves at least every
-    max_period steps: once the trajectory is on a cycle of period p <=
-    max_period and past step p - 1, the cycle is caught within 2*max_period
-    steps.  Returns (lam, hare_state, steps_used); lam is None when no
-    within-tol recurrence shows up inside the budget.
+    Per row: O(1) state comparisons per step.  The power is capped at max_period, so
+    the anchor moves at least every max_period steps: once the trajectory is on a cycle
+    of period p <= max_period and past step p - 1, the cycle is caught within
+    2*max_period steps.  The schedule (power, lam, steps used) does not depend on the
+    states, so the rows share it; a row leaves at its first within-tol recurrence with
+    matching firing pattern, or when its budget runs out.  Returns (lam, used) per row,
+    lam 0 where no recurrence showed up inside the budget, and writes the recurrent
+    state of each row that found one into v.  Networks whose rows have all left stop
+    advancing once they are half of those still stepped.
     """
-    theta = net.theta
-    anchor = v
-    anchor_key = _pattern_key(anchor, theta)
-    power = 1
-    lam = 1
-    hare = step(net, v)
-    used = 1
-    while used <= budget:
-        if _pattern_key(hare, theta) == anchor_key and max_dist(hare, anchor) <= tol:
-            return lam, hare, used
+    lam_at, used_at = np.zeros(rows.shape, np.int64), np.zeros(rows.shape, np.int64)
+    idx, sub, todo, bud, anchor = np.arange(len(rows)), stack, rows.copy(), budget, v
+    hare, power, lam, used, left = anchor, 1, 0, 0, True
+    while True:
+        if left:
+            live = todo.any(axis=1)
+            if not live.any():
+                return lam_at, used_at
+            deadline = bud[todo].min()  # once used passes it, some row has spent its budget
+            if 2 * live.sum() <= live.size:
+                idx, sub, todo, bud, anchor, hare = (
+                    a[live] for a in (idx, sub, todo, bud, anchor, hare))
         if lam == power:
-            anchor = hare
-            anchor_key = _pattern_key(anchor, theta)
-            power = min(2 * power, max_period)
-            lam = 0
-        hare = step(net, hare)
+            anchor, power, lam = hare, min(2 * power, max_period), 0
+        hare = step(sub, hare)
         used += 1
         lam += 1
-    return None, hare, used
+        left = used > deadline
+        if left:
+            todo &= bud >= used
+        hit = todo & (_fires(hare, sub.theta) == _fires(anchor, sub.theta)).all(axis=-1)
+        if hit.any():
+            m, s = np.nonzero(hit)
+            close = np.abs(hare[m, s] - anchor[m, s]).max(axis=-1) <= tol
+            m, s = m[close], s[close]
+            lam_at[idx[m], s], v[idx[m], s], used_at[idx[m], s] = lam, hare[m, s], used
+            todo[m, s] = False
+            left |= m.size > 0
 
 
 def _divisors(p: int):
@@ -214,19 +228,100 @@ def _polish(net, x0, period, tol, budget):
     return (states, minimal), x
 
 
-def _locate_entry(net, v0, states, tol, cap):
-    """First time the trajectory of v0 comes within tol of the cycle, plus the phase hit."""
-    theta = net.theta
-    by_pattern: dict[bytes, list[int]] = {}
-    for k in range(states.shape[0]):
-        by_pattern.setdefault(_pattern_key(states[k], theta), []).append(k)
-    v = np.array(v0, dtype=np.float64)
+def _locate_entries(stack, v0, cycles: dict, tol, cap) -> dict:
+    """(t, k) for each row (m, s) of cycles: the first t <= cap at which the trajectory
+    of v0[m, s] comes within tol of a state of its cycle (same firing pattern, max
+    distance <= tol), and the lowest phase k it hits then; (cap, 0) if it never does.
+
+    The trajectories advance in lockstep from v0, each compared only with its own cycle;
+    networks whose rows are all located stop advancing once they are half of those
+    still stepped.
+    """
+    if not cycles:
+        return {}
+    keys = list(cycles)
+    owner = np.repeat(np.arange(len(keys)), [len(cycles[key]) for key in keys])  # per cycle state
+    phase = np.concatenate([np.arange(len(cycles[key])) for key in keys])
+    states = np.concatenate([cycles[key] for key in keys])
+    rows = np.array(keys)
+    net, start = rows[owner, 0], rows[owner, 1]  # each cycle state's row in v
+    sub, v, left = stack, v0, True
+    fired = _fires(states, sub.theta[net, 0])
+    entries = {}
     for t in range(cap + 1):
-        for k in by_pattern.get(_pattern_key(v, theta), ()):
-            if max_dist(v, states[k]) <= tol:
-                return t, k
-        v = step(net, v)
-    return cap, 0
+        if left:
+            live = np.zeros(len(v), bool)
+            live[net] = True
+            if 2 * live.sum() <= live.size:
+                sub, v, net = sub[live], v[live], (np.cumsum(live) - 1)[net]
+        hit = np.flatnonzero((_fires(v, sub.theta)[net, start] == fired).all(axis=-1))
+        if hit.size:
+            hit = hit[np.abs(v[net[hit], start[hit]] - states[hit]).max(axis=-1) <= tol]
+        left = hit.size > 0
+        if left:
+            done, first = np.unique(owner[hit], return_index=True)  # the lowest phase per row
+            entries.update((keys[r], (t, int(phase[i]))) for r, i in zip(done, hit[first]))
+            kept = ~np.isin(owner, done)
+            owner, phase, states, fired, net, start = (
+                a[kept] for a in (owner, phase, states, fired, net, start))
+            if not owner.size:
+                return entries
+        v = step(sub, v)
+    return entries | dict.fromkeys((keys[r] for r in np.unique(owner)), (cap, 0))
+
+
+def _report(net, states, period, transient, phase) -> OrbitReport:
+    states = np.roll(states, -phase, axis=0)
+    states.flags.writeable = False
+    raster = encode(states, net.theta)
+    raster.flags.writeable = False
+    gap = float(np.min(np.abs(states - net.theta)))
+    return OrbitReport(transient=transient, period=period, states=states, cycle_raster=raster,
+                       min_threshold_gap=gap)
+
+
+def _detect(nets, v0s, max_transient, max_period, tol, polish_steps) -> list:
+    """Orbit detection from every start v0s[m, s] on network nets[m], all in lockstep.
+
+    nets share one size N and v0s has shape (M, S, N).  Returns, per network, one
+    OrbitReport or Undetermined per start, each bit-identical to what the start gives
+    alone: a row keeps exactly its own arithmetic and control flow.  Rows scan
+    together; a candidate is polished per row, and a row whose candidate was a
+    pseudo-orbit scans on, with the other rejected rows, from where its polish stopped.
+    """
+    if max_transient < 0 or max_period < 1 or polish_steps < 0:
+        raise ValidationError("need max_transient >= 0, max_period >= 1, polish_steps >= 0")
+    _as_finite(tol, "tol", allow_zero=True)
+    stack = _Stack.of(nets)
+    horizon = max_transient + 2 * max_period
+    v0s = np.asarray(v0s, dtype=np.float64)
+    v = v0s.copy()
+    budget = np.full(v.shape[:2], horizon)
+    live = np.ones(v.shape[:2], bool)
+    cycles = {}
+    for _ in range(8):  # pseudo-orbit rejections restart the scan downstream
+        live &= budget > 0
+        if not live.any():
+            break
+        lam, used = _brent_scan(stack, v, budget, live, max_period, tol)
+        budget -= used
+        live &= lam > 0
+        for m, s in np.argwhere(live).tolist():
+            polished, v[m, s] = _polish(nets[m], v[m, s], int(lam[m, s]), tol, polish_steps)
+            if polished is not None:
+                cycles[m, s] = polished
+                live[m, s] = False
+    entries = _locate_entries(stack, v0s, {key: c[0] for key, c in cycles.items()}, tol, horizon)
+    return [
+        [_report(net, *cycles[m, s], *entries[m, s]) if (m, s) in cycles else Undetermined(horizon)
+         for s in range(v.shape[1])]
+        for m, net in enumerate(nets)
+    ]
+
+
+def _detect_starts(net, v0s, **params) -> list:
+    """_detect on one network's starts, a list of states."""
+    return _detect([net], np.asarray(v0s, dtype=np.float64)[None], **params)[0]
 
 
 def find_periodic_orbit(
@@ -249,42 +344,15 @@ def find_periodic_orbit(
     which the states are polished to the exact floating-point cycle when one
     exists (a coordinate whose closed-form cycle value is 0 is set to 0).
     The report is re-based at the first time the trajectory from v0 enters
-    the detected cycle.
+    the detected cycle.  This is the one-start case of the lockstep detection
+    that omega_sample and sweep run on many starts at once.
 
     Never raises on failure: no recurrence inside the horizon yields
     ``Undetermined(max_transient + 2*max_period)``.
     """
-    if max_transient < 0 or max_period < 1 or polish_steps < 0:
-        raise ValidationError("need max_transient >= 0, max_period >= 1, polish_steps >= 0")
-    _as_finite(tol, "tol", allow_zero=True)
     v0 = _as_vector(v0, net.n, "v0")
-    horizon = max_transient + 2 * max_period
-    v, budget = v0, horizon
-    for _ in range(8):  # pseudo-orbit rejections restart the scan downstream
-        if budget <= 0:
-            break
-        lam, v, used = _brent_scan(net, v, budget, max_period, tol)
-        budget -= used
-        if lam is None:
-            break
-        polished, v = _polish(net, v, lam, tol, polish_steps)
-        if polished is None:
-            continue
-        states, period = polished
-        transient, phase = _locate_entry(net, v0, states, tol, cap=horizon)
-        states = np.roll(states, -phase, axis=0)
-        states.flags.writeable = False
-        raster = encode(states, net.theta)
-        raster.flags.writeable = False
-        gap = float(np.min(np.abs(states - net.theta)))
-        return OrbitReport(
-            transient=transient,
-            period=period,
-            states=states,
-            cycle_raster=raster,
-            min_threshold_gap=gap,
-        )
-    return Undetermined(horizon)
+    return _detect_starts(net, [v0], max_transient=max_transient, max_period=max_period,
+                          tol=tol, polish_steps=polish_steps)[0]
 
 
 @dataclass(frozen=True)
@@ -296,28 +364,84 @@ class OmegaSample:
     horizon: int
 
 
-def _same_orbit(a: OrbitReport, b: OrbitReport, tol: float) -> bool:
-    if a.period != b.period:
-        return False
-    p = a.period
-    for r in range(p):
-        if np.array_equal(np.roll(b.cycle_raster, -r, axis=0), a.cycle_raster):
-            if max_dist(np.roll(b.states, -r, axis=0), a.states) <= tol:
-                return True
-    return False
+def _least_rotation(seq) -> int:
+    """Start of the lexicographically least rotation of seq (Booth 1980), in linear time."""
+    seq = list(seq) * 2
+    fail = [-1] * len(seq)
+    k = 0
+    for j in range(1, len(seq)):
+        sj, i = seq[j], fail[j - k - 1]
+        while i != -1 and sj != seq[k + i + 1]:
+            if sj < seq[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if sj != seq[k + i + 1]:  # here i == -1
+            if sj < seq[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k % (len(seq) // 2)
+
+
+def _canonical(orbit: OrbitReport):
+    """(key, states, q): the raster's least rotation as bytes, the states rotated with it,
+    and the least q > 0 whose rotation leaves that raster unchanged (q divides the period)."""
+    k = _least_rotation(row.tobytes() for row in orbit.cycle_raster)
+    raster = np.roll(orbit.cycle_raster, -k, axis=0)
+    q = next(d for d in _divisors(orbit.period) if np.array_equal(np.roll(raster, -d, axis=0), raster))
+    return raster.tobytes(), np.roll(orbit.states, -k, axis=0), q
+
+
+def _sample(results, tol, horizon) -> OmegaSample:
+    """Distinct orbits of results in first-seen order, and the Undetermined count.
+
+    Two orbits are one when some rotation of one has the other's raster and lies
+    within tol of its states.  Their rasters then share a least rotation, so only
+    orbits under the same key are compared, and only at the rotations that keep the
+    canonical raster.
+    """
+    orbits, undetermined, seen = [], 0, {}
+    for res in results:
+        if isinstance(res, Undetermined):
+            undetermined += 1
+            continue
+        key, states, q = _canonical(res)
+        bucket = seen.setdefault(key, [])
+        if not any(max_dist(np.roll(states, -j, axis=0), prev) <= tol
+                   for prev in bucket for j in range(0, res.period, q)):
+            bucket.append(states)
+            orbits.append(res)
+    return OmegaSample(orbits=orbits, undetermined=undetermined, horizon=horizon)
 
 
 def _fan_out(fn, tasks: list, threads: int):
-    """Yield fn(task) for each task in task order, as results arrive.
+    """Yield the result of each task, in task order.
 
-    threads > 1 runs the calls on that many worker processes (fn and tasks must pickle).
+    fn takes a list of tasks and returns one result per task.  The tasks are cut
+    into at most threads contiguous chunks of near-equal length, and each chunk goes
+    to fn in one call; threads > 1 runs the calls on that many worker processes (fn
+    and tasks must pickle).
     """
     _as_count(threads, "threads")
-    if threads == 1 or len(tasks) < 2:
-        yield from map(fn, tasks)
+    k = min(threads, len(tasks))
+    cuts = [len(tasks) * i // k for i in range(k + 1)]
+    chunks = [tasks[a:b] for a, b in zip(cuts, cuts[1:])]
+    if k == 1:
+        yield from fn(chunks[0])
         return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, tasks, chunksize=1)
+    from concurrent.futures import ProcessPoolExecutor  # here: a serial run never loads multiprocessing
+
+    with ProcessPoolExecutor(max_workers=k) as pool:
+        for results in pool.map(fn, chunks):
+            yield from results
+
+
+def _starts(net: NetworkParams, num_inits: int, rng: np.random.Generator) -> np.ndarray:
+    """num_inits states drawn uniformly in the invariant box of net."""
+    _as_count(num_inits, "num_inits")
+    v_min, v_max = compute_bounds(net)
+    return rng.uniform(v_min, v_max, size=(num_inits, net.n))
 
 
 def omega_sample(
@@ -332,27 +456,17 @@ def omega_sample(
 ) -> OmegaSample:
     """Run orbit detection from random states in the invariant box and deduplicate.
 
-    Orbits are identified up to cyclic rotation of their raster first (the
-    raster is exact) and then by state proximity within tol.  Undetermined
-    runs are counted, never raised.
+    The starts are detected in lockstep, in threads contiguous batches.  Orbits
+    are identified up to cyclic rotation of their raster first (the raster is
+    exact) and then by state proximity within tol.  Undetermined runs are
+    counted, never raised.
     """
-    _as_count(num_inits, "num_inits")
-    v_min, v_max = compute_bounds(net)
-    v0s = rng.uniform(v_min, v_max, size=(num_inits, net.n))
     detect = functools.partial(
-        find_periodic_orbit, net, max_transient=max_transient, max_period=max_period,
+        _detect_starts, net, max_transient=max_transient, max_period=max_period,
         tol=tol, polish_steps=polish_steps,
     )
-    orbits: list[OrbitReport] = []
-    undetermined = 0
-    horizon = max_transient + 2 * max_period
-    for res in _fan_out(detect, list(v0s), threads):
-        if isinstance(res, Undetermined):
-            undetermined += 1
-            continue
-        if not any(_same_orbit(prev, res, tol) for prev in orbits):
-            orbits.append(res)
-    return OmegaSample(orbits=orbits, undetermined=undetermined, horizon=horizon)
+    results = _fan_out(detect, list(_starts(net, num_inits, rng)), threads)
+    return _sample(results, tol, max_transient + 2 * max_period)
 
 
 def dist_traj_to_S(traj: Trajectory) -> float:

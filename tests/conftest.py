@@ -82,3 +82,48 @@ def submask_walk_edges(graph, include_illegal=False):
             if not s:
                 break
     return edges
+
+
+def scalar_orbit(net, v0, max_transient, max_period, tol, polish_steps):
+    """find_periodic_orbit one state at a time, independent of the lockstep scan and entry pass.
+
+    Brent's scan with the power capped at max_period, the shared per-row polish,
+    up to 8 scans in all, and the entry found by re-simulating from v0: the first
+    t, then the lowest phase, within tol and with the same firing pattern.
+    """
+    from spikemap import orbits
+    theta = net.theta
+    horizon = max_transient + 2 * max_period
+    v, budget = np.asarray(v0, dtype=np.float64), horizon
+    for _ in range(8):
+        if budget <= 0:
+            break
+        anchor, power, lam, hare, used, found = v, 1, 1, sm.step(net, v), 1, None
+        while used <= budget:
+            if (np.array_equal(hare >= theta, anchor >= theta)
+                    and sm.max_dist(hare, anchor) <= tol):
+                found = lam
+                break
+            if lam == power:
+                anchor, power, lam = hare, min(2 * power, max_period), 0
+            hare, used, lam = sm.step(net, hare), used + 1, lam + 1
+        budget -= used
+        if found is None:
+            break
+        polished, v = orbits._polish(net, hare, found, tol, polish_steps)
+        if polished is None:
+            continue
+        states, period = polished
+        x, entry = np.asarray(v0, dtype=np.float64), (horizon, 0)
+        for t in range(horizon + 1):
+            hits = [k for k in range(period) if np.array_equal(x >= theta, states[k] >= theta)
+                    and sm.max_dist(x, states[k]) <= tol]
+            if hits:
+                entry = (t, hits[0])
+                break
+            x = sm.step(net, x)
+        states = np.roll(states, -entry[1], axis=0)
+        return sm.OrbitReport(transient=entry[0], period=period, states=states,
+                              cycle_raster=sm.encode(states, theta),
+                              min_threshold_gap=float(np.min(np.abs(states - theta))))
+    return sm.Undetermined(horizon)

@@ -100,6 +100,45 @@ class TestTrajectoryAndRasterFiles:
                 f.write(str(t) + "," + ",".join(fileio.fmt_float(x) for x in v) + "\n")
         assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=60),
+           st.integers(1, 6))
+    def test_trajectory_csv_reads_like_a_float_per_value(self, tmp_path_factory, values, n):
+        # reference: int() and float() on each field of each row
+        tmp = tmp_path_factory.mktemp("traj")
+        net = random_net(np.random.default_rng(n), n=n)
+        states = np.resize(np.array(values), (len(values), n))
+        traj = sm.Trajectory(net=net, states=states, raster=np.zeros(states.shape, np.uint8))
+        fileio.write_trajectory_csv(tmp / "t.csv", traj, {"command": "simulate"})
+        _, times, got = fileio.read_trajectory_csv(tmp / "t.csv")
+        rows = [ln.split(",") for ln in (tmp / "t.csv").read_text().splitlines()[2:]]
+        assert times.dtype == np.int64 and times.tolist() == [int(r[0]) for r in rows]
+        want = np.array([[float(x) for x in r[1:]] for r in rows])
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", ["0,1.5,2\n", "0\n", "1.5,2\n", "0,\n", "0,x\n",
+                                      "0,1\n1,2,3\n"])
+    def test_malformed_trajectory_rows(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        path.write_text("# command=simulate\nt,v_0\n" + rows)
+        with pytest.raises(sm.ValidationError):
+            fileio.read_trajectory_csv(path)
+
+    def test_trajectory_header_without_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("t,v_0,v_1\n")
+        _, times, states = fileio.read_trajectory_csv(path)
+        assert times.shape == (0,) and states.shape == (0, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 30), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_raster_text_matches_pattern_to_str(self, tmp_path_factory, t, n, seed):
+        # reference: pattern_to_str per row; any nonzero entry spells 1
+        raster = np.random.default_rng(seed).integers(0, 3, (t, n)).astype(np.uint8)
+        path = tmp_path_factory.mktemp("raster") / "r.txt"
+        fileio.write_raster_text(path, raster)
+        assert path.read_bytes() == "".join(coding.pattern_to_str(r) + "\n" for r in raster).encode()
+
 
 class TestGraphFile:
     @settings(max_examples=40, deadline=None)
@@ -177,7 +216,7 @@ class TestCliSimulate:
         _, times, states = fileio.read_trajectory_csv(out + ".csv")
         assert len(times) == 11
         assert states[10, 0] == 0.9990234375
-        assert "0.9990234375" in open(out + ".csv").read()
+        assert "0.9990234375" in (tmp_path / "run.csv").read_text()
         assert not fileio.read_raster_text(out + ".raster").any()
 
     def test_zero_horizon(self, ex1_file, tmp_path):

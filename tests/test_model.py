@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spikemap as sm
-from conftest import batch_step, example1_net, random_net
+from spikemap.model import _Stack
+from conftest import batch_step, example1_net, quarter_net, random_net
 
 
 class TestComputeBounds:
@@ -89,6 +90,21 @@ class TestBatchedStep:
         states[rng.random((k, n)) < 0.3] = net.theta
         looped = np.array([sm.step(net, row) for row in states])
         assert sm.step(net, states).tobytes() == looped.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_network_stack_matches_per_network_rows_bit_for_bit(self, n, m, s, seed):
+        # (M, S, N) states on M networks: every row as step on its own network
+        rng = np.random.default_rng(seed)
+        nets = [quarter_net(rng, n, float(rng.choice([0.0, 0.25, 0.5, 0.875]))) for _ in range(m)]
+        states = rng.uniform(-2.0, 2.0, (m, s, n))
+        states[rng.random((m, s, n)) < 0.3] = 1.0  # exactly theta
+        stack = _Stack.of(nets)
+        got = sm.step(stack, states)
+        for k, net in enumerate(nets):
+            assert got[k].tobytes() == np.array([sm.step(net, row) for row in states[k]]).tobytes()
+        pick = rng.permutation(m)[:rng.integers(1, m + 1)]
+        assert sm.step(stack[pick], states[pick]).tobytes() == got[pick].tobytes()
 
     def test_noisy_stack_draws_one_block(self):
         rng = np.random.default_rng(3)
