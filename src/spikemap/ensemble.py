@@ -17,6 +17,7 @@ import numpy as np
 
 from .model import NetworkParams, ValidationError, _as_count, _as_finite, compute_bounds
 from .orbits import (
+    _batch_size,
     _detect,
     _fan_out,
     _sample,
@@ -106,40 +107,45 @@ def _draw_network(seed: int, gamma: float, c: float, net_idx: int, n: int,
     return sample_network(spec, _stream(seed, gamma, c, net_idx))
 
 
-def _grid_cells(worker, gammas, cs, networks_per_cell: int, seed: int, threads: int, *params):
-    """Run worker on every network of the (gamma, c) grid, in threads contiguous chunks.
+def _grid_cells(worker, gammas, cs, n: int, networks_per_cell: int, seed: int, threads: int,
+                *params):
+    """Run worker on every network of the (gamma, c) grid, in contiguous batches.
 
-    A task is (seed, gamma, c, network index, *params), and worker takes a
-    chunk of tasks and returns one result per task.  Yields (gamma, c, [one
-    result per network]) per cell in grid order (gammas outer, cs inner), each
-    as soon as the chunk holding its networks is done.
+    A task is (seed, gamma, c, network index, n, *params), and worker takes a
+    batch of tasks and returns one result per task; a batch holds at most 64
+    networks, fewer for n > 128 (see :func:`~spikemap.orbits._batch_size`), and
+    there are at least threads batches.  Yields (gamma, c, [one result per
+    network]) per cell in grid order (gammas outer, cs inner), each as soon as
+    the batch holding its last network is done.
     """
     gammas = [float(g) for g in gammas]
     cs = [float(c) for c in cs]
     if not gammas or not cs:
         raise ValidationError("gamma and c grids must be nonempty")
+    _as_count(n, "n")
     _as_count(networks_per_cell, "networks_per_cell")
     grid = [(g, c) for g in gammas for c in cs]
-    tasks = [(seed, g, c, k, *params) for g, c in grid for k in range(networks_per_cell)]
-    with closing(_fan_out(worker, tasks, threads)) as results:
+    tasks = [(seed, g, c, k, n, *params) for g, c in grid for k in range(networks_per_cell)]
+    with closing(_fan_out(worker, tasks, threads, _batch_size(n))) as results:
         for g, c in grid:
             yield g, c, [next(results) for _ in range(networks_per_cell)]
 
 
-def _run_sweep_chunk(tasks) -> list:
+def _run_sweep_batch(tasks) -> list:
     """(regime kind, attractor gap or None, periods, undetermined count) per network.
 
-    Every start of every network in the chunk is detected in one lockstep batch.
+    Every start of every network in the batch is detected in one lockstep call.
     """
     nets, starts = [], []
     for seed, gamma, c, net_idx, n, theta, i_ext, inits, *_ in tasks:
         nets.append(_draw_network(seed, gamma, c, net_idx, n, theta, i_ext))
         starts.append(_starts(nets[-1], inits, _stream(seed, gamma, c, net_idx, 1)))
     max_transient, max_period, tol, polish_steps, epsilon_singular = tasks[0][-5:]
+    results = _detect(nets, np.array(starts), max_transient, max_period, tol, polish_steps)
+    inits = len(starts[0])
     out = []
-    for net, results in zip(nets, _detect(nets, np.array(starts), max_transient, max_period,
-                                          tol, polish_steps)):
-        sample = _sample(results, tol, max_transient + 2 * max_period)
+    for m, net in enumerate(nets):
+        sample = _sample(results[m * inits:(m + 1) * inits], tol, max_transient + 2 * max_period)
         regime = classify_regime(
             net, sample.orbits, sample.undetermined,
             epsilon_singular=epsilon_singular, horizon=sample.horizon,
@@ -172,15 +178,16 @@ def sweep(
     Cells are independent: each network's random stream is derived from
     (seed, gamma, c, network index) by value, so permuting the grids or the
     schedule cannot change any cell.  Orbit detection runs on every start of
-    every network of a worker's chunk at once: the whole grid at threads=1.
-    Rows come back in grid order (gammas outer, cs inner);
-    ``progress(done, total, cell)`` is called per cell, as each chunk finishes.
+    every network of a batch at once, a batch being at most 64 contiguous
+    networks of the grid (fewer for n > 128).  Rows come back in grid order
+    (gammas outer, cs inner); ``progress(done, total, cell)`` is called per
+    cell, as the batch holding the cell's last network finishes.
     """
     gammas, cs = list(gammas), list(cs)
     cells = []
     for g, c, nets in _grid_cells(
-        _run_sweep_chunk, gammas, cs, networks_per_cell, seed, threads,
-        n, theta, i_ext, inits_per_network, max_transient, max_period, tol, polish_steps,
+        _run_sweep_batch, gammas, cs, n, networks_per_cell, seed, threads,
+        theta, i_ext, inits_per_network, max_transient, max_period, tol, polish_steps,
         epsilon_singular,
     ):
         dists = [d for _, d, _, _ in nets if d is not None]
@@ -215,7 +222,7 @@ def _lyap_samples(net: NetworkParams, inits: int, rng: np.random.Generator, ball
     ]
 
 
-def _run_lyap_chunk(tasks) -> list:
+def _run_lyap_batch(tasks) -> list:
     """The rates of each task's network and starts."""
     out = []
     for (seed, gamma, c, net_idx, n, theta, i_ext, inits,
@@ -247,7 +254,7 @@ def lyapunov_map(
         LyapCell(gamma=g, c=c, samples=networks_per_cell,
                  mean_lyapunov=float(np.mean([lam for vals in nets for lam in vals])))
         for g, c, nets in _grid_cells(
-            _run_lyap_chunk, gammas, cs, networks_per_cell, seed, threads,
-            n, theta, i_ext, inits_per_network, ball_radius, num_directions, horizon, burn_in,
+            _run_lyap_batch, gammas, cs, n, networks_per_cell, seed, threads,
+            theta, i_ext, inits_per_network, ball_radius, num_directions, horizon, burn_in,
         )
     ]

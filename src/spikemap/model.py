@@ -123,24 +123,32 @@ class _Stack:
 
     Each network's parameters are held once and broadcast over its S states, so
     ``step(stack, v)`` sums every state's ``W z`` with its own network's matrix, in
-    the one form of :func:`_advance`: each row bit-identical to a single call.
-    ``stack[idx]`` is the stack of the networks idx selects.
+    the one form of :func:`_advance`: each row bit-identical to a single call.  A
+    gamma or theta that every network shares, bit for bit, is held as one float,
+    which numpy applies without broadcasting.  ``stack[idx]`` is the stack of the
+    networks idx selects.
     """
 
-    weights: np.ndarray  # (M, 1, N, N)
-    gamma: np.ndarray    # (M, 1, 1)
-    theta: np.ndarray    # (M, 1, 1)
-    i_ext: np.ndarray    # (M, 1, N)
+    weights: np.ndarray          # (M, 1, N, N)
+    gamma: float | np.ndarray    # a float, or (M, 1, 1)
+    theta: float | np.ndarray    # a float, or (M, 1, 1)
+    i_ext: np.ndarray            # (M, 1, N)
 
     @staticmethod
     def of(nets) -> "_Stack":
         def stacked(name):
             return np.array([getattr(net, name) for net in nets], dtype=np.float64)[:, None]
-        return _Stack(stacked("weights"), stacked("gamma")[..., None], stacked("theta")[..., None],
-                      stacked("i_ext"))
+
+        def scalar(name):
+            col = stacked(name)[..., None]
+            bits = col.view(np.int64)
+            return float(col[0, 0, 0]) if (bits == bits[0]).all() else col
+
+        return _Stack(stacked("weights"), scalar("gamma"), scalar("theta"), stacked("i_ext"))
 
     def __getitem__(self, idx) -> "_Stack":
-        return _Stack(self.weights[idx], self.gamma[idx], self.theta[idx], self.i_ext[idx])
+        return _Stack(*(a if isinstance(a, float) else a[idx]
+                        for a in (self.weights, self.gamma, self.theta, self.i_ext)))
 
 
 class Bounds(NamedTuple):

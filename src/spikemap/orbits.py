@@ -55,6 +55,8 @@ DEFAULT_MAX_TRANSIENT = 100_000
 DEFAULT_MAX_PERIOD = 10_000
 DEFAULT_TOL = 1e-10
 DEFAULT_POLISH_STEPS = 20_000
+_BATCH = 64  # starts, or networks, per lockstep call
+_BATCH_WEIGHTS = 2**20  # and no more weights than this per call (8 MiB): fewer networks once N > 128
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,29 @@ def _pattern_key(v: np.ndarray, theta: float) -> bytes:
     return _fires(v, theta).tobytes()
 
 
+def _patterns(v: np.ndarray, theta) -> np.ndarray:
+    """The firing pattern of each state of v, shape (..., N), as one opaque value per state:
+    two patterns compare in one elementwise operation, with no reduction over N."""
+    return _fires(v, theta).view(_void(v.shape[-1]))[..., 0]
+
+
+@functools.cache
+def _void(n: int) -> np.dtype:
+    return np.dtype((np.void, n))
+
+
+def _keep_live(live, *stacked):
+    """Each of stacked (a _Stack, or an array indexed by network first) cut to the networks
+    live selects, once they are at most half of those stepped; else stacked unchanged.
+
+    A lockstep pass stops advancing finished networks this way: the copies are rare,
+    and a few slow rows end up stepping a small stack.
+    """
+    if 2 * live.sum() > live.size:
+        return stacked
+    return tuple(a[live] for a in stacked)
+
+
 def _brent_scan(stack, v, budget, rows, max_period, tol):
     """Brent cycle search with tolerance, in lockstep over the rows of (M, S, N) states v
     that the (M, S) mask rows selects, each on its own network of the stack.
@@ -102,37 +127,37 @@ def _brent_scan(stack, v, budget, rows, max_period, tol):
     states, so the rows share it; a row leaves at its first within-tol recurrence with
     matching firing pattern, or when its budget runs out.  Returns (lam, used) per row,
     lam 0 where no recurrence showed up inside the budget, and writes the recurrent
-    state of each row that found one into v.  Networks whose rows have all left stop
-    advancing once they are half of those still stepped.
+    state of each row that found one into v.  Networks whose rows have all left drop
+    out as :func:`_keep_live` allows.
     """
     lam_at, used_at = np.zeros(rows.shape, np.int64), np.zeros(rows.shape, np.int64)
     idx, sub, todo, bud, anchor = np.arange(len(rows)), stack, rows.copy(), budget, v
-    hare, power, lam, used, left = anchor, 1, 0, 0, True
+    hare, fired, power, lam, used, left = anchor, _patterns(anchor, stack.theta), 1, 0, 0, True
     while True:
         if left:
             live = todo.any(axis=1)
             if not live.any():
                 return lam_at, used_at
-            deadline = bud[todo].min()  # once used passes it, some row has spent its budget
-            if 2 * live.sum() <= live.size:
-                idx, sub, todo, bud, anchor, hare = (
-                    a[live] for a in (idx, sub, todo, bud, anchor, hare))
+            deadline = int(bud[todo].min())  # once used passes it, some row has spent its budget
+            idx, sub, todo, bud, anchor, hare, fired = _keep_live(
+                live, idx, sub, todo, bud, anchor, hare, fired)
         if lam == power:
             anchor, power, lam = hare, min(2 * power, max_period), 0
+            fired = _patterns(anchor, sub.theta)
         hare = step(sub, hare)
         used += 1
         lam += 1
         left = used > deadline
         if left:
             todo &= bud >= used
-        hit = todo & (_fires(hare, sub.theta) == _fires(anchor, sub.theta)).all(axis=-1)
-        if hit.any():
-            m, s = np.nonzero(hit)
-            close = np.abs(hare[m, s] - anchor[m, s]).max(axis=-1) <= tol
-            m, s = m[close], s[close]
-            lam_at[idx[m], s], v[idx[m], s], used_at[idx[m], s] = lam, hare[m, s], used
-            todo[m, s] = False
-            left |= m.size > 0
+        hit = todo & (_patterns(hare, sub.theta) == fired)
+        if np.count_nonzero(hit):
+            hit &= np.abs(hare - anchor).max(axis=-1) <= tol
+            if np.count_nonzero(hit):
+                m, s = np.nonzero(hit)
+                lam_at[idx[m], s], v[idx[m], s], used_at[idx[m], s] = lam, hare[m, s], used
+                todo &= ~hit
+                left = True
 
 
 def _divisors(p: int):
@@ -234,8 +259,7 @@ def _locate_entries(stack, v0, cycles: dict, tol, cap) -> dict:
     distance <= tol), and the lowest phase k it hits then; (cap, 0) if it never does.
 
     The trajectories advance in lockstep from v0, each compared only with its own cycle;
-    networks whose rows are all located stop advancing once they are half of those
-    still stepped.
+    networks whose rows are all located drop out as :func:`_keep_live` allows.
     """
     if not cycles:
         return {}
@@ -243,20 +267,16 @@ def _locate_entries(stack, v0, cycles: dict, tol, cap) -> dict:
     owner = np.repeat(np.arange(len(keys)), [len(cycles[key]) for key in keys])  # per cycle state
     phase = np.concatenate([np.arange(len(cycles[key])) for key in keys])
     states = np.concatenate([cycles[key] for key in keys])
-    rows = np.array(keys)
-    net, start = rows[owner, 0], rows[owner, 1]  # each cycle state's row in v
-    sub, v, left = stack, v0, True
-    fired = _fires(states, sub.theta[net, 0])
-    entries = {}
+    net, start = np.array(keys)[owner].T  # each cycle state's row in v
+    fired = _patterns(states, np.broadcast_to(stack.theta, (len(v0), 1, 1))[net, 0])
+    entries, idx, sub, v, left = {}, np.arange(len(v0)), stack, v0, True
     for t in range(cap + 1):
         if left:
-            live = np.zeros(len(v), bool)
-            live[net] = True
-            if 2 * live.sum() <= live.size:
-                sub, v, net = sub[live], v[live], (np.cumsum(live) - 1)[net]
-        hit = np.flatnonzero((_fires(v, sub.theta)[net, start] == fired).all(axis=-1))
+            idx, sub, v = _keep_live(np.isin(idx, net), idx, sub, v)
+            at = np.searchsorted(idx, net)  # each cycle state's network in sub
+        hit = np.flatnonzero(_patterns(v, sub.theta)[at, start] == fired)
         if hit.size:
-            hit = hit[np.abs(v[net[hit], start[hit]] - states[hit]).max(axis=-1) <= tol]
+            hit = hit[np.abs(v[at[hit], start[hit]] - states[hit]).max(axis=-1) <= tol]
         left = hit.size > 0
         if left:
             done, first = np.unique(owner[hit], return_index=True)  # the lowest phase per row
@@ -281,10 +301,11 @@ def _report(net, states, period, transient, phase) -> OrbitReport:
 
 
 def _detect(nets, v0s, max_transient, max_period, tol, polish_steps) -> list:
-    """Orbit detection from every start v0s[m, s] on network nets[m], all in lockstep.
+    """Orbit detection from every start on every network of nets, all in lockstep.
 
-    nets share one size N and v0s has shape (M, S, N).  Returns, per network, one
-    OrbitReport or Undetermined per start, each bit-identical to what the start gives
+    nets share one size N, and v0s holds the same number S of starts for each network,
+    network by network: any shape that reshapes to (M, S, N).  Returns one OrbitReport
+    or Undetermined per start in that order, each bit-identical to what the start gives
     alone: a row keeps exactly its own arithmetic and control flow.  Rows scan
     together; a candidate is polished per row, and a row whose candidate was a
     pseudo-orbit scans on, with the other rejected rows, from where its polish stopped.
@@ -294,7 +315,7 @@ def _detect(nets, v0s, max_transient, max_period, tol, polish_steps) -> list:
     _as_finite(tol, "tol", allow_zero=True)
     stack = _Stack.of(nets)
     horizon = max_transient + 2 * max_period
-    v0s = np.asarray(v0s, dtype=np.float64)
+    v0s = np.asarray(v0s, dtype=np.float64).reshape(len(nets), -1, nets[0].n)
     v = v0s.copy()
     budget = np.full(v.shape[:2], horizon)
     live = np.ones(v.shape[:2], bool)
@@ -313,15 +334,9 @@ def _detect(nets, v0s, max_transient, max_period, tol, polish_steps) -> list:
                 live[m, s] = False
     entries = _locate_entries(stack, v0s, {key: c[0] for key, c in cycles.items()}, tol, horizon)
     return [
-        [_report(net, *cycles[m, s], *entries[m, s]) if (m, s) in cycles else Undetermined(horizon)
-         for s in range(v.shape[1])]
-        for m, net in enumerate(nets)
+        _report(net, *cycles[m, s], *entries[m, s]) if (m, s) in cycles else Undetermined(horizon)
+        for m, net in enumerate(nets) for s in range(v.shape[1])
     ]
-
-
-def _detect_starts(net, v0s, **params) -> list:
-    """_detect on one network's starts, a list of states."""
-    return _detect([net], np.asarray(v0s, dtype=np.float64)[None], **params)[0]
 
 
 def find_periodic_orbit(
@@ -350,9 +365,8 @@ def find_periodic_orbit(
     Never raises on failure: no recurrence inside the horizon yields
     ``Undetermined(max_transient + 2*max_period)``.
     """
-    v0 = _as_vector(v0, net.n, "v0")
-    return _detect_starts(net, [v0], max_transient=max_transient, max_period=max_period,
-                          tol=tol, polish_steps=polish_steps)[0]
+    return _detect([net], _as_vector(v0, net.n, "v0"), max_transient, max_period, tol,
+                   polish_steps)[0]
 
 
 @dataclass(frozen=True)
@@ -364,76 +378,54 @@ class OmegaSample:
     horizon: int
 
 
-def _least_rotation(seq) -> int:
-    """Start of the lexicographically least rotation of seq (Booth 1980), in linear time."""
-    seq = list(seq) * 2
-    fail = [-1] * len(seq)
-    k = 0
-    for j in range(1, len(seq)):
-        sj, i = seq[j], fail[j - k - 1]
-        while i != -1 and sj != seq[k + i + 1]:
-            if sj < seq[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if sj != seq[k + i + 1]:  # here i == -1
-            if sj < seq[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k % (len(seq) // 2)
-
-
-def _canonical(orbit: OrbitReport):
-    """(key, states, q): the raster's least rotation as bytes, the states rotated with it,
-    and the least q > 0 whose rotation leaves that raster unchanged (q divides the period)."""
-    k = _least_rotation(row.tobytes() for row in orbit.cycle_raster)
-    raster = np.roll(orbit.cycle_raster, -k, axis=0)
-    q = next(d for d in _divisors(orbit.period) if np.array_equal(np.roll(raster, -d, axis=0), raster))
-    return raster.tobytes(), np.roll(orbit.states, -k, axis=0), q
-
-
 def _sample(results, tol, horizon) -> OmegaSample:
     """Distinct orbits of results in first-seen order, and the Undetermined count.
 
     Two orbits are one when some rotation of one has the other's raster and lies
-    within tol of its states.  Their rasters then share a least rotation, so only
-    orbits under the same key are compared, and only at the rotations that keep the
-    canonical raster.
+    within tol of its states.
     """
-    orbits, undetermined, seen = [], 0, {}
+    def same(prev, res):
+        return prev.period == res.period and any(
+            np.array_equal(np.roll(res.cycle_raster, -r, axis=0), prev.cycle_raster)
+            and max_dist(np.roll(res.states, -r, axis=0), prev.states) <= tol
+            for r in range(res.period))
+
+    orbits, undetermined = [], 0
     for res in results:
         if isinstance(res, Undetermined):
             undetermined += 1
-            continue
-        key, states, q = _canonical(res)
-        bucket = seen.setdefault(key, [])
-        if not any(max_dist(np.roll(states, -j, axis=0), prev) <= tol
-                   for prev in bucket for j in range(0, res.period, q)):
-            bucket.append(states)
+        elif not any(same(prev, res) for prev in orbits):
             orbits.append(res)
     return OmegaSample(orbits=orbits, undetermined=undetermined, horizon=horizon)
 
 
-def _fan_out(fn, tasks: list, threads: int):
+def _batch_size(n: int) -> int:
+    """Networks of size n per lockstep call: _BATCH, or fewer when their weights pass
+    _BATCH_WEIGHTS; at least 1."""
+    return max(1, min(_BATCH, _BATCH_WEIGHTS // (n * n)))
+
+
+def _fan_out(fn, tasks: list, threads: int, size: int):
     """Yield the result of each task, in task order.
 
     fn takes a list of tasks and returns one result per task.  The tasks are cut
-    into at most threads contiguous chunks of near-equal length, and each chunk goes
-    to fn in one call; threads > 1 runs the calls on that many worker processes (fn
-    and tasks must pickle).
+    into contiguous batches of near-equal length, at least threads of them and none
+    longer than size, so that what one call holds does not grow with the task list;
+    each batch goes to fn in one call.  threads > 1 runs the calls on that many
+    worker processes (fn and tasks must pickle).
     """
     _as_count(threads, "threads")
-    k = min(threads, len(tasks))
+    k = min(max(threads, -(-len(tasks) // size)), len(tasks))
     cuts = [len(tasks) * i // k for i in range(k + 1)]
-    chunks = [tasks[a:b] for a, b in zip(cuts, cuts[1:])]
-    if k == 1:
-        yield from fn(chunks[0])
+    batches = [tasks[a:b] for a, b in zip(cuts, cuts[1:])]
+    if min(threads, k) == 1:
+        for batch in batches:
+            yield from fn(batch)
         return
     from concurrent.futures import ProcessPoolExecutor  # here: a serial run never loads multiprocessing
 
-    with ProcessPoolExecutor(max_workers=k) as pool:
-        for results in pool.map(fn, chunks):
+    with ProcessPoolExecutor(max_workers=min(threads, k)) as pool:
+        for results in pool.map(fn, batches):
             yield from results
 
 
@@ -456,16 +448,14 @@ def omega_sample(
 ) -> OmegaSample:
     """Run orbit detection from random states in the invariant box and deduplicate.
 
-    The starts are detected in lockstep, in threads contiguous batches.  Orbits
-    are identified up to cyclic rotation of their raster first (the raster is
-    exact) and then by state proximity within tol.  Undetermined runs are
-    counted, never raised.
+    The starts are detected in lockstep, in contiguous batches of at most 64
+    starts, at least threads of them.  Orbits are identified up to cyclic
+    rotation of their raster first (the raster is exact) and then by state
+    proximity within tol.  Undetermined runs are counted, never raised.
     """
-    detect = functools.partial(
-        _detect_starts, net, max_transient=max_transient, max_period=max_period,
-        tol=tol, polish_steps=polish_steps,
-    )
-    results = _fan_out(detect, list(_starts(net, num_inits, rng)), threads)
+    detect = functools.partial(_detect, [net], max_transient=max_transient,
+                               max_period=max_period, tol=tol, polish_steps=polish_steps)
+    results = _fan_out(detect, list(_starts(net, num_inits, rng)), threads, _BATCH)
     return _sample(results, tol, max_transient + 2 * max_period)
 
 

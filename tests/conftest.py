@@ -51,13 +51,13 @@ def direct_sum_state(net, v0, raster, t):
     return out
 
 
-def quarter_net(rng, n, gamma):
+def quarter_net(rng, n, gamma, theta=1.0):
     """Random net with half its weights rounded to quarters, so sums can land on theta exactly."""
     w = rng.normal(0.0, 1.5 / np.sqrt(n), (n, n))
     quarters = rng.random((n, n)) < 0.5
     w[quarters] = np.round(4.0 * w[quarters]) / 4.0
     i_ext = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 0.3, n))
-    return sm.NetworkParams(n=n, gamma=gamma, theta=1.0, weights=w, i_ext=i_ext)
+    return sm.NetworkParams(n=n, gamma=gamma, theta=theta, weights=w, i_ext=i_ext)
 
 
 def submask_walk_edges(graph, include_illegal=False):

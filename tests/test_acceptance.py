@@ -15,7 +15,7 @@ import pytest
 import spikemap as sm
 from spikemap import fileio
 from spikemap.cli import main
-from spikemap.ensemble import EnsembleSpec, _run_sweep_chunk, _stream, sample_network
+from spikemap.ensemble import EnsembleSpec, _run_sweep_batch, _stream, sample_network
 from conftest import batch_step, direct_sum_state, example1_net, random_net
 
 
@@ -241,7 +241,7 @@ def test_criterion_09_ensemble_sweep_phenomenology():
     cs = [float(c) for c in np.linspace(0.25, 3.0, 8)]
     death = {}
     dists = {}
-    results = iter(_run_sweep_chunk([(seed, gamma, c, k, n, 1.0, 0.0, 5, 3000, 1000, 1e-10, 20000, 1e-6)
+    results = iter(_run_sweep_batch([(seed, gamma, c, k, n, 1.0, 0.0, 5, 3000, 1000, 1e-10, 20000, 1e-6)
                                      for gamma in gammas for c in cs for k in range(10)]))
     for gamma in gammas:
         for c in cs:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spikemap as sm
+from spikemap import ensemble, orbits
 
 
 class TestSampleNetwork:
@@ -80,6 +81,25 @@ class TestSweep:
         serial = sm.sweep([0.4], [0.5, 2.0], **kwargs)
         parallel = sm.sweep([0.4], [0.5, 2.0], threads=2, **kwargs)
         assert serial == parallel
+
+    def test_cells_arrive_batch_by_batch(self, monkeypatch):
+        # 65 networks make two lockstep batches of 32 and 33; each batch's cells are
+        # reported as soon as it is done, and the cells match one whole-grid batch
+        events = []
+        batch = ensemble._run_sweep_batch
+
+        def logged(tasks):
+            events.append(("batch", len(tasks)))
+            return batch(tasks)
+
+        monkeypatch.setattr(ensemble, "_run_sweep_batch", logged)
+        cs = [0.05 * k for k in range(65)]
+        kwargs = dict(n=3, networks_per_cell=1, inits_per_network=2, max_transient=100,
+                      max_period=30, seed=4)
+        cells = sm.sweep([0.5], cs, progress=lambda done, total, cell: events.append(done), **kwargs)
+        assert events == [("batch", 32), *range(1, 33), ("batch", 33), *range(33, 66)]
+        monkeypatch.setattr(orbits, "_BATCH", 65)
+        assert sm.sweep([0.5], cs, **kwargs) == cells
 
 
 class TestLyapunovMap:

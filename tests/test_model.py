@@ -92,14 +92,19 @@ class TestBatchedStep:
         assert sm.step(net, states).tobytes() == looped.tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 12), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
-    def test_network_stack_matches_per_network_rows_bit_for_bit(self, n, m, s, seed):
-        # (M, S, N) states on M networks: every row as step on its own network
+    @given(st.integers(1, 12), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from([[1.0], [1.0, 0.75]]))
+    def test_network_stack_matches_per_network_rows_bit_for_bit(self, n, m, s, seed, thetas):
+        # (M, S, N) states on M networks: every row as step on its own network, whether
+        # the networks share theta (held as one float) or not
         rng = np.random.default_rng(seed)
-        nets = [quarter_net(rng, n, float(rng.choice([0.0, 0.25, 0.5, 0.875]))) for _ in range(m)]
+        nets = [quarter_net(rng, n, float(rng.choice([0.0, 0.25, 0.5, 0.875])),
+                            theta=float(rng.choice(thetas))) for _ in range(m)]
         states = rng.uniform(-2.0, 2.0, (m, s, n))
-        states[rng.random((m, s, n)) < 0.3] = 1.0  # exactly theta
+        at_theta = rng.random((m, s, n)) < 0.3
+        states[at_theta] = np.broadcast_to([[[net.theta]] for net in nets], (m, s, n))[at_theta]
         stack = _Stack.of(nets)
+        assert isinstance(stack.theta, float) == (len({net.theta for net in nets}) == 1)
         got = sm.step(stack, states)
         for k, net in enumerate(nets):
             assert got[k].tobytes() == np.array([sm.step(net, row) for row in states[k]]).tobytes()

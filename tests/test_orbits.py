@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import spikemap as sm
 from spikemap import orbits
 from spikemap.model import _Stack
-from spikemap.orbits import _brent_scan, _detect, _least_rotation, _locate_entries, _sample
+from spikemap.orbits import _batch_size, _brent_scan, _detect, _fan_out, _locate_entries
 from conftest import example1_net, quarter_net, random_net, scalar_orbit
 
 
@@ -210,16 +210,18 @@ class TestLockstep:
         # each row of a mixed batch, bit for bit, as find_periodic_orbit alone and as a scalar
         # reference; short horizons and wide tolerances give Undetermined rows and retries
         rng = np.random.default_rng(seed)
-        nets = [quarter_net(rng, n, float(rng.choice([0.0, 0.25, 0.5, 0.875]))) for _ in range(m)]
+        nets = [quarter_net(rng, n, float(rng.choice([0.0, 0.25, 0.5, 0.875])),
+                            theta=float(rng.choice([1.0, 1.0, 0.75]))) for _ in range(m)]
         v0s = np.round(rng.uniform(-2.0, 2.0, (m, s, n)) * 4.0) / 4.0
-        v0s[rng.random((m, s, n)) < 0.3] = 1.0  # exactly theta
+        at_theta = rng.random((m, s, n)) < 0.3
+        v0s[at_theta] = np.broadcast_to([[[net.theta]] for net in nets], (m, s, n))[at_theta]
         kw = dict(max_transient=max_transient, max_period=max_period, tol=tol,
                   polish_steps=polish_steps)
         batch = _detect(nets, v0s, **kw)
         for k, net in enumerate(nets):
             for j in range(s):
-                assert same_report(batch[k][j], sm.find_periodic_orbit(net, v0s[k, j], **kw))
-                assert same_report(batch[k][j], scalar_orbit(net, v0s[k, j], **kw))
+                assert same_report(batch[k * s + j], sm.find_periodic_orbit(net, v0s[k, j], **kw))
+                assert same_report(batch[k * s + j], scalar_orbit(net, v0s[k, j], **kw))
 
     def test_retries_and_undetermined_rows_in_one_batch(self, monkeypatch):
         # a batch with Undetermined rows and pseudo-orbits its polish rejects
@@ -240,11 +242,11 @@ class TestLockstep:
         kw = dict(max_transient=20, max_period=10, tol=0.05, polish_steps=5)
         batch = _detect(nets, v0s, **kw)
         assert any(rejected)
-        assert 0 < sum(isinstance(r, sm.Undetermined) for row in batch for r in row) < 6
+        assert 0 < sum(isinstance(r, sm.Undetermined) for r in batch) < 6
         for k, net in enumerate(nets):
             for j in range(2):
-                assert same_report(batch[k][j], sm.find_periodic_orbit(net, v0s[k, j], **kw))
-                assert same_report(batch[k][j], scalar_orbit(net, v0s[k, j], **kw))
+                assert same_report(batch[2 * k + j], sm.find_periodic_orbit(net, v0s[k, j], **kw))
+                assert same_report(batch[2 * k + j], scalar_orbit(net, v0s[k, j], **kw))
 
     @pytest.mark.parametrize("max_period, scans", [(2, 4), (10, 8)])
     def test_rejected_rows_scan_again_until_budget_or_eight_scans(self, monkeypatch, max_period,
@@ -261,7 +263,7 @@ class TestLockstep:
         nets = [quiescent_net(), quiescent_net(gamma=0.25)]
         batch = _detect(nets, np.zeros((2, 3, 3)), max_transient=0, max_period=max_period,
                         tol=0.0, polish_steps=0)
-        assert all(r == sm.Undetermined(2 * max_period) for row in batch for r in row)
+        assert all(r == sm.Undetermined(2 * max_period) for r in batch)
         assert polished == [1] * (6 * scans)
 
     def test_scan_rows_leave_when_their_own_budget_is_spent(self):
@@ -280,8 +282,24 @@ class TestLockstep:
                             lambda net, v: stacked.append(isinstance(net, _Stack)) or sm.step(net, v))
         batch = _detect([quiescent_net(), quiescent_net(gamma=0.25)], np.zeros((2, 3, 3)),
                         max_transient=10**4, max_period=100, tol=0.0, polish_steps=0)
-        assert all(r.transient == 0 and r.period == 1 for row in batch for r in row)
+        assert all(r.transient == 0 and r.period == 1 for r in batch)
         assert sum(stacked) == 1
+
+    def test_batches_are_contiguous_near_equal_and_at_most_size(self):
+        sizes = []
+
+        def double(batch):
+            sizes.append(len(batch))
+            return [2 * t for t in batch]
+
+        assert list(_fan_out(double, list(range(130)), 1, 64)) == [2 * t for t in range(130)]
+        assert sizes == [43, 43, 44]
+        sizes.clear()
+        assert list(_fan_out(double, [1, 2, 3], 1, 64)) == [2, 4, 6] and sizes == [3]
+
+    def test_batches_hold_64_networks_and_at_most_2_pow_20_weights(self):
+        assert [_batch_size(n) for n in (1, 20, 128, 129, 1024, 1025, 5000)] == [
+            64, 64, 64, 63, 1, 1, 1]
 
     def test_entry_is_the_first_time_then_the_lowest_phase(self):
         # v halves each step: 0.4, 0.2, 0.1; at t = 2 phases 1 and 2 are both within tol
@@ -289,49 +307,6 @@ class TestLockstep:
         v0 = np.array([[[0.4], [0.0]], [[0.0], [0.7]]])
         cycles = {(0, 0): np.array([[0.3], [0.1], [0.12], [0.5]]), (1, 1): np.array([[5.0]])}
         assert _locate_entries(stack, v0, cycles, 0.05, 5) == {(0, 0): (2, 1), (1, 1): (5, 0)}
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.sampled_from([b"a", b"b", b"c"]), min_size=1, max_size=12))
-    def test_least_rotation_is_the_least(self, seq):
-        k = _least_rotation(seq)
-        assert seq[k:] + seq[:k] == min(seq[r:] + seq[:r] for r in range(len(seq)))
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 4),
-           st.sampled_from([0.0, 1e-10, 0.1]))
-    def test_dedupe_matches_the_rotation_scan(self, seed, count, n, tol):
-        # reference: compare a new orbit with every kept one at every rotation
-        rng = np.random.default_rng(seed)
-        results = []
-        for _ in range(count):
-            p = int(rng.integers(1, 7))
-            base = rng.integers(0, 2, (int(rng.choice([1, p])), n)).astype(np.uint8)
-            raster = np.resize(base, (p, n))  # may repeat within the period
-            states = np.round(rng.uniform(-1.0, 2.0, (p, n)) * 4.0) / 4.0
-            orbit = sm.OrbitReport(0, p, states, raster, 0.0)
-            results.append(orbit)
-            for _ in range(int(rng.integers(0, 3))):  # rotated, perhaps moved, copies
-                r = int(rng.integers(0, p))
-                moved = np.roll(states, -r, axis=0) + float(rng.choice([0.0, 0.05, 1.0]))
-                results.append(sm.OrbitReport(0, p, moved, np.roll(raster, -r, axis=0), 0.0))
-            if rng.random() < 0.3:
-                results.append(sm.Undetermined(7))
-        order = rng.permutation(len(results))
-        results = [results[i] for i in order]
-
-        def same(a, b):
-            return a.period == b.period and any(
-                np.array_equal(np.roll(b.cycle_raster, -r, axis=0), a.cycle_raster)
-                and sm.max_dist(np.roll(b.states, -r, axis=0), a.states) <= tol
-                for r in range(a.period))
-
-        kept = []
-        for res in results:
-            if not isinstance(res, sm.Undetermined) and not any(same(k, res) for k in kept):
-                kept.append(res)
-        sample = _sample(results, tol, 7)
-        assert [id(o) for o in sample.orbits] == [id(o) for o in kept]
-        assert sample.undetermined == sum(isinstance(r, sm.Undetermined) for r in results)
 
 
 class TestDistances:
