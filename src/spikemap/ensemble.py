@@ -107,26 +107,25 @@ def _draw_network(seed: int, gamma: float, c: float, net_idx: int, n: int,
     return sample_network(spec, _stream(seed, gamma, c, net_idx))
 
 
-def _grid_cells(worker, gammas, cs, n: int, networks_per_cell: int, seed: int, threads: int,
-                *params):
-    """Run worker on every network of the (gamma, c) grid, in contiguous batches.
+def _grid_cells(worker, per_call: int, gammas, cs, networks_per_cell: int, seed: int,
+                threads: int, *params):
+    """Run worker on every network of the (gamma, c) grid, per_call networks at a time.
 
-    A task is (seed, gamma, c, network index, n, *params), and worker takes a
-    batch of tasks and returns one result per task; a batch holds at most 64
-    networks, fewer for n > 128 (see :func:`~spikemap.orbits._batch_size`), and
-    there are at least threads batches.  Yields (gamma, c, [one result per
-    network]) per cell in grid order (gammas outer, cs inner), each as soon as
-    the batch holding its last network is done.
+    A task is (seed, gamma, c, network index, *params), and worker takes a
+    batch of tasks and returns one result per task.  The batches are
+    contiguous, of at most per_call networks, and at least threads of them.
+    Yields (gamma, c, [one result per network]) per cell in grid order
+    (gammas outer, cs inner), each as soon as the batch holding its last
+    network is done.
     """
     gammas = [float(g) for g in gammas]
     cs = [float(c) for c in cs]
     if not gammas or not cs:
         raise ValidationError("gamma and c grids must be nonempty")
-    _as_count(n, "n")
     _as_count(networks_per_cell, "networks_per_cell")
     grid = [(g, c) for g in gammas for c in cs]
-    tasks = [(seed, g, c, k, n, *params) for g, c in grid for k in range(networks_per_cell)]
-    with closing(_fan_out(worker, tasks, threads, _batch_size(n))) as results:
+    tasks = [(seed, g, c, k, *params) for g, c in grid for k in range(networks_per_cell)]
+    with closing(_fan_out(worker, tasks, threads, per_call)) as results:
         for g, c in grid:
             yield g, c, [next(results) for _ in range(networks_per_cell)]
 
@@ -186,8 +185,8 @@ def sweep(
     gammas, cs = list(gammas), list(cs)
     cells = []
     for g, c, nets in _grid_cells(
-        _run_sweep_batch, gammas, cs, n, networks_per_cell, seed, threads,
-        theta, i_ext, inits_per_network, max_transient, max_period, tol, polish_steps,
+        _run_sweep_batch, _batch_size(n), gammas, cs, networks_per_cell, seed, threads,
+        n, theta, i_ext, inits_per_network, max_transient, max_period, tol, polish_steps,
         epsilon_singular,
     ):
         dists = [d for _, d, _, _ in nets if d is not None]
@@ -253,8 +252,8 @@ def lyapunov_map(
     return [
         LyapCell(gamma=g, c=c, samples=networks_per_cell,
                  mean_lyapunov=float(np.mean([lam for vals in nets for lam in vals])))
-        for g, c, nets in _grid_cells(
-            _run_lyap_batch, gammas, cs, n, networks_per_cell, seed, threads,
-            theta, i_ext, inits_per_network, ball_radius, num_directions, horizon, burn_in,
+        for g, c, nets in _grid_cells(  # one network per call: the processes share the grid evenly
+            _run_lyap_batch, 1, gammas, cs, networks_per_cell, seed, threads,
+            n, theta, i_ext, inits_per_network, ball_radius, num_directions, horizon, burn_in,
         )
     ]

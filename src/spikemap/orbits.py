@@ -132,25 +132,25 @@ def _brent_scan(stack, v, budget, rows, max_period, tol):
     """
     lam_at, used_at = np.zeros(rows.shape, np.int64), np.zeros(rows.shape, np.int64)
     idx, sub, todo, bud, anchor = np.arange(len(rows)), stack, rows.copy(), budget, v
-    hare, fired, power, lam, used, left = anchor, _patterns(anchor, stack.theta), 1, 0, 0, True
+    hare, anchor_key, power, lam, used, left = anchor, _patterns(anchor, stack.theta), 1, 0, 0, True
     while True:
         if left:
             live = todo.any(axis=1)
             if not live.any():
                 return lam_at, used_at
             deadline = int(bud[todo].min())  # once used passes it, some row has spent its budget
-            idx, sub, todo, bud, anchor, hare, fired = _keep_live(
-                live, idx, sub, todo, bud, anchor, hare, fired)
+            idx, sub, todo, bud, anchor, hare, anchor_key = _keep_live(
+                live, idx, sub, todo, bud, anchor, hare, anchor_key)
         if lam == power:
             anchor, power, lam = hare, min(2 * power, max_period), 0
-            fired = _patterns(anchor, sub.theta)
+            anchor_key = _patterns(anchor, sub.theta)
         hare = step(sub, hare)
         used += 1
         lam += 1
         left = used > deadline
         if left:
             todo &= bud >= used
-        hit = todo & (_patterns(hare, sub.theta) == fired)
+        hit = todo & (_patterns(hare, sub.theta) == anchor_key)
         if np.count_nonzero(hit):
             hit &= np.abs(hare - anchor).max(axis=-1) <= tol
             if np.count_nonzero(hit):
@@ -268,13 +268,13 @@ def _locate_entries(stack, v0, cycles: dict, tol, cap) -> dict:
     phase = np.concatenate([np.arange(len(cycles[key])) for key in keys])
     states = np.concatenate([cycles[key] for key in keys])
     net, start = np.array(keys)[owner].T  # each cycle state's row in v
-    fired = _patterns(states, np.broadcast_to(stack.theta, (len(v0), 1, 1))[net, 0])
+    pattern = _patterns(states, np.broadcast_to(stack.theta, (len(v0), 1, 1))[net, 0])
     entries, idx, sub, v, left = {}, np.arange(len(v0)), stack, v0, True
     for t in range(cap + 1):
         if left:
             idx, sub, v = _keep_live(np.isin(idx, net), idx, sub, v)
             at = np.searchsorted(idx, net)  # each cycle state's network in sub
-        hit = np.flatnonzero(_patterns(v, sub.theta)[at, start] == fired)
+        hit = np.flatnonzero(_patterns(v, sub.theta)[at, start] == pattern)
         if hit.size:
             hit = hit[np.abs(v[at[hit], start[hit]] - states[hit]).max(axis=-1) <= tol]
         left = hit.size > 0
@@ -282,8 +282,8 @@ def _locate_entries(stack, v0, cycles: dict, tol, cap) -> dict:
             done, first = np.unique(owner[hit], return_index=True)  # the lowest phase per row
             entries.update((keys[r], (t, int(phase[i]))) for r, i in zip(done, hit[first]))
             kept = ~np.isin(owner, done)
-            owner, phase, states, fired, net, start = (
-                a[kept] for a in (owner, phase, states, fired, net, start))
+            owner, phase, states, pattern, net, start = (
+                a[kept] for a in (owner, phase, states, pattern, net, start))
             if not owner.size:
                 return entries
         v = step(sub, v)
@@ -402,7 +402,7 @@ def _sample(results, tol, horizon) -> OmegaSample:
 def _batch_size(n: int) -> int:
     """Networks of size n per lockstep call: _BATCH, or fewer when their weights pass
     _BATCH_WEIGHTS; at least 1."""
-    return max(1, min(_BATCH, _BATCH_WEIGHTS // (n * n)))
+    return max(1, min(_BATCH, _BATCH_WEIGHTS // _as_count(n, "n") ** 2))
 
 
 def _fan_out(fn, tasks: list, threads: int, size: int):

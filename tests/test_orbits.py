@@ -300,6 +300,8 @@ class TestLockstep:
     def test_batches_hold_64_networks_and_at_most_2_pow_20_weights(self):
         assert [_batch_size(n) for n in (1, 20, 128, 129, 1024, 1025, 5000)] == [
             64, 64, 64, 63, 1, 1, 1]
+        with pytest.raises(sm.ValidationError):
+            _batch_size(0)
 
     def test_entry_is_the_first_time_then_the_lowest_phase(self):
         # v halves each step: 0.4, 0.2, 0.1; at t = 2 phases 1 and 2 are both within tol
