@@ -266,6 +266,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if (getattr(args, "seed", None) or 0) < 0:  # numpy seeds are nonnegative
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except CapacityError as e:
         print(f"error: {e}", file=sys.stderr)

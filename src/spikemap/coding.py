@@ -21,6 +21,7 @@ from .model import (
     Trajectory,
     ValidationError,
     _advance,
+    _as_count,
     _as_vector,
     _fires,
     compute_bounds,
@@ -28,17 +29,13 @@ from .model import (
 
 __all__ = [
     "IllegalCodeError",
-    "fire_set",
-    "pattern_cardinality",
     "pattern_to_str",
     "str_to_pattern",
     "encode",
-    "reconstruct",
     "reconstruct_trajectory",
     "reconstruct_periodic",
     "TransitionGraph",
     "build_transition_graph",
-    "is_markov_natural",
     "check_legal",
 ]
 
@@ -53,16 +50,6 @@ GRAPH_CAP_DEFAULT = 16
 
 class IllegalCodeError(ValueError):
     """A raster cycle is not realizable by any state of the network."""
-
-
-def fire_set(eta) -> np.ndarray:
-    """Indices of neurons firing in pattern eta."""
-    return np.flatnonzero(np.asarray(eta))
-
-
-def pattern_cardinality(eta) -> int:
-    """Number of firing neurons in the pattern."""
-    return int(np.count_nonzero(np.asarray(eta)))
 
 
 def pattern_to_str(eta) -> str:
@@ -114,14 +101,6 @@ def reconstruct_trajectory(net: NetworkParams, v0, raster) -> np.ndarray:
         v = _advance(net, v, raster[t - 1].astype(np.float64))
         out[t] = v
     return out
-
-
-def reconstruct(net: NetworkParams, v0, raster, t: int) -> np.ndarray:
-    """State at time t from the initial state and the raster up to time t."""
-    raster = _check_raster(raster, net.n)
-    if not (0 <= t < raster.shape[0]):
-        raise ValidationError(f"t={t} outside raster of length {raster.shape[0]}")
-    return reconstruct_trajectory(net, v0, raster[: t + 1])[t]
 
 
 def reconstruct_periodic(net: NetworkParams, cycle) -> np.ndarray:
@@ -302,10 +281,11 @@ class TransitionGraph:
 def build_transition_graph(net: NetworkParams, cap: int = GRAPH_CAP_DEFAULT) -> TransitionGraph:
     """Classify all pattern transitions of the network.
 
-    Refuses networks with N above ``cap`` (the construction enumerates all
-    2^N source patterns; per-neuron factorization keeps each one O(N)).
+    Refuses networks with N above ``cap``, an integer >= 1 (the construction
+    enumerates all 2^N source patterns; per-neuron factorization keeps each
+    one O(N)).
     """
-    if net.n > cap:
+    if net.n > _as_count(cap, "cap"):
         raise CapacityError(f"transition graph needs N <= {cap}, got N={net.n}")
     n = net.n
     num = 1 << n
@@ -327,11 +307,6 @@ def build_transition_graph(net: NetworkParams, cap: int = GRAPH_CAP_DEFAULT) -> 
     return TransitionGraph(
         net=net, v_min=v_min, src_bits=src_bits, currents=currents, forced=forced, free=free
     )
-
-
-def is_markov_natural(net: NetworkParams, cap: int = GRAPH_CAP_DEFAULT) -> bool:
-    """Whether the next pattern is always determined by the current pattern alone."""
-    return build_transition_graph(net, cap=cap).is_markov
 
 
 def check_legal(raster, graph: TransitionGraph) -> bool:

@@ -107,7 +107,9 @@ def read_network(path) -> NetworkParams:
             weights=np.asarray(payload["weights"], dtype=np.float64),
             i_ext=np.asarray(payload["i_ext"], dtype=np.float64),
         )
-    except (KeyError, TypeError) as e:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"network file {path} is missing or mistypes a field: {e}") from e
 
 

@@ -16,6 +16,7 @@ collapsing fired directions to a point.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -28,10 +29,7 @@ __all__ = [
     "Bounds",
     "Trajectory",
     "compute_bounds",
-    "spiking_state",
-    "synaptic_current",
     "step",
-    "step_noisy",
     "simulate",
     "firing_times",
     "max_dist",
@@ -55,7 +53,12 @@ def _as_vector(x, n: int, name: str) -> np.ndarray:
     return v
 
 
-def _as_count(k: int, name: str) -> int:
+def _as_count(k, name: str) -> int:
+    """k checked to be an integer >= 1; a float, even 2.0, is not an integer."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {k!r}") from None
     if k < 1:
         raise ValidationError(f"{name} must be >= 1, got {k}")
     return k
@@ -96,7 +99,7 @@ class NetworkParams:
     i_ext: np.ndarray
 
     def __post_init__(self):
-        n = _as_count(int(self.n), "n")
+        n = _as_count(self.n, "n")
         gamma = float(self.gamma)
         theta = _as_finite(self.theta, "theta")
         if not (0.0 <= gamma < 1.0):
@@ -172,19 +175,6 @@ def compute_bounds(net: NetworkParams) -> Bounds:
     return Bounds(v_min, v_max)
 
 
-def spiking_state(v: float, theta: float) -> int:
-    """1 iff v >= theta.  The comparison is exactly >=, with no tolerance."""
-    return 1 if _fires(v, theta) else 0
-
-
-def synaptic_current(net: NetworkParams, eta) -> np.ndarray:
-    """Current injected into each neuron by the firing pattern eta (0/1 vector)."""
-    e = np.asarray(eta, dtype=np.float64)
-    if e.shape != (net.n,):
-        raise ValidationError(f"pattern must have shape ({net.n},), got {e.shape}")
-    return net.weights @ e
-
-
 def _advance(net: NetworkParams, v, z: np.ndarray) -> np.ndarray:
     """The affine map on the domain of firing pattern z: a float 0/1 vector or a (K, N) stack,
     or (M, S, N) states when net is a :class:`_Stack` of M networks.
@@ -204,22 +194,6 @@ def step(net: NetworkParams, v) -> np.ndarray:
     """
     v = np.asarray(v, dtype=np.float64)
     return _advance(net, v, _fires(v, net.theta).astype(np.float64))
-
-
-def _check_noise(sigma_b: float, rng: Optional[np.random.Generator]) -> None:
-    _as_finite(sigma_b, "sigma_b", allow_zero=True)
-    if sigma_b > 0.0 and rng is None:
-        raise ValidationError("sigma_b > 0 requires a seeded rng")
-
-
-def step_noisy(net: NetworkParams, v, sigma_b: float, rng: Optional[np.random.Generator]) -> np.ndarray:
-    """One update plus i.i.d. Gaussian noise of standard deviation sigma_b per neuron.
-
-    sigma_b = 0 is bit-identical to :func:`step`.
-    """
-    _check_noise(sigma_b, rng)
-    out = step(net, v)
-    return out + rng.normal(0.0, sigma_b, out.shape) if sigma_b > 0.0 else out
 
 
 @dataclass(frozen=True)
@@ -249,7 +223,8 @@ def simulate(
     """
     if t_max < 0:
         raise ValidationError(f"t_max must be >= 0, got {t_max}")
-    _check_noise(sigma_b, rng)
+    if _as_finite(sigma_b, "sigma_b", allow_zero=True) > 0.0 and rng is None:
+        raise ValidationError("sigma_b > 0 requires a seeded rng")
     v = _as_vector(v0, net.n, "v0")
     states = np.empty((t_max + 1, net.n), dtype=np.float64)
     states[0] = v

@@ -42,9 +42,7 @@ __all__ = [
     "omega_sample",
     "dist_traj_to_S",
     "dist_attractor_to_S",
-    "stable_manifold_radius",
     "markov_horizon",
-    "period_bound",
     "period_bound_log2",
     "RegimeLabel",
     "classify_regime",
@@ -87,10 +85,6 @@ class Undetermined:
     """
 
     horizon: int
-
-
-def _pattern_key(v: np.ndarray, theta: float) -> bytes:
-    return _fires(v, theta).tobytes()
 
 
 def _patterns(v: np.ndarray, theta) -> np.ndarray:
@@ -194,45 +188,38 @@ def _polish(net, x0, period, tol, budget):
 
     Iterates in chunks of one period; the firing pattern must keep repeating
     the first chunk's pattern sequence, otherwise the candidate was a
-    pseudo-orbit and we reject (returning the advanced state so the caller
-    can resume scanning).  After the first chunk, coordinates whose
-    closed-form cycle value is exactly 0 jump there instead of following the
-    geometric decay into the subnormals.  Acceptance is by bit-identical
+    pseudo-orbit and we reject, returning the first state off the sequence so
+    the caller can resume scanning there.  After the first chunk, coordinates
+    whose closed-form cycle value is exactly 0 jump there instead of following
+    the geometric decay into the subnormals.  Acceptance is by bit-identical
     chunk recurrence, or by within-tol closure once the budget runs out;
     division by the pattern check keeps tol-acceptance honest.  On success
     the minimal period is extracted by divisor reduction.
     """
-    theta = net.theta
     budget = max(budget, 2 * period)
     chunk = np.empty((period + 1, net.n), dtype=np.float64)
-    cyc_keys = None
+    cycle = None  # the firing pattern due at each of chunk[1:], from the first chunk
     x = np.array(x0, dtype=np.float64)
     steps = 0
     exact = False
     while True:
         chunk[0] = x
-        keys = [_pattern_key(x, theta)]
-        ok = True
         for k in range(1, period + 1):
-            x = step(net, x)
-            steps += 1
-            chunk[k] = x
-            key = _pattern_key(x, theta)
-            if cyc_keys is None:
-                keys.append(key)
-            elif key != cyc_keys[k % period]:
-                ok = False
-                break
-        if not ok:
-            return None, x
-        if cyc_keys is None:
-            if keys[period] != keys[0]:
+            chunk[k] = x = step(net, x)
+        steps += period
+        patterns = _patterns(chunk, net.theta)
+        if cycle is None:
+            if patterns[period] != patterns[0]:
                 return None, x
-            cyc_keys = keys[:period]
+            cycle = patterns[1:]
             seed = _closed_form_zeros(net, chunk, x)
             if seed is not x:
                 x = seed
                 continue
+        else:
+            off = patterns[1:] != cycle
+            if np.count_nonzero(off):
+                return None, chunk[off.argmax() + 1]
         if np.array_equal(chunk[period], chunk[0]):
             exact = True
             break
@@ -460,7 +447,11 @@ def omega_sample(
 
 
 def dist_traj_to_S(traj: Trajectory) -> float:
-    """Smallest |v_i(t) - theta| over the observed horizon.
+    """Smallest |v_i(t) - theta| over the horizon, a certified perturbation radius.
+
+    Any perturbation of the initial state strictly smaller than this value
+    (max metric) yields the identical raster over the horizon and decays
+    geometrically toward the unperturbed trajectory.
 
     Measures the simulated floating-point trajectory, not the exact-arithmetic
     orbit it approximates; reaching the threshold exactly gives 0.  The two
@@ -478,16 +469,6 @@ def dist_attractor_to_S(orbits: list) -> float:
     if not orbits:
         raise ValidationError("no orbits: cannot estimate the attractor distance")
     return min(o.min_threshold_gap for o in orbits)
-
-
-def stable_manifold_radius(traj: Trajectory) -> float:
-    """Certified perturbation radius over the observed horizon.
-
-    Any perturbation of the initial state strictly smaller than this value
-    (max metric) yields the identical raster over the horizon and decays
-    geometrically toward the unperturbed trajectory.
-    """
-    return dist_traj_to_S(traj)
 
 
 def markov_horizon(epsilon: float, domain_diameter: float, gamma: float) -> int:
@@ -508,7 +489,10 @@ def markov_horizon(epsilon: float, domain_diameter: float, gamma: float) -> int:
 
 
 def period_bound_log2(n: int, d_as: float, gamma: float) -> float:
-    """log2 of the cycle-count/period bound: n * log(d_as) / log(gamma)."""
+    """log2 of the cycle-count/period bound: n * log(d_as) / log(gamma).
+
+    The bound itself, 2 ** this, overflows a float once n is large.
+    """
     _as_count(n, "n")
     if not (0.0 < gamma < 1.0):
         raise ValidationError(f"gamma must lie in (0, 1), got {gamma}")
@@ -517,19 +501,6 @@ def period_bound_log2(n: int, d_as: float, gamma: float) -> float:
         warnings.warn("period bound is vacuous for attractor distances >= 1", stacklevel=2)
         return 0.0
     return n * math.log(d_as) / math.log(gamma)
-
-
-def period_bound(n: int, d_as: float, gamma: float) -> float:
-    """Upper bound on the number of distinguishable orbit segments, 2**log2-bound.
-
-    Grows exponentially in n and in log(d_as); may overflow to inf, use
-    :func:`period_bound_log2` for the log-scale value.
-    """
-    l2 = period_bound_log2(n, d_as, gamma)
-    try:
-        return 2.0 ** l2
-    except OverflowError:
-        return math.inf
 
 
 _REGIME_KINDS = ("NeuralDeath", "FullActivity", "StablePeriodic", "NearSingular", "Undetermined")

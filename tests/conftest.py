@@ -87,11 +87,10 @@ def submask_walk_edges(graph, include_illegal=False):
 def scalar_orbit(net, v0, max_transient, max_period, tol, polish_steps):
     """find_periodic_orbit one state at a time, independent of the lockstep scan and entry pass.
 
-    Brent's scan with the power capped at max_period, the shared per-row polish,
-    up to 8 scans in all, and the entry found by re-simulating from v0: the first
-    t, then the lowest phase, within tol and with the same firing pattern.
+    Brent's scan with the power capped at max_period, reference_polish, up to 8 scans
+    in all, and the entry found by re-simulating from v0: the first t, then the lowest
+    phase, within tol and with the same firing pattern.
     """
-    from spikemap import orbits
     theta = net.theta
     horizon = max_transient + 2 * max_period
     v, budget = np.asarray(v0, dtype=np.float64), horizon
@@ -110,7 +109,7 @@ def scalar_orbit(net, v0, max_transient, max_period, tol, polish_steps):
         budget -= used
         if found is None:
             break
-        polished, v = orbits._polish(net, hare, found, tol, polish_steps)
+        polished, v = reference_polish(net, hare, found, tol, polish_steps)
         if polished is None:
             continue
         states, period = polished
@@ -127,3 +126,51 @@ def scalar_orbit(net, v0, max_transient, max_period, tol, polish_steps):
                               cycle_raster=sm.encode(states, theta),
                               min_threshold_gap=float(np.min(np.abs(states - theta))))
     return sm.Undetermined(horizon)
+
+
+def reference_polish(net, x0, period, tol, budget):
+    """orbits._polish one step at a time, independent of its chunked pattern check.
+
+    After every step the firing pattern, as bytes, must match the first chunk's
+    at that phase; a mismatch rejects at once with the state that showed it.  The
+    first chunk's last pattern must match its first, and once the first chunk
+    passes, coordinates whose closed-form cycle value is 0 jump there.  Accepts a
+    chunk that recurs bit for bit, or closes within tol once the budget is spent;
+    then reduces to the least period whose rotation closes the same way.
+    """
+    from spikemap.orbits import _closed_form_zeros
+    theta = net.theta
+    budget = max(budget, 2 * period)
+    chunk = np.empty((period + 1, net.n), dtype=np.float64)
+    cycle, x, steps = None, np.array(x0, dtype=np.float64), 0
+    while True:
+        chunk[0] = x
+        keys = [(x >= theta).tobytes()]
+        for k in range(1, period + 1):
+            x = sm.step(net, x)
+            steps += 1
+            chunk[k] = x
+            key = (x >= theta).tobytes()
+            if cycle is None:
+                keys.append(key)
+            elif key != cycle[k % period]:
+                return None, x
+        if cycle is None:
+            if keys[period] != keys[0]:
+                return None, x
+            cycle = keys[:period]
+            seed = _closed_form_zeros(net, chunk, x)
+            if seed is not x:
+                x = seed
+                continue
+        exact = np.array_equal(chunk[period], chunk[0])
+        if exact or steps >= budget:
+            break
+    if not exact and sm.max_dist(chunk[period], chunk[0]) > tol:
+        return None, x
+    states = chunk[:period].copy()
+    for d in range(1, period + 1):
+        shifted = np.roll(states, -d, axis=0)
+        if period % d == 0 and (np.array_equal(shifted, states) if exact
+                                else sm.max_dist(shifted, states) <= tol):
+            return (states[:d], d), x

@@ -165,8 +165,8 @@ def test_criterion_06_gamma_zero_markov():
         i_ext = rng.uniform(0.0, 0.5, n)
         flat = sm.NetworkParams(n=n, gamma=0.0, theta=1.0, weights=w, i_ext=i_ext)
         leaky = sm.NetworkParams(n=n, gamma=0.5, theta=1.0, weights=w, i_ext=i_ext)
-        all_markov &= sm.is_markov_natural(flat)
-        false_at_half += not sm.is_markov_natural(leaky)
+        all_markov &= sm.build_transition_graph(flat).is_markov
+        false_at_half += not sm.build_transition_graph(leaky).is_markov
     _report(6, "zero leak always yields a one-step-determined pattern graph",
             all_markov,
             f"non-determined fraction at gamma=0.5: {false_at_half}/100 (reported)")

@@ -33,11 +33,11 @@ class TestReconstruct:
         net = random_net(np.random.default_rng(0), n=3)
         v0 = np.array([0.1, -0.2, 0.3])
         raster = np.zeros((1, 3), dtype=np.uint8)
-        assert np.array_equal(sm.reconstruct(net, v0, raster, 0), v0)
+        assert np.array_equal(sm.reconstruct_trajectory(net, v0, raster)[0], v0)
 
     def test_ghost_ramp_value(self):
         traj = sm.simulate(example1_net(), [0.0], 5)
-        v5 = sm.reconstruct(example1_net(), [0.0], traj.raster, 5)
+        v5 = sm.reconstruct_trajectory(example1_net(), [0.0], traj.raster[:6])[5]
         assert v5[0] == 0.96875  # 1 - 0.5^5
 
     def test_matches_simulation(self):
@@ -66,9 +66,7 @@ class TestReconstruct:
     def test_errors(self):
         net = random_net(np.random.default_rng(6), n=3)
         with pytest.raises(sm.ValidationError):
-            sm.reconstruct(net, np.zeros(3), np.zeros((4, 2), dtype=np.uint8), 1)
-        with pytest.raises(sm.ValidationError):
-            sm.reconstruct(net, np.zeros(3), np.zeros((4, 3), dtype=np.uint8), 4)
+            sm.reconstruct_trajectory(net, np.zeros(3), np.zeros((4, 2), dtype=np.uint8))
 
 
 class TestReconstructPeriodic:
@@ -316,19 +314,19 @@ class TestIsMarkovNatural:
     def test_gamma_zero_always(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
-            assert sm.is_markov_natural(random_net(rng, gamma=0.0, coupling=2.0))
+            assert sm.build_transition_graph(random_net(rng, gamma=0.0, coupling=2.0)).is_markov
 
     def test_leaky_self_exciter(self):
         # with enough leak headroom the quiescent domain straddles the threshold
         borderline = sm.NetworkParams(n=1, gamma=0.5, theta=1.0, weights=[[1.2]], i_ext=[0.4])
-        assert sm.is_markov_natural(borderline)  # sup gamma*v + 0.4 = 0.9 < theta
+        assert sm.build_transition_graph(borderline).is_markov  # sup gamma*v + 0.4 = 0.9 < theta
         hot = sm.NetworkParams(n=1, gamma=0.7, theta=1.0, weights=[[1.2]], i_ext=[0.4])
-        assert not sm.is_markov_natural(hot)  # 0.7*theta + 0.4 > theta
+        assert not sm.build_transition_graph(hot).is_markov  # 0.7*theta + 0.4 > theta
 
     def test_silent_network(self):
         net = sm.NetworkParams(n=3, gamma=0.5, theta=1.0,
                                weights=np.zeros((3, 3)), i_ext=np.zeros(3))
-        assert sm.is_markov_natural(net)
+        assert sm.build_transition_graph(net).is_markov
 
 
 class TestCheckLegal:
@@ -352,9 +350,9 @@ class TestCheckLegal:
 
 class TestPatternHelpers:
     def test_fire_set_and_cardinality(self):
-        eta = np.array([1, 0, 1, 1], dtype=np.uint8)
-        assert sm.fire_set(eta).tolist() == [0, 2, 3]
-        assert sm.pattern_cardinality(eta) == 3
+        eta = sm.str_to_pattern("1011")  # neuron index increasing left to right
+        assert np.flatnonzero(eta).tolist() == [0, 2, 3]
+        assert np.count_nonzero(eta) == 3
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=12))
     def test_string_round_trip(self, bits):

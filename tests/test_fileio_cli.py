@@ -232,6 +232,21 @@ class TestCliSimulate:
         assert main(["simulate", "--net", str(bad), "--v0", "zero",
                      "--t-max", "1", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", "x"),
+        ("weights", [[0.0, "w"], [0.0, 0.0]]),
+        ("weights", [[0.0, 0.0], [0.0]]),
+        ("n", 2.7),
+    ], ids=["gamma-string", "weight-string", "weights-ragged", "n-fraction"])
+    def test_mistyped_network_field_exit_2(self, tmp_path, capsys, field, value):
+        payload = {"n": 2, "gamma": 0.5, "theta": 1.0,
+                   "weights": [[0.0, 0.0], [0.0, 0.0]], "i_ext": [0.0, 0.0]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**payload, field: value}))
+        assert main(["simulate", "--net", str(path), "--v0", "zero",
+                     "--t-max", "1", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_dimension_mismatch_exit_2(self, tmp_path):
         path = tmp_path / "mismatch.json"
         path.write_text(json.dumps({"n": 2, "gamma": 0.5, "theta": 1.0,
@@ -427,10 +442,19 @@ _ENSEMBLE_LYAP = ["lyap", "--n", "3", "--gammas", "0.5", "--cs", "1.0", "--horiz
     _ORBIT + ["--polish", "-3"],
     ["lyap", "--net", "{net}", "--inits", "1", "--horizon", "20", "--burn-in", "-5"],
     ["lyap", "--net", "{net}", "--inits", "1", "--horizon", "20", "--threads", "0"],
+    ["simulate", "--net", "{net}", "--t-max", "5", "--v0", "random", "--seed", "-1"],
+    ["simulate", "--net", "{net}", "--t-max", "5", "--noise", "0.1", "--seed", "-1"],
+    _ORBIT + ["--seed", "-1"],
+    _SWEEP + ["--seed", "-1"],
+    ["lyap", "--net", "{net}", "--inits", "1", "--horizon", "20", "--seed", "-1"],
+    _ENSEMBLE_LYAP + ["--seed", "-1"],
+    ["graph", "--net", "{net}", "--cap", "0"],
+    ["graph", "--net", "{net}", "--cap", "-1"],
 ], ids=["sweep-networks", "sweep-threads", "orbit-threads", "lyap-networks",
         "lyap-inits", "lyap-threads", "lyap-net-inits", "simulate-noise",
         "orbit-tol", "orbit-eps-singular", "orbit-polish", "lyap-net-burn-in",
-        "lyap-net-threads"])
+        "lyap-net-threads", "simulate-v0-seed", "simulate-noise-seed", "orbit-seed",
+        "sweep-seed", "lyap-net-seed", "lyap-seed", "graph-cap-0", "graph-cap-negative"])
 def test_meaningless_arguments_exit_2(argv, ex1_file, tmp_path, capsys):
     argv = [a.format(net=ex1_file) for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == 2

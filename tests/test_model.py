@@ -27,38 +27,35 @@ class TestComputeBounds:
 
 
 class TestSpikingState:
+    # the firing test is exactly v >= theta, as encode applies it
     def test_at_threshold_fires(self):
-        assert sm.spiking_state(1.0, 1.0) == 1
+        assert sm.encode([[1.0]], 1.0).tolist() == [[1]]
 
     def test_just_below_is_quiescent(self):
-        assert sm.spiking_state(1.0 - 1e-15, 1.0) == 0
+        assert sm.encode([[1.0 - 1e-15]], 1.0).tolist() == [[0]]
 
     def test_above_threshold(self):
-        assert sm.spiking_state(2.0, 1.0) == 1
+        assert sm.encode([[2.0]], 1.0).tolist() == [[1]]
 
     @given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6))
     def test_matches_comparison(self, v, theta):
-        assert sm.spiking_state(v, theta) == (1 if v >= theta else 0)
+        assert sm.encode([[v]], theta)[0, 0] == (1 if v >= theta else 0)
 
 
 class TestSynapticCurrent:
+    # the current a firing pattern injects, W z, as step delivers it
     def test_no_firing_gives_zero(self):
         net = random_net(np.random.default_rng(0), n=4)
-        assert not sm.synaptic_current(net, np.zeros(4)).any()
+        assert np.array_equal(sm.step(net, np.zeros(4)), net.i_ext)
 
     def test_row_sums(self):
         net = sm.NetworkParams(n=2, gamma=0.5, theta=1.0,
                                weights=[[0.0, 1.0], [-1.0, 0.0]], i_ext=[0.0, 0.0])
-        assert sm.synaptic_current(net, [1, 1]).tolist() == [1.0, -1.0]
+        assert sm.step(net, [1.0, 1.0]).tolist() == [1.0, -1.0]
 
     def test_zero_self_weight(self):
         net = sm.NetworkParams(n=1, gamma=0.5, theta=1.0, weights=[[0.0]], i_ext=[0.0])
-        assert sm.synaptic_current(net, [1]).tolist() == [0.0]
-
-    def test_length_mismatch(self):
-        net = random_net(np.random.default_rng(0), n=3)
-        with pytest.raises(sm.ValidationError):
-            sm.synaptic_current(net, [1, 0])
+        assert sm.step(net, [1.0]).tolist() == [0.0]
 
 
 class TestStep:
@@ -111,41 +108,34 @@ class TestBatchedStep:
         pick = rng.permutation(m)[:rng.integers(1, m + 1)]
         assert sm.step(stack[pick], states[pick]).tobytes() == got[pick].tobytes()
 
-    def test_noisy_stack_draws_one_block(self):
-        rng = np.random.default_rng(3)
-        net = random_net(rng, n=4)
-        states = rng.uniform(*sm.compute_bounds(net), (6, 4))
-        got = sm.step_noisy(net, states, 0.1, np.random.default_rng(9))
-        want = sm.step(net, states) + np.random.default_rng(9).normal(0.0, 0.1, (6, 4))
-        assert np.array_equal(got, want)
-
 
 class TestStepNoisy:
+    # noise is added in simulate, one draw of N values per step
     def test_zero_noise_is_bit_identical(self):
         rng = np.random.default_rng(0)
         net = random_net(rng, n=5)
         v = rng.uniform(-1, 1, 5)
-        assert np.array_equal(sm.step_noisy(net, v, 0.0, None), sm.step(net, v))
+        assert np.array_equal(sm.simulate(net, v, 1, 0.0, None).states[1], sm.step(net, v))
 
     def test_seeded_determinism(self):
         net = random_net(np.random.default_rng(1), n=4)
         v = np.zeros(4)
-        a = sm.step_noisy(net, v, 0.5, np.random.default_rng(42))
-        b = sm.step_noisy(net, v, 0.5, np.random.default_rng(42))
+        a = sm.simulate(net, v, 3, 0.5, np.random.default_rng(42)).states
+        b = sm.simulate(net, v, 3, 0.5, np.random.default_rng(42)).states
         assert np.array_equal(a, b)
 
     def test_requires_rng(self):
         net = random_net(np.random.default_rng(2), n=3)
         with pytest.raises(sm.ValidationError):
-            sm.step_noisy(net, np.zeros(3), 0.1, None)
+            sm.simulate(net, np.zeros(3), 1, 0.1, None)
 
     def test_noise_mean(self):
         # 10^5 independent draws of the additive term: sample mean within 0.01 of 0
+        # (gamma = 0 and no coupling: every state is the step's draw alone)
         n = 1000
-        net = sm.NetworkParams(n=n, gamma=0.5, theta=1.0,
+        net = sm.NetworkParams(n=n, gamma=0.0, theta=1.0,
                                weights=np.zeros((n, n)), i_ext=np.zeros(n))
-        rng = np.random.default_rng(7)
-        draws = np.concatenate([sm.step_noisy(net, np.zeros(n), 1.0, rng) for _ in range(100)])
+        draws = sm.simulate(net, np.zeros(n), 100, 1.0, np.random.default_rng(7)).states[1:]
         assert draws.size == 100_000
         assert abs(draws.mean()) < 0.01
 
@@ -185,7 +175,7 @@ class TestSimulate:
             sm.simulate(example1_net(), [0.0], -1)
 
     def test_noise_matches_step_noisy_loop(self):
-        # simulate checks the noise once, then adds it exactly as step_noisy does
+        # simulate checks the noise once, then adds one draw of N values to each step
         rng = np.random.default_rng(8)
         net = random_net(rng, n=5, coupling=2.0, i_ext_high=0.3)
         v0 = rng.uniform(*sm.compute_bounds(net), net.n)
@@ -193,7 +183,7 @@ class TestSimulate:
         loop_rng = np.random.default_rng(17)
         v = v0
         for t in range(1, 201):
-            v = sm.step_noisy(net, v, 0.05, loop_rng)
+            v = sm.step(net, v) + loop_rng.normal(0.0, 0.05, net.n)
             assert np.array_equal(traj.states[t], v)
 
 
@@ -247,7 +237,7 @@ class TestMapProperties:
                 fired = np.flatnonzero(traj.raster[t])
                 if fired.size == 0:
                     continue
-                expected = sm.synaptic_current(net, traj.raster[t]) + net.i_ext
+                expected = net.weights @ traj.raster[t].astype(np.float64) + net.i_ext
                 assert np.array_equal(traj.states[t + 1][fired], expected[fired])
 
     def test_contraction_and_collapse(self):

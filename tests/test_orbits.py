@@ -8,7 +8,7 @@ import spikemap as sm
 from spikemap import orbits
 from spikemap.model import _Stack
 from spikemap.orbits import _batch_size, _brent_scan, _detect, _fan_out, _locate_entries
-from conftest import example1_net, quarter_net, random_net, scalar_orbit
+from conftest import example1_net, quarter_net, random_net, reference_polish, scalar_orbit
 
 
 def quiescent_net(n=3, gamma=0.5, i_ext=0.0):
@@ -186,8 +186,9 @@ class TestOmegaSample:
         assert len(sample.orbits) <= 1
 
     def test_num_inits_validated(self):
-        with pytest.raises(sm.ValidationError):
-            sm.omega_sample(quiescent_net(), 0, np.random.default_rng(0))
+        for num_inits in (0, 2.5, 2.0):  # a count is an integer >= 1
+            with pytest.raises(sm.ValidationError):
+                sm.omega_sample(quiescent_net(), num_inits, np.random.default_rng(0))
 
 
 def same_report(a, b) -> bool:
@@ -222,6 +223,24 @@ class TestLockstep:
             for j in range(s):
                 assert same_report(batch[k * s + j], sm.find_periodic_orbit(net, v0s[k, j], **kw))
                 assert same_report(batch[k * s + j], scalar_orbit(net, v0s[k, j], **kw))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1e-10, 0.05]), st.integers(0, 60), st.sampled_from([0, 40]))
+    def test_polish_equals_the_per_step_reference(self, n, period, seed, tol, budget, warm_up):
+        # most random box states are pseudo-orbits, rejected with the first state off the
+        # cycle's patterns; warmed-up states are often accepted
+        rng = np.random.default_rng(seed)
+        net = quarter_net(rng, n, float(rng.choice([0.0, 0.25, 0.5, 0.875])))
+        x = rng.uniform(*sm.compute_bounds(net), n)
+        for _ in range(warm_up):
+            x = sm.step(net, x)
+        got = orbits._polish(net, x, period, tol, budget)
+        want = reference_polish(net, x, period, tol, budget)
+        assert got[1].tobytes() == want[1].tobytes()
+        assert (got[0] is None) == (want[0] is None)
+        if got[0] is not None:
+            assert got[0][1] == want[0][1] and got[0][0].tobytes() == want[0][0].tobytes()
 
     def test_retries_and_undetermined_rows_in_one_batch(self, monkeypatch):
         # a batch with Undetermined rows and pseudo-orbits its polish rejects
@@ -352,11 +371,11 @@ class TestDistances:
 class TestStableManifoldRadius:
     def test_resting_radius(self):
         traj = sm.simulate(quiescent_net(), np.zeros(3), 10)
-        assert sm.stable_manifold_radius(traj) == 1.0
+        assert sm.dist_traj_to_S(traj) == 1.0
 
     def test_touching_gives_zero(self):
         traj = sm.simulate(quiescent_net(), [1.0, 0.0, 0.0], 3)
-        assert sm.stable_manifold_radius(traj) == 0.0
+        assert sm.dist_traj_to_S(traj) == 0.0
 
     def test_certifies_identical_rasters(self):
         rng = np.random.default_rng(3)
@@ -366,7 +385,7 @@ class TestStableManifoldRadius:
             v0 = rng.uniform(*sm.compute_bounds(net), net.n)
             horizon = 30
             mother = sm.simulate(net, v0, horizon)
-            r = sm.stable_manifold_radius(mother)
+            r = sm.dist_traj_to_S(mother)
             if r < 1e-9:
                 continue
             other = sm.simulate(net, v0 + rng.uniform(-r / 2, r / 2, net.n), horizon)
@@ -399,23 +418,20 @@ class TestMarkovHorizon:
 
 class TestPeriodBound:
     def test_examples(self):
-        assert sm.period_bound(2, 0.25, 0.5) == 16.0
-        assert sm.period_bound(6, 0.5, 0.5) == 2.0 ** 6
+        assert 2.0 ** sm.period_bound_log2(2, 0.25, 0.5) == 16.0
+        assert 2.0 ** sm.period_bound_log2(6, 0.5, 0.5) == 2.0 ** 6
         assert abs(sm.period_bound_log2(50, 1e-6, 0.5)
                    - 50 * math.log(1e-6) / math.log(0.5)) < 1e-9
 
     def test_vacuous_above_one(self):
         with pytest.warns(UserWarning):
-            assert sm.period_bound(4, 1.5, 0.5) == 1.0
-
-    def test_overflow_to_inf(self):
-        assert sm.period_bound(50, 1e-13, 0.99) == math.inf
+            assert 2.0 ** sm.period_bound_log2(4, 1.5, 0.5) == 1.0
 
     def test_validation(self):
         with pytest.raises(sm.ValidationError):
-            sm.period_bound(3, 0.5, 0.0)
+            sm.period_bound_log2(3, 0.5, 0.0)
         with pytest.raises(sm.ValidationError):
-            sm.period_bound(3, -0.5, 0.5)
+            sm.period_bound_log2(3, -0.5, 0.5)
 
     def test_monotone_in_distance(self):
         vals = [sm.period_bound_log2(10, d, 0.5) for d in np.logspace(-8, -1, 30)]
