@@ -48,7 +48,6 @@ class EnsembleSpec:
     gamma: float
     theta: float = 1.0
     i_ext: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         _as_count(self.n, "n")
@@ -103,7 +102,7 @@ def _stream(seed: int, gamma: float, c: float, *indices: int) -> np.random.Gener
 def _draw_network(seed: int, gamma: float, c: float, net_idx: int, n: int,
                   theta: float, i_ext: float) -> NetworkParams:
     """Network net_idx of the (gamma, c) cell, drawn from its own value-keyed stream."""
-    spec = EnsembleSpec(n=n, c=c, gamma=gamma, theta=theta, i_ext=i_ext, seed=seed)
+    spec = EnsembleSpec(n=n, c=c, gamma=gamma, theta=theta, i_ext=i_ext)
     return sample_network(spec, _stream(seed, gamma, c, net_idx))
 
 
@@ -143,10 +142,10 @@ def _run_sweep_batch(tasks) -> list:
     results = _detect(nets, np.array(starts), max_transient, max_period, tol, polish_steps)
     inits = len(starts[0])
     out = []
-    for m, net in enumerate(nets):
+    for m in range(len(nets)):
         sample = _sample(results[m * inits:(m + 1) * inits], tol, max_transient + 2 * max_period)
         regime = classify_regime(
-            net, sample.orbits, sample.undetermined,
+            sample.orbits, sample.undetermined,
             epsilon_singular=epsilon_singular, horizon=sample.horizon,
         )
         d = dist_attractor_to_S(sample.orbits) if sample.orbits else None

@@ -24,6 +24,7 @@ from .model import (
     Trajectory,
     _Stack,
     ValidationError,
+    _advance,
     _as_count,
     _as_finite,
     _as_vector,
@@ -32,7 +33,6 @@ from .model import (
     max_dist,
     step,
 )
-from .coding import IllegalCodeError, encode, reconstruct_periodic
 
 __all__ = [
     "OrbitReport",
@@ -160,41 +160,21 @@ def _divisors(p: int):
             yield d
 
 
-def _closed_form_zeros(net, chunk, x):
-    """x with the coordinates whose exact cycle value is 0 set to 0, when certified.
-
-    The raster determines the orbit (``reconstruct_periodic`` of chunk's
-    first period).  A coordinate whose cycle value is 0 would otherwise
-    decay through the subnormals, about 1074*ln2/|ln gamma| steps, to a float
-    fixed point next to 0; 0 itself is exact.  Other coordinates keep their
-    iterate: a nonzero closed form carries rounding, may sit a few ulps off
-    the float cycle the iteration lands on, and would save only
-    log(tol/ulp)/|ln gamma| steps.  The closed form is used only when every chunk state lies strictly
-    closer to it than its threshold gap: such a perturbation keeps the raster
-    and decays onto the cycle.  Returns x itself when nothing changes.
-    """
-    try:
-        exact = reconstruct_periodic(net, encode(chunk[:-1], net.theta))
-    except IllegalCodeError:
-        return x
-    zero = (exact[0] == 0.0) & (x != 0.0)
-    if not zero.any() or max_dist(chunk[:-1], exact) >= np.min(np.abs(exact - net.theta)):
-        return x
-    return np.where(zero, exact[0], x)
-
-
 def _polish(net, x0, period, tol, budget):
     """Verify and sharpen a candidate cycle.
 
     Iterates in chunks of one period; the firing pattern must keep repeating
     the first chunk's pattern sequence, otherwise the candidate was a
     pseudo-orbit and we reject, returning the first state off the sequence so
-    the caller can resume scanning there.  After the first chunk, coordinates
-    whose closed-form cycle value is exactly 0 jump there instead of following
-    the geometric decay into the subnormals.  Acceptance is by bit-identical
-    chunk recurrence, or by within-tol closure once the budget runs out;
-    division by the pattern check keeps tol-acceptance honest.  On success
-    the minimal period is extracted by divisor reduction.
+    the caller can resume scanning there.  After the first chunk, a coordinate
+    that never fires in it and receives exactly zero current at every step
+    evolves as v -> gamma*v, so its only cycle value is 0: it is set to 0
+    instead of following the geometric decay into the subnormals.  This is
+    exact: it changes no firing pattern and no other coordinate's arithmetic,
+    and 0 stays 0 under step.  Acceptance is by bit-identical chunk
+    recurrence, or by within-tol closure once the budget runs out; division
+    by the pattern check keeps tol-acceptance honest.  On success the minimal
+    period is extracted by divisor reduction.
     """
     budget = max(budget, 2 * period)
     chunk = np.empty((period + 1, net.n), dtype=np.float64)
@@ -212,9 +192,11 @@ def _polish(net, x0, period, tol, budget):
             if patterns[period] != patterns[0]:
                 return None, x
             cycle = patterns[1:]
-            seed = _closed_form_zeros(net, chunk, x)
-            if seed is not x:
-                x = seed
+            fired = _fires(chunk[:-1], net.theta)
+            current = _advance(net, 0.0, fired.astype(np.float64))  # W z + i_ext, as step sums it
+            leak = ~fired.any(axis=0) & (current == 0.0).all(axis=0) & (x != 0.0)
+            if leak.any():
+                x[leak] = 0.0
                 continue
         else:
             off = patterns[1:] != cycle
@@ -280,7 +262,7 @@ def _locate_entries(stack, v0, cycles: dict, tol, cap) -> dict:
 def _report(net, states, period, transient, phase) -> OrbitReport:
     states = np.roll(states, -phase, axis=0)
     states.flags.writeable = False
-    raster = encode(states, net.theta)
+    raster = _fires(states, net.theta).astype(np.uint8)
     raster.flags.writeable = False
     gap = float(np.min(np.abs(states - net.theta)))
     return OrbitReport(transient=transient, period=period, states=states, cycle_raster=raster,
@@ -344,7 +326,8 @@ def find_periodic_orbit(
     p - 1 <= max_transient.  A candidate period is verified by re-simulation:
     its pattern sequence must keep repeating and the cycle must close, after
     which the states are polished to the exact floating-point cycle when one
-    exists (a coordinate whose closed-form cycle value is 0 is set to 0).
+    exists (a coordinate that never fires and receives exactly zero current
+    over the cycle is set to 0, its only cycle value).
     The report is re-based at the first time the trajectory from v0 enters
     the detected cycle.  This is the one-start case of the lockstep detection
     that omega_sample and sweep run on many starts at once.
@@ -533,7 +516,6 @@ class RegimeLabel:
 
 
 def classify_regime(
-    net: NetworkParams,
     orbits: list,
     undetermined_count: int,
     epsilon_singular: float = 1e-6,

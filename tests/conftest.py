@@ -134,11 +134,12 @@ def reference_polish(net, x0, period, tol, budget):
     After every step the firing pattern, as bytes, must match the first chunk's
     at that phase; a mismatch rejects at once with the state that showed it.  The
     first chunk's last pattern must match its first, and once the first chunk
-    passes, coordinates whose closed-form cycle value is 0 jump there.  Accepts a
-    chunk that recurs bit for bit, or closes within tol once the budget is spent;
-    then reduces to the least period whose rotation closes the same way.
+    passes, each neuron that never fired in it and whose current
+    ``weights[i] @ z + i_ext[i]`` was exactly 0 at every step is set to 0, if it is
+    not 0 already.  Accepts a chunk that recurs bit for bit, or closes within tol
+    once the budget is spent; then reduces to the least period whose rotation
+    closes the same way.
     """
-    from spikemap.orbits import _closed_form_zeros
     theta = net.theta
     budget = max(budget, 2 * period)
     chunk = np.empty((period + 1, net.n), dtype=np.float64)
@@ -159,9 +160,11 @@ def reference_polish(net, x0, period, tol, budget):
             if keys[period] != keys[0]:
                 return None, x
             cycle = keys[:period]
-            seed = _closed_form_zeros(net, chunk, x)
-            if seed is not x:
-                x = seed
+            leaking = [i for i in range(net.n) if x[i] != 0.0 and all(
+                z[i] == 0.0 and net.weights[i] @ z + net.i_ext[i] == 0.0
+                for z in (chunk[:period] >= theta).astype(np.float64))]
+            if leaking:
+                x[leaking] = 0.0
                 continue
         exact = np.array_equal(chunk[period], chunk[0])
         if exact or steps >= budget:

@@ -82,7 +82,7 @@ def test_criterion_03_neural_death_distance():
         net = sm.NetworkParams(n=n, gamma=gamma, theta=1.0, weights=w, i_ext=np.zeros(n))
         assert sm.compute_bounds(net).v_max < net.theta
         sample = sm.omega_sample(net, 3, rng, max_transient=400, max_period=60)
-        label = sm.classify_regime(net, sample.orbits, sample.undetermined)
+        label = sm.classify_regime(sample.orbits, sample.undetermined)
         assert str(label) == "NeuralDeath"
         worst = max(worst, abs(sm.dist_attractor_to_S(sample.orbits) - net.theta))
     _report(3, "50 sub-threshold nets classify NeuralDeath with d(Omega,S)=theta",

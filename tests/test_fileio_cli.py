@@ -344,6 +344,11 @@ class TestCliOrbit:
         b = fileio.read_orbits_json(tmp_path / "b.json")
         assert a["orbits"] == b["orbits"] and a["regime"] == b["regime"]
 
+    def test_config_records_polish(self, ex1_file, tmp_path):
+        assert main(["orbit", "--net", ex1_file, "--inits", "1", "--max-transient", "5",
+                     "--max-period", "5", "--polish", "7", "--out", str(tmp_path / "o.json")]) == 0
+        assert fileio.read_orbits_json(tmp_path / "o.json")["config"]["polish"] == "7"
+
     def test_full_activity_summary(self, tmp_path, capsys):
         # drive >= theta makes the all-firing point the unique attractor
         net = sm.NetworkParams(n=2, gamma=0.5, theta=1.0,
@@ -413,6 +418,12 @@ class TestCliLyap:
         assert rows[0] == "gamma,c,samples,mean_lyapunov"
         assert abs(float(rows[1].split(",")[3]) - math.log(0.5)) <= 1e-9
 
+    def test_ensemble_config_records_the_defaults(self, tmp_path):
+        assert main(["lyap", "--n", "2", "--gammas", "0.5", "--cs", "0.0", "--inits", "1",
+                     "--horizon", "10", "--out", str(tmp_path / "l.csv")]) == 0
+        config = (tmp_path / "l.csv").read_text().splitlines()[:14]
+        assert {"# networks=5", "# theta=1.0", "# i_ext=0.0"} <= set(config)
+
     def test_requires_one_mode(self, tmp_path):
         assert main(["lyap", "--out", str(tmp_path / "l.csv")]) == 2
 
@@ -425,6 +436,7 @@ _SWEEP = ["sweep", "--n", "3", "--gammas", "0.5", "--cs", "1.0", "--inits", "1",
           "--max-transient", "50", "--max-period", "20"]
 _ORBIT = ["orbit", "--net", "{net}", "--inits", "2", "--max-transient", "5", "--max-period", "5"]
 _ENSEMBLE_LYAP = ["lyap", "--n", "3", "--gammas", "0.5", "--cs", "1.0", "--horizon", "20"]
+_NET_LYAP = ["lyap", "--net", "{net}", "--inits", "1", "--horizon", "20"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -450,12 +462,19 @@ _ENSEMBLE_LYAP = ["lyap", "--n", "3", "--gammas", "0.5", "--cs", "1.0", "--horiz
     _ENSEMBLE_LYAP + ["--seed", "-1"],
     ["graph", "--net", "{net}", "--cap", "0"],
     ["graph", "--net", "{net}", "--cap", "-1"],
+    _NET_LYAP + ["--n", "1"],
+    _NET_LYAP + ["--cs", "1.0"],
+    _NET_LYAP + ["--networks", "5"],
+    _NET_LYAP + ["--theta", "1.0"],
+    _NET_LYAP + ["--i-ext", "0.0"],
 ], ids=["sweep-networks", "sweep-threads", "orbit-threads", "lyap-networks",
         "lyap-inits", "lyap-threads", "lyap-net-inits", "simulate-noise",
         "orbit-tol", "orbit-eps-singular", "orbit-polish", "lyap-net-burn-in",
         "lyap-net-threads", "simulate-v0-seed", "simulate-noise-seed", "orbit-seed",
-        "sweep-seed", "lyap-net-seed", "lyap-seed", "graph-cap-0", "graph-cap-negative"])
+        "sweep-seed", "lyap-net-seed", "lyap-seed", "graph-cap-0", "graph-cap-negative",
+        "lyap-net-n", "lyap-net-cs", "lyap-net-networks", "lyap-net-theta", "lyap-net-i-ext"])
 def test_meaningless_arguments_exit_2(argv, ex1_file, tmp_path, capsys):
     argv = [a.format(net=ex1_file) for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -80,14 +80,24 @@ class TestFindPeriodicOrbit:
         assert report.transient == chain
 
     def test_dead_fixed_point_is_exactly_zero(self):
-        # for gamma > 0.5 the leak stalls a few subnormals away from 0; the
-        # closed-form cycle value 0 is exact
+        # for gamma > 0.5 the leak stalls a few subnormals away from 0; a
+        # current-free neuron's only cycle value, 0, is exact
         net = quiescent_net(gamma=0.875)
         report = sm.find_periodic_orbit(net, [0.7, -0.2, 0.9], max_transient=3000, max_period=1000)
         assert report.period == 1
         assert np.array_equal(report.states, np.zeros((1, 3)))
         assert not np.signbit(report.states).any()
         assert report.min_threshold_gap == 1.0
+
+    def test_leaking_neuron_beside_a_near_singular_one_is_exactly_zero(self):
+        # neuron 0 settles 2^-53 below theta, a gap no rounding margin fits in;
+        # neuron 1 gets no current, so its only cycle value is 0 all the same
+        gamma = 0.875
+        net = sm.NetworkParams(n=2, gamma=gamma, theta=1.0, weights=np.zeros((2, 2)),
+                               i_ext=[(1 - 2**-53) * (1 - gamma), 0.0])
+        report = sm.find_periodic_orbit(net, [0.0, 0.7])
+        assert report.period == 1 and not report.cycle_raster.any()
+        assert report.states[0, 1] == 0.0 and not np.signbit(report.states[0, 1])
 
     def test_step_calls_do_not_grow_with_max_transient(self, monkeypatch):
         # max_transient caps the scan; a start that settles early costs the same
@@ -450,24 +460,23 @@ class TestClassifyRegime:
                               min_threshold_gap=0.2)
 
     def test_paths(self):
-        net = quiescent_net(n=2)
-        assert str(sm.classify_regime(net, [self._death_orbit()], 0)) == "NeuralDeath"
-        assert str(sm.classify_regime(net, [self._full_orbit()], 0)) == "FullActivity"
-        label = sm.classify_regime(net, [self._death_orbit()], 3, horizon=500)
+        assert str(sm.classify_regime([self._death_orbit()], 0)) == "NeuralDeath"
+        assert str(sm.classify_regime([self._full_orbit()], 0)) == "FullActivity"
+        label = sm.classify_regime([self._death_orbit()], 3, horizon=500)
         assert label.kind == "Undetermined" and "500" in str(label)
         cyc = sm.OrbitReport(transient=0, period=2, states=np.array([[0.5, 1.2], [1.1, 0.3]]),
                              cycle_raster=np.array([[0, 1], [1, 0]], dtype=np.uint8),
                              min_threshold_gap=0.1)
-        assert str(sm.classify_regime(net, [cyc], 0)) == "StablePeriodic"
+        assert str(sm.classify_regime([cyc], 0)) == "StablePeriodic"
         tight = sm.OrbitReport(transient=0, period=2, states=np.array([[0.5, 1.2], [1.1, 0.3]]),
                                cycle_raster=np.array([[0, 1], [1, 0]], dtype=np.uint8),
                                min_threshold_gap=1e-9)
-        label = sm.classify_regime(net, [tight], 0)
+        label = sm.classify_regime([tight], 0)
         assert label.kind == "NearSingular" and label.value == 1e-9
 
     def test_empty_sample_is_internal_error(self):
         with pytest.raises(RuntimeError):
-            sm.classify_regime(quiescent_net(), [], 0)
+            sm.classify_regime([], 0)
 
     def test_label_round_trip(self):
         for label in (sm.RegimeLabel("NeuralDeath"), sm.RegimeLabel("NearSingular", 2.5e-8),
