@@ -150,12 +150,15 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# lyap's ensemble-only flags and defaults; unset by the parser, so lyap --net can refuse them
+_LYAP_ENSEMBLE_ONLY = {"n": None, "cs": None, "networks": 5, "theta": 1.0, "i_ext": 0.0}
+
+
 def _cmd_lyap(args) -> int:
     if (args.net is None) == (args.gammas is None):
         raise ValidationError("lyap needs exactly one of --net or ensemble flags (--gammas/--cs/--n)")
-    ensemble_only = {"n": None, "cs": None, "networks": 5, "theta": 1.0, "i_ext": 0.0}  # defaults
     if args.net is not None:
-        given = [key for key in ensemble_only if getattr(args, key) is not None]
+        given = [key for key in _LYAP_ENSEMBLE_ONLY if getattr(args, key) is not None]
         if given:
             flag = "--" + given[0].replace("_", "-")
             raise ValidationError(f"{flag} applies only to ensemble lyap, not to lyap --net")
@@ -172,7 +175,7 @@ def _cmd_lyap(args) -> int:
         return 0
     if args.cs is None or args.n is None:
         raise ValidationError("ensemble lyap requires --gammas, --cs, and --n")
-    for key, default in ensemble_only.items():
+    for key, default in _LYAP_ENSEMBLE_ONLY.items():
         if getattr(args, key) is None:
             setattr(args, key, default)
     gammas = _parse_grid(args.gammas)
@@ -251,14 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--gammas", default=None)
     p.add_argument("--cs", default=None)
-    p.add_argument("--networks", type=int, default=None, help="default 5")
+    p.add_argument("--networks", type=int, default=None)
     p.add_argument("--inits", type=int, default=3)
     p.add_argument("--ball", type=float, default=1e-3)
     p.add_argument("--horizon", type=int, default=1_000)
     p.add_argument("--burn-in", type=int, default=100)
     p.add_argument("--directions", type=int, default=8)
-    p.add_argument("--theta", type=float, default=None, help="default 1.0")
-    p.add_argument("--i-ext", type=float, default=None, help="default 0.0")
+    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--i-ext", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)

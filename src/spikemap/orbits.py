@@ -31,6 +31,7 @@ from .model import (
     _fires,
     compute_bounds,
     max_dist,
+    simulate,
     step,
 )
 
@@ -167,21 +168,23 @@ def _polish(net, x0, period, tol, budget):
     the first chunk's pattern sequence, otherwise the candidate was a
     pseudo-orbit and we reject, returning the first state off the sequence so
     the caller can resume scanning there.  After the first chunk, a coordinate
-    that never fires in it and receives exactly zero current at every step
-    evolves as v -> gamma*v, so its only cycle value is 0: it is set to 0
-    instead of following the geometric decay into the subnormals.  This is
-    exact: it changes no firing pattern and no other coordinate's arithmetic,
-    and 0 stays 0 under step.  Acceptance is by bit-identical chunk
-    recurrence, or by within-tol closure once the budget runs out; division
-    by the pattern check keeps tol-acceptance honest.  On success the minimal
-    period is extracted by divisor reduction.
+    that never fires in it and receives exactly zero current at every step is
+    set to 0 instead of decaying into the subnormals: 0 is a fixed point of
+    step for it, consistent with the cycle, and while the cycle's patterns
+    repeat this changes no firing and no other coordinate's arithmetic.  Off
+    the cycle it may get current, and 0 and its own value can fire differently;
+    so a rejection after a zeroing returns the state re-simulated from x0.
+    Acceptance is by bit-identical chunk recurrence, or by within-tol closure
+    once the budget runs out; division by the pattern check keeps
+    tol-acceptance honest.  On success the minimal period is extracted by
+    divisor reduction.
     """
     budget = max(budget, 2 * period)
     chunk = np.empty((period + 1, net.n), dtype=np.float64)
     cycle = None  # the firing pattern due at each of chunk[1:], from the first chunk
     x = np.array(x0, dtype=np.float64)
     steps = 0
-    exact = False
+    exact = zeroed = False
     while True:
         chunk[0] = x
         for k in range(1, period + 1):
@@ -197,18 +200,22 @@ def _polish(net, x0, period, tol, budget):
             leak = ~fired.any(axis=0) & (current == 0.0).all(axis=0) & (x != 0.0)
             if leak.any():
                 x[leak] = 0.0
+                zeroed = True
                 continue
         else:
             off = patterns[1:] != cycle
             if np.count_nonzero(off):
-                return None, chunk[off.argmax() + 1]
+                at = off.argmax() + 1  # the first state off the cycle's patterns
+                if zeroed:
+                    return None, simulate(net, x0, steps - period + at).states[-1]
+                return None, chunk[at]
         if np.array_equal(chunk[period], chunk[0]):
             exact = True
             break
         if steps >= budget:
             if max_dist(chunk[period], chunk[0]) <= tol:
                 break
-            return None, x
+            return None, simulate(net, x0, steps).states[-1] if zeroed else x
     states = chunk[:period].copy()
     minimal = period
     for d in _divisors(period):
@@ -327,7 +334,7 @@ def find_periodic_orbit(
     its pattern sequence must keep repeating and the cycle must close, after
     which the states are polished to the exact floating-point cycle when one
     exists (a coordinate that never fires and receives exactly zero current
-    over the cycle is set to 0, its only cycle value).
+    over the cycle is set to 0, a fixed point of step for it).
     The report is re-based at the first time the trajectory from v0 enters
     the detected cycle.  This is the one-start case of the lockstep detection
     that omega_sample and sweep run on many starts at once.

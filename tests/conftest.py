@@ -136,14 +136,19 @@ def reference_polish(net, x0, period, tol, budget):
     first chunk's last pattern must match its first, and once the first chunk
     passes, each neuron that never fired in it and whose current
     ``weights[i] @ z + i_ext[i]`` was exactly 0 at every step is set to 0, if it is
-    not 0 already.  Accepts a chunk that recurs bit for bit, or closes within tol
-    once the budget is spent; then reduces to the least period whose rotation
-    closes the same way.
+    not 0 already.  A rejection after such a zeroing returns the state the same
+    number of steps down x0's own trajectory, simulated afresh.  Accepts a chunk
+    that recurs bit for bit, or closes within tol once the budget is spent; then
+    reduces to the least period whose rotation closes the same way.
     """
     theta = net.theta
     budget = max(budget, 2 * period)
     chunk = np.empty((period + 1, net.n), dtype=np.float64)
-    cycle, x, steps = None, np.array(x0, dtype=np.float64), 0
+    cycle, x, steps, zeroed = None, np.array(x0, dtype=np.float64), 0, False
+
+    def rejected():
+        return None, sm.simulate(net, x0, steps).states[-1] if zeroed else x
+
     while True:
         chunk[0] = x
         keys = [(x >= theta).tobytes()]
@@ -155,22 +160,23 @@ def reference_polish(net, x0, period, tol, budget):
             if cycle is None:
                 keys.append(key)
             elif key != cycle[k % period]:
-                return None, x
+                return rejected()
         if cycle is None:
             if keys[period] != keys[0]:
-                return None, x
+                return rejected()
             cycle = keys[:period]
             leaking = [i for i in range(net.n) if x[i] != 0.0 and all(
                 z[i] == 0.0 and net.weights[i] @ z + net.i_ext[i] == 0.0
                 for z in (chunk[:period] >= theta).astype(np.float64))]
             if leaking:
                 x[leaking] = 0.0
+                zeroed = True
                 continue
         exact = np.array_equal(chunk[period], chunk[0])
         if exact or steps >= budget:
             break
     if not exact and sm.max_dist(chunk[period], chunk[0]) > tol:
-        return None, x
+        return rejected()
     states = chunk[:period].copy()
     for d in range(1, period + 1):
         shifted = np.roll(states, -d, axis=0)

@@ -81,7 +81,7 @@ class TestFindPeriodicOrbit:
 
     def test_dead_fixed_point_is_exactly_zero(self):
         # for gamma > 0.5 the leak stalls a few subnormals away from 0; a
-        # current-free neuron's only cycle value, 0, is exact
+        # current-free neuron is set to 0, a fixed point of step for it
         net = quiescent_net(gamma=0.875)
         report = sm.find_periodic_orbit(net, [0.7, -0.2, 0.9], max_transient=3000, max_period=1000)
         assert report.period == 1
@@ -91,13 +91,40 @@ class TestFindPeriodicOrbit:
 
     def test_leaking_neuron_beside_a_near_singular_one_is_exactly_zero(self):
         # neuron 0 settles 2^-53 below theta, a gap no rounding margin fits in;
-        # neuron 1 gets no current, so its only cycle value is 0 all the same
+        # neuron 1 gets no current, so it is set to 0 all the same
         gamma = 0.875
         net = sm.NetworkParams(n=2, gamma=gamma, theta=1.0, weights=np.zeros((2, 2)),
                                i_ext=[(1 - 2**-53) * (1 - gamma), 0.0])
         report = sm.find_periodic_orbit(net, [0.0, 0.7])
         assert report.period == 1 and not report.cycle_raster.any()
         assert report.states[0, 1] == 0.0 and not np.signbit(report.states[0, 1])
+
+    def test_rejection_after_a_zeroing_resumes_on_the_own_trajectory(self):
+        # neuron 1 gets no current while neuron 0 creeps up to theta, so polish zeroes it;
+        # then neuron 0 fires and the candidate is rejected.  From its own value neuron 1
+        # fires next and latches, and inhibits neuron 0; from 0 it would never fire
+        net = sm.NetworkParams(n=2, gamma=0.9, theta=1.0, weights=[[0.0, -0.5], [0.99, 1.0]],
+                               i_ext=[0.1001, 0.0])
+        v0 = np.array([0.99, 0.3])
+        trajectory = sm.simulate(net, v0, 100)
+        first = int(np.argmax(trajectory.raster[:, 0]))  # neuron 0's first firing
+        polished, resume = orbits._polish(net, v0, 1, 0.05, 100)
+        assert polished is None and first > 1
+        assert resume.tobytes() == trajectory.states[first].tobytes()
+        kw = dict(max_transient=200, max_period=10, tol=0.05, polish_steps=100)
+        report = sm.find_periodic_orbit(net, v0, **kw)
+        assert report.period == 1 and report.cycle_raster.tolist() == [[0, 1]]
+        assert same_report(report, scalar_orbit(net, v0, **kw))
+
+    def test_budget_rejection_after_a_zeroing_resumes_on_the_own_trajectory(self):
+        # neuron 1 is zeroed, then neuron 0 has not closed when the budget runs out
+        net = sm.NetworkParams(n=2, gamma=0.9, theta=1.0, weights=np.zeros((2, 2)),
+                               i_ext=[0.05, 0.0])
+        v0 = np.array([0.2, 0.3])
+        polished, resume = orbits._polish(net, v0, 1, 0.0, 10)
+        assert polished is None
+        assert resume.tobytes() == sm.simulate(net, v0, 10).states[-1].tobytes()
+        assert resume[1] != 0.0
 
     def test_step_calls_do_not_grow_with_max_transient(self, monkeypatch):
         # max_transient caps the scan; a start that settles early costs the same
