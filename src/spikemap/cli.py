@@ -17,7 +17,6 @@ from .model import (
     CapacityError,
     NetworkParams,
     ValidationError,
-    _as_count,
     compute_bounds,
     simulate,
 )
@@ -151,7 +150,8 @@ def _cmd_sweep(args) -> int:
 
 
 # lyap's ensemble-only flags and defaults; unset by the parser, so lyap --net can refuse them
-_LYAP_ENSEMBLE_ONLY = {"n": None, "cs": None, "networks": 5, "theta": 1.0, "i_ext": 0.0}
+_LYAP_ENSEMBLE_ONLY = {"n": None, "cs": None, "networks": 5, "theta": 1.0, "i_ext": 0.0,
+                       "threads": 1}
 
 
 def _cmd_lyap(args) -> int:
@@ -162,10 +162,9 @@ def _cmd_lyap(args) -> int:
         if given:
             flag = "--" + given[0].replace("_", "-")
             raise ValidationError(f"{flag} applies only to ensemble lyap, not to lyap --net")
-        _as_count(args.threads, "threads")  # unused on this path, but a count all the same
         net = fileio.read_network(args.net)
-        vals = _lyap_samples(net, args.inits, np.random.default_rng(args.seed),
-                             args.ball, args.directions, args.horizon, args.burn_in)
+        vals = _lyap_samples([net], args.inits, [np.random.default_rng(args.seed)],
+                             args.ball, args.directions, args.horizon, args.burn_in)[0]
         config = _base_config(args, "lyap", [
             "net", "inits", "ball", "horizon", "burn_in", "directions", "seed",
         ])
@@ -263,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--i-ext", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_lyap)
 

@@ -20,11 +20,11 @@ from .orbits import (
     _batch_size,
     _detect,
     _fan_out,
+    _lyapunov,
     _sample,
     _starts,
     classify_regime,
     dist_attractor_to_S,
-    effective_lyapunov,
 )
 
 __all__ = [
@@ -106,14 +106,14 @@ def _draw_network(seed: int, gamma: float, c: float, net_idx: int, n: int,
     return sample_network(spec, _stream(seed, gamma, c, net_idx))
 
 
-def _grid_cells(worker, per_call: int, gammas, cs, networks_per_cell: int, seed: int,
-                threads: int, *params):
-    """Run worker on every network of the (gamma, c) grid, per_call networks at a time.
+def _grid_cells(worker, gammas, cs, networks_per_cell: int, seed: int, threads: int, n: int,
+                *params):
+    """Run worker on every network of the (gamma, c) grid, a batch of networks at a time.
 
-    A task is (seed, gamma, c, network index, *params), and worker takes a
+    A task is (seed, gamma, c, network index, n, *params), and worker takes a
     batch of tasks and returns one result per task.  The batches are
-    contiguous, of at most per_call networks, and at least threads of them.
-    Yields (gamma, c, [one result per network]) per cell in grid order
+    contiguous, of at most _batch_size(n) networks, and at least threads of
+    them.  Yields (gamma, c, [one result per network]) per cell in grid order
     (gammas outer, cs inner), each as soon as the batch holding its last
     network is done.
     """
@@ -123,8 +123,8 @@ def _grid_cells(worker, per_call: int, gammas, cs, networks_per_cell: int, seed:
         raise ValidationError("gamma and c grids must be nonempty")
     _as_count(networks_per_cell, "networks_per_cell")
     grid = [(g, c) for g in gammas for c in cs]
-    tasks = [(seed, g, c, k, *params) for g, c in grid for k in range(networks_per_cell)]
-    with closing(_fan_out(worker, tasks, threads, per_call)) as results:
+    tasks = [(seed, g, c, k, n, *params) for g, c in grid for k in range(networks_per_cell)]
+    with closing(_fan_out(worker, tasks, threads, _batch_size(n))) as results:
         for g, c in grid:
             yield g, c, [next(results) for _ in range(networks_per_cell)]
 
@@ -184,7 +184,7 @@ def sweep(
     gammas, cs = list(gammas), list(cs)
     cells = []
     for g, c, nets in _grid_cells(
-        _run_sweep_batch, _batch_size(n), gammas, cs, networks_per_cell, seed, threads,
+        _run_sweep_batch, gammas, cs, networks_per_cell, seed, threads,
         n, theta, i_ext, inits_per_network, max_transient, max_period, tol, polish_steps,
         epsilon_singular,
     ):
@@ -208,27 +208,28 @@ def sweep(
     return cells
 
 
-def _lyap_samples(net: NetworkParams, inits: int, rng: np.random.Generator, ball_radius: float,
-                  num_directions: int, horizon: int, burn_in: int) -> list[float]:
-    """effective_lyapunov of net from inits starts drawn uniformly in its invariant box."""
+def _lyap_samples(nets, inits: int, rngs, ball_radius: float, num_directions: int, horizon: int,
+                  burn_in: int) -> list:
+    """Per network, the rates from inits starts drawn uniformly in its invariant box.
+
+    Network m draws only from rngs[m], a start then its directions and re-seeds, as lone
+    effective_lyapunov runs do: the networks of one start step in lockstep, the starts in turn.
+    """
     _as_count(inits, "inits")
-    v_min, v_max = compute_bounds(net)
-    return [
-        effective_lyapunov(net, rng.uniform(v_min, v_max, net.n), ball_radius, num_directions,
-                           horizon, rng, burn_in=burn_in)
+    runs = [
+        _lyapunov(nets, [rng.uniform(*compute_bounds(net), net.n) for net, rng in zip(nets, rngs)],
+                  ball_radius, num_directions, horizon, rngs, burn_in)
         for _ in range(inits)
     ]
+    return [list(rates) for rates in zip(*runs)]
 
 
 def _run_lyap_batch(tasks) -> list:
-    """The rates of each task's network and starts."""
-    out = []
-    for (seed, gamma, c, net_idx, n, theta, i_ext, inits,
-         ball_radius, num_directions, horizon, burn_in) in tasks:
-        net = _draw_network(seed, gamma, c, net_idx, n, theta, i_ext)
-        out.append(_lyap_samples(net, inits, _stream(seed, gamma, c, net_idx, 2),
-                                 ball_radius, num_directions, horizon, burn_in))
-    return out
+    """The rates of each task's network and starts, every network of the batch in lockstep."""
+    *_, n, theta, i_ext, inits, ball_radius, num_directions, horizon, burn_in = tasks[0]
+    nets = [_draw_network(seed, gamma, c, k, n, theta, i_ext) for seed, gamma, c, k, *_ in tasks]
+    rngs = [_stream(seed, gamma, c, k, 2) for seed, gamma, c, k, *_ in tasks]
+    return _lyap_samples(nets, inits, rngs, ball_radius, num_directions, horizon, burn_in)
 
 
 def lyapunov_map(
@@ -251,8 +252,8 @@ def lyapunov_map(
     return [
         LyapCell(gamma=g, c=c, samples=networks_per_cell,
                  mean_lyapunov=float(np.mean([lam for vals in nets for lam in vals])))
-        for g, c, nets in _grid_cells(  # one network per call: the processes share the grid evenly
-            _run_lyap_batch, 1, gammas, cs, networks_per_cell, seed, threads,
+        for g, c, nets in _grid_cells(
+            _run_lyap_batch, gammas, cs, networks_per_cell, seed, threads,
             n, theta, i_ext, inits_per_network, ball_radius, num_directions, horizon, burn_in,
         )
     ]

@@ -155,12 +155,6 @@ def _brent_scan(stack, v, budget, rows, max_period, tol):
                 left = True
 
 
-def _divisors(p: int):
-    for d in range(1, p + 1):
-        if p % d == 0:
-            yield d
-
-
 def _polish(net, x0, period, tol, budget):
     """Verify and sharpen a candidate cycle.
 
@@ -218,9 +212,7 @@ def _polish(net, x0, period, tol, budget):
             return None, simulate(net, x0, steps).states[-1] if zeroed else x
     states = chunk[:period].copy()
     minimal = period
-    for d in _divisors(period):
-        if d == period:
-            break
+    for d in (d for d in range(1, period) if period % d == 0):  # the proper divisors
         shifted = np.roll(states, -d, axis=0)
         if (np.array_equal(shifted, states) if exact else max_dist(shifted, states) <= tol):
             minimal = d
@@ -579,32 +571,40 @@ def effective_lyapunov(
 
     Steps on which all companions collapse exactly onto the mother (every
     direction fired) contribute no sample and the companions are re-seeded;
-    if every step collapses the result is -inf.
+    if every step collapses the result is -inf.  This is the one-network case
+    of the lockstep estimator that lyapunov_map runs on batches of networks.
     """
+    return _lyapunov([net], _as_vector(v0, net.n, "v0"), ball_radius, num_directions, horizon,
+                     [rng], burn_in)[0]
+
+
+def _lyapunov(nets, v0s, ball_radius, num_directions, horizon, rngs, burn_in) -> list:
+    """effective_lyapunov of each network of nets (one size N) from its start in v0s, all in
+    lockstep as (M, 1+k, N) states on one stack.  Network m draws only from rngs[m] and sums
+    its logs one step at a time with math.log, so each rate is bit-identical to a lone run."""
     _as_finite(ball_radius, "ball_radius")
     _as_count(num_directions, "num_directions")
     _as_count(horizon, "horizon")
     if burn_in < 0:
         raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
-    mother = _as_vector(v0, net.n, "v0")
+    stack, n = _Stack.of(nets), nets[0].n
+    mother = np.asarray(v0s, dtype=np.float64).reshape(len(nets), 1, n)
     for _ in range(burn_in):
-        mother = step(net, mother)
-    pts = np.vstack([mother, mother + ball_radius * _cube_directions(rng, num_directions, net.n)])
-    total = 0.0
-    samples = 0
+        mother = step(stack, mother)
+    dirs = np.array([_cube_directions(rng, num_directions, n) for rng in rngs])
+    pts = np.concatenate([mother, mother + ball_radius * dirs], axis=1)
+    totals, samples = [0.0] * len(nets), [0] * len(nets)
     for _ in range(horizon):
-        pts = step(net, pts)  # row 0 is the mother, the rest its companions
-        mother, comps = pts[0], pts[1:]
-        seps = np.max(np.abs(comps - mother), axis=1)
+        pts = step(stack, pts)  # row 0 of each network is the mother, the rest its companions
+        mother, comps = pts[:, :1], pts[:, 1:]
+        seps = np.max(np.abs(comps - mother), axis=2)
         dead = seps == 0.0
-        if dead.any():
-            comps[dead] = mother + ball_radius * _cube_directions(rng, int(dead.sum()), net.n)
-            if dead.all():
-                continue
-        total += math.log(float(seps.max()) / ball_radius)
-        samples += 1
-        live = ~dead
-        comps[live] = mother + (comps[live] - mother) * (ball_radius / seps[live, None])
-    if samples == 0:
-        return -math.inf
-    return total / samples
+        top = (seps.max(axis=1) / ball_radius).tolist()
+        # a dead companion sits on its mother: divided by 1, it stays there until re-seeded
+        comps[...] = mother + (comps - mother) * (ball_radius / np.where(dead, 1.0, seps))[..., None]
+        for m, d in enumerate(dead.sum(axis=1).tolist()):
+            if d < num_directions:
+                totals[m], samples[m] = totals[m] + math.log(top[m]), samples[m] + 1
+            if d:
+                comps[m, dead[m]] = mother[m] + ball_radius * _cube_directions(rngs[m], d, n)
+    return [t / k if k else -math.inf for t, k in zip(totals, samples)]

@@ -5,6 +5,7 @@ import pytest
 
 import spikemap as sm
 from spikemap import ensemble, orbits
+from spikemap.model import _Stack
 
 
 class TestSampleNetwork:
@@ -121,3 +122,17 @@ class TestLyapunovMap:
         serial = sm.lyapunov_map([0.4, 0.7], [0.5, 2.0], **kwargs)
         parallel = sm.lyapunov_map([0.4, 0.7], [0.5, 2.0], threads=2, **kwargs)
         assert serial == parallel
+
+    def test_a_batch_steps_on_one_stack(self, monkeypatch):
+        # 12 networks in one batch: one step call per step of each start, not per network
+        calls = []
+        step = orbits.step
+
+        def counting_step(net, v):
+            calls.append(isinstance(net, _Stack))
+            return step(net, v)
+
+        monkeypatch.setattr(orbits, "step", counting_step)
+        sm.lyapunov_map([0.4, 0.7], [0.5, 2.0], n=4, networks_per_cell=3, inits_per_network=2,
+                        ball_radius=1e-3, horizon=50, burn_in=7, seed=2)
+        assert len(calls) == 2 * (7 + 50) and all(calls)

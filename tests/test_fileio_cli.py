@@ -467,12 +467,14 @@ _NET_LYAP = ["lyap", "--net", "{net}", "--inits", "1", "--horizon", "20"]
     _NET_LYAP + ["--networks", "5"],
     _NET_LYAP + ["--theta", "1.0"],
     _NET_LYAP + ["--i-ext", "0.0"],
+    _NET_LYAP + ["--threads", "4"],
 ], ids=["sweep-networks", "sweep-threads", "orbit-threads", "lyap-networks",
         "lyap-inits", "lyap-threads", "lyap-net-inits", "simulate-noise",
         "orbit-tol", "orbit-eps-singular", "orbit-polish", "lyap-net-burn-in",
         "lyap-net-threads", "simulate-v0-seed", "simulate-noise-seed", "orbit-seed",
         "sweep-seed", "lyap-net-seed", "lyap-seed", "graph-cap-0", "graph-cap-negative",
-        "lyap-net-n", "lyap-net-cs", "lyap-net-networks", "lyap-net-theta", "lyap-net-i-ext"])
+        "lyap-net-n", "lyap-net-cs", "lyap-net-networks", "lyap-net-theta", "lyap-net-i-ext",
+        "lyap-net-threads-4"])
 def test_meaningless_arguments_exit_2(argv, ex1_file, tmp_path, capsys):
     argv = [a.format(net=ex1_file) for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import spikemap as sm
 from spikemap import orbits
+from spikemap.ensemble import _lyap_samples
 from spikemap.model import _Stack
 from spikemap.orbits import _batch_size, _brent_scan, _detect, _fan_out, _locate_entries
 from conftest import example1_net, quarter_net, random_net, reference_polish, scalar_orbit
@@ -583,6 +584,56 @@ class TestEffectiveLyapunovBatched:
     def test_v0_is_checked(self, v0):
         with pytest.raises(sm.ValidationError):
             sm.effective_lyapunov(quiescent_net(), v0, 1e-3, 4, 10, np.random.default_rng(0))
+
+
+def lone_rates(net, inits, rng, ball, k, horizon, burn_in, estimator):
+    """inits starts drawn in net's invariant box, each followed by its run, all from rng."""
+    rates = []
+    for _ in range(inits):
+        v0 = rng.uniform(*sm.compute_bounds(net), net.n)
+        rates.append(estimator(net, v0, ball, k, horizon, rng, burn_in=burn_in))
+    return rates
+
+
+def looped_rate(*args, **kwargs):
+    return looped_lyapunov(*args, **kwargs)[0]
+
+
+class TestLyapunovLockstep:
+    """The networks of a batch step together, each with its own generator and its own rates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 3), st.integers(1, 6),
+           st.floats(-6.0, math.log10(3.0)), st.integers(0, 20), st.integers(0, 2**32 - 1))
+    def test_batch_rates_equal_lone_runs(self, n, m, inits, k, log10_ball, burn_in, seed):
+        # each network's rates, bit for bit, as a loop of lone runs on its own generator
+        rng = np.random.default_rng(seed)
+        nets = [quarter_net(rng, n, float(rng.choice([0.0, 0.25, 0.5, 0.875])),
+                            theta=float(rng.choice([1.0, 0.75]))) for _ in range(m)]
+        seeds = rng.integers(0, 2**32, m).tolist()
+        ball = 10.0 ** log10_ball
+        batch = _lyap_samples(nets, inits, [np.random.default_rng(s) for s in seeds],
+                              ball, k, 40, burn_in)
+        for net, s, rates in zip(nets, seeds, batch):
+            for estimator in (sm.effective_lyapunov, looped_rate):
+                want = lone_rates(net, inits, np.random.default_rng(s), ball, k, 40, burn_in,
+                                  estimator)
+                assert [r.hex() for r in rates] == [r.hex() for r in want]
+
+    def test_all_firing_network_beside_one_that_re_seeds(self):
+        # the first network collapses every step; the second re-seeds some companions on
+        # some steps (start 1) and all of them on others (start 2)
+        always = quiescent_net(i_ext=2.0)
+        ordinary = quarter_net(np.random.default_rng(1), 3, 0.875)
+        rates = _lyap_samples([always, ordinary], 2, [np.random.default_rng(s) for s in (7, 2)],
+                              0.1, 4, 60, 5)
+        assert rates[0] == [-math.inf, -math.inf]
+        rng, runs = np.random.default_rng(2), []
+        for _ in range(2):
+            v0 = rng.uniform(*sm.compute_bounds(ordinary), 3)
+            runs.append(looped_lyapunov(ordinary, v0, 0.1, 4, 60, rng, burn_in=5))
+        assert runs[0][1] > 0 and runs[1][2] > 0
+        assert rates[1] == [lam for lam, _, _ in runs]
 
 
 class TestEffectiveLyapunov:
