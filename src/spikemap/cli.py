@@ -17,11 +17,10 @@ from .model import (
     CapacityError,
     NetworkParams,
     ValidationError,
-    compute_bounds,
     simulate,
 )
 from .coding import build_transition_graph
-from .orbits import classify_regime, dist_attractor_to_S, omega_sample
+from .orbits import _starts, classify_regime, dist_attractor_to_S, omega_sample
 from .ensemble import _lyap_samples, lyapunov_map, sweep
 from . import fileio
 
@@ -46,8 +45,7 @@ def _parse_v0(spec: str, net: NetworkParams, seed) -> np.ndarray:
     if spec == "random":
         if seed is None:
             raise ValidationError("--v0 random requires --seed")
-        v_min, v_max = compute_bounds(net)
-        return np.random.default_rng(seed).uniform(v_min, v_max, net.n)
+        return _starts(net, 1, np.random.default_rng(seed))[0]
     try:
         v0 = np.array([float(x) for x in spec.split(",")], dtype=np.float64)
     except ValueError as e:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkParams, ValidationError, _as_count, _as_finite, compute_bounds
+from .model import NetworkParams, ValidationError, _as_count, _as_finite
 from .orbits import (
     _batch_size,
     _detect,
@@ -217,7 +217,7 @@ def _lyap_samples(nets, inits: int, rngs, ball_radius: float, num_directions: in
     """
     _as_count(inits, "inits")
     runs = [
-        _lyapunov(nets, [rng.uniform(*compute_bounds(net), net.n) for net, rng in zip(nets, rngs)],
+        _lyapunov(nets, [_starts(net, 1, rng)[0] for net, rng in zip(nets, rngs)],
                   ball_radius, num_directions, horizon, rngs, burn_in)
         for _ in range(inits)
     ]

@@ -58,8 +58,11 @@ def _write_csv(path, config: Optional[dict], header: str, rows) -> None:
 
 def _read_csv(path) -> tuple[dict, list[str]]:
     """(config, rows): the ``# key=value`` lines as a dict, then the nonblank data lines."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"file {path} is not UTF-8 text: {e}") from e
     config = {}
     for line in lines:
         if line.startswith("#"):
@@ -83,7 +86,7 @@ def _read_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSON syntax error, or a byte that is not UTF-8
         raise ValidationError(f"malformed JSON file {path}: {e}") from e
 
 
@@ -100,16 +103,18 @@ def write_network(path, net: NetworkParams) -> None:
 def read_network(path) -> NetworkParams:
     payload = _read_json(path)
     try:
-        return NetworkParams(
-            n=payload["n"],
-            gamma=payload["gamma"],
-            theta=payload["theta"],
-            weights=np.asarray(payload["weights"], dtype=np.float64),
-            i_ext=np.asarray(payload["i_ext"], dtype=np.float64),
-        )
+        scalars = {k: payload[k] for k in ("n", "gamma", "theta")}
+        arrays = {k: np.asarray(payload[k]) for k in ("weights", "i_ext")}
+        for k, x in scalars.items():  # a JSON bool or string is no number, though Python converts it
+            if isinstance(x, bool) or not isinstance(x, int if k == "n" else (int, float)):
+                raise TypeError(f"{k} must be {'an integer' if k == 'n' else 'a number'}, got {x!r}")
+        for k, a in arrays.items():
+            if a.dtype.kind not in "iuf":
+                raise TypeError(f"{k} must hold numbers only")
+        return NetworkParams(**scalars, **arrays)
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # OverflowError: float(10**400)
         raise ValidationError(f"network file {path} is missing or mistypes a field: {e}") from e
 
 
@@ -146,8 +151,11 @@ def write_raster_text(path, raster) -> None:
 
 
 def read_raster_text(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip() and not ln.startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = [ln.strip() for ln in f if ln.strip() and not ln.startswith("#")]
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"raster file {path} is not UTF-8 text: {e}") from e
     if not lines:
         raise ValidationError(f"raster file {path} is empty")
     if len(set(map(len, lines))) != 1:
@@ -243,13 +251,16 @@ def read_sweep_csv(path) -> tuple[dict, list[SweepCell]]:
         raise ValidationError(f"sweep file {path} has an unexpected header")
     cells = []
     for row in rows[1:]:
-        g, c, samples, avg_d, log_d, death, period, undet = row.split(",")
-        cells.append(SweepCell(
-            gamma=float(g), c=float(c), samples=int(samples),
-            avg_d_as=float(avg_d), log10_d_as=float(log_d),
-            death_fraction=float(death), avg_period=float(period),
-            undetermined_fraction=float(undet),
-        ))
+        try:
+            g, c, samples, avg_d, log_d, death, period, undet = row.split(",")
+            cells.append(SweepCell(
+                gamma=float(g), c=float(c), samples=int(samples),
+                avg_d_as=float(avg_d), log10_d_as=float(log_d),
+                death_fraction=float(death), avg_period=float(period),
+                undetermined_fraction=float(undet),
+            ))
+        except ValueError as e:
+            raise ValidationError(f"sweep file {path} has a malformed row: {e}") from e
     return config, cells
 
 

@@ -31,7 +31,6 @@ from .model import (
     _fires,
     compute_bounds,
     max_dist,
-    simulate,
     step,
 )
 
@@ -158,27 +157,24 @@ def _brent_scan(stack, v, budget, rows, max_period, tol):
 def _polish(net, x0, period, tol, budget):
     """Verify and sharpen a candidate cycle.
 
-    Iterates in chunks of one period; the firing pattern must keep repeating
-    the first chunk's pattern sequence, otherwise the candidate was a
-    pseudo-orbit and we reject, returning the first state off the sequence so
-    the caller can resume scanning there.  After the first chunk, a coordinate
-    that never fires in it and receives exactly zero current at every step is
-    set to 0 instead of decaying into the subnormals: 0 is a fixed point of
-    step for it, consistent with the cycle, and while the cycle's patterns
-    repeat this changes no firing and no other coordinate's arithmetic.  Off
-    the cycle it may get current, and 0 and its own value can fire differently;
-    so a rejection after a zeroing returns the state re-simulated from x0.
-    Acceptance is by bit-identical chunk recurrence, or by within-tol closure
-    once the budget runs out; division by the pattern check keeps
-    tol-acceptance honest.  On success the minimal period is extracted by
-    divisor reduction.
+    Iterates x0's own trajectory in chunks of one period and never alters it.
+    The firing pattern must keep repeating the first chunk's pattern sequence,
+    otherwise the candidate was a pseudo-orbit and we reject, returning the
+    first state off the sequence so the caller can resume scanning there.  A
+    coordinate that never fires in the first chunk and receives exactly zero
+    current at every step of it is leaking: it decays as v -> gamma*v towards
+    the subnormals, its only cycle value is 0, and while the patterns repeat it
+    feeds no other coordinate.  Closure is judged on the other coordinates, and
+    the leaking ones are set to 0 in the reported cycle.  Acceptance is by
+    bit-identical chunk recurrence, or by within-tol closure once the budget
+    runs out; division by the pattern check keeps tol-acceptance honest.  On
+    success the minimal period is extracted by divisor reduction.
     """
     budget = max(budget, 2 * period)
     chunk = np.empty((period + 1, net.n), dtype=np.float64)
     cycle = None  # the firing pattern due at each of chunk[1:], from the first chunk
     x = np.array(x0, dtype=np.float64)
     steps = 0
-    exact = zeroed = False
     while True:
         chunk[0] = x
         for k in range(1, period + 1):
@@ -192,25 +188,17 @@ def _polish(net, x0, period, tol, budget):
             fired = _fires(chunk[:-1], net.theta)
             current = _advance(net, 0.0, fired.astype(np.float64))  # W z + i_ext, as step sums it
             leak = ~fired.any(axis=0) & (current == 0.0).all(axis=0) & (x != 0.0)
-            if leak.any():
-                x[leak] = 0.0
-                zeroed = True
-                continue
         else:
             off = patterns[1:] != cycle
             if np.count_nonzero(off):
-                at = off.argmax() + 1  # the first state off the cycle's patterns
-                if zeroed:
-                    return None, simulate(net, x0, steps - period + at).states[-1]
-                return None, chunk[at]
-        if np.array_equal(chunk[period], chunk[0]):
-            exact = True
+                return None, chunk[off.argmax() + 1]  # the first state off the cycle's patterns
+        exact = np.array_equal(chunk[period, ~leak], chunk[0, ~leak])
+        if exact or steps >= budget:
             break
-        if steps >= budget:
-            if max_dist(chunk[period], chunk[0]) <= tol:
-                break
-            return None, simulate(net, x0, steps).states[-1] if zeroed else x
+    if not exact and max_dist(chunk[period, ~leak], chunk[0, ~leak]) > tol:
+        return None, x
     states = chunk[:period].copy()
+    states[:, leak] = x[leak] = 0.0
     minimal = period
     for d in (d for d in range(1, period) if period % d == 0):  # the proper divisors
         shifted = np.roll(states, -d, axis=0)
@@ -325,8 +313,10 @@ def find_periodic_orbit(
     p - 1 <= max_transient.  A candidate period is verified by re-simulation:
     its pattern sequence must keep repeating and the cycle must close, after
     which the states are polished to the exact floating-point cycle when one
-    exists (a coordinate that never fires and receives exactly zero current
-    over the cycle is set to 0, a fixed point of step for it).
+    exists.  A coordinate that never fires and receives exactly zero current
+    over the cycle is left out of the closure test and reported as 0, its
+    only cycle value; a rejected candidate resumes the scan on v0's own
+    trajectory, which polishing never alters.
     The report is re-based at the first time the trajectory from v0 enters
     the detected cycle.  This is the one-start case of the lockstep detection
     that omega_sample and sweep run on many starts at once.

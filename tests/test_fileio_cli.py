@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,8 @@ import spikemap as sm
 from spikemap import coding, fileio
 from spikemap.cli import main
 from conftest import example1_net, quarter_net, random_net, submask_walk_edges
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -124,6 +127,13 @@ class TestTrajectoryAndRasterFiles:
         with pytest.raises(sm.ValidationError):
             fileio.read_trajectory_csv(path)
 
+    def test_non_utf8_files(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"# command=simulate\xff\nt,v_0\n0,1.0\n")
+        for read in (fileio.read_trajectory_csv, fileio.read_raster_text, fileio.read_sweep_csv):
+            with pytest.raises(sm.ValidationError, match="UTF-8"):
+                read(path)
+
     def test_trajectory_header_without_rows(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("t,v_0,v_1\n")
@@ -173,6 +183,15 @@ class TestSweepFiles:
         config, back = fileio.read_sweep_csv(path)
         assert config["seed"] == "2"
         assert back == cells
+
+    @pytest.mark.parametrize("row", ["0.5,1.0,5,0.1,-1.0,0.0,2.0",
+                                     "0.5,1.0,five,0.1,-1.0,0.0,2.0,0.0"],
+                             ids=["short", "non-numeric"])
+    def test_malformed_row(self, tmp_path, row):
+        path = tmp_path / "sweep.csv"
+        path.write_text(fileio.SWEEP_HEADER + "\n" + row + "\n")
+        with pytest.raises(sm.ValidationError, match="malformed row"):
+            fileio.read_sweep_csv(path)
 
     def test_heatmap_layout(self, tmp_path):
         cells = sm.sweep([0.3, 0.5], [0.0, 1.0], n=3, networks_per_cell=1,
@@ -226,23 +245,38 @@ class TestCliSimulate:
         _, times, _ = fileio.read_trajectory_csv(out + ".csv")
         assert len(times) == 1
 
-    def test_malformed_network_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("content", [b"{oops", b'{"n": 1, "gamma": 0.5\xff}'],
+                             ids=["json-syntax", "non-utf8"])
+    def test_malformed_network_exit_2(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
-        bad.write_text("{oops")
-        assert main(["simulate", "--net", str(bad), "--v0", "zero",
-                     "--t-max", "1", "--out", str(tmp_path / "x")]) == 2
+        bad.write_bytes(content)
+        for argv in (["simulate", "--v0", "zero", "--t-max", "1"], ["graph"], ["orbit"],
+                     ["lyap", "--inits", "1", "--horizon", "20"]):
+            assert main(argv + ["--net", str(bad), "--out", str(tmp_path / "x")]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("field, value", [
-        ("gamma", "x"),
-        ("weights", [[0.0, "w"], [0.0, 0.0]]),
-        ("weights", [[0.0, 0.0], [0.0]]),
-        ("n", 2.7),
-    ], ids=["gamma-string", "weight-string", "weights-ragged", "n-fraction"])
-    def test_mistyped_network_field_exit_2(self, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize("fields", [
+        {"gamma": "x"},
+        {"weights": [[0.0, "w"], [0.0, 0.0]]},
+        {"weights": [[0.0, 0.0], [0.0]]},
+        {"n": 2.7},
+        {"gamma": "0.5"},
+        {"gamma": False},
+        {"theta": True},
+        {"theta": 10**400},
+        {"weights": [["0.25", 0.0], [0.0, 0.0]]},
+        {"weights": [[True, False], [False, False]]},
+        {"i_ext": ["0.0", 0.0]},
+        {"n": True, "weights": [[0.0]], "i_ext": [0.0]},
+    ], ids=["gamma-string", "weight-string", "weights-ragged", "n-fraction", "gamma-numeral",
+            "gamma-bool", "theta-bool", "theta-huge", "weight-numeral", "weights-bool",
+            "i-ext-numeral", "n-bool"])
+    def test_mistyped_network_field_exit_2(self, tmp_path, capsys, fields):
+        # each value is a JSON string, bool or out-of-range integer that Python would convert
         payload = {"n": 2, "gamma": 0.5, "theta": 1.0,
                    "weights": [[0.0, 0.0], [0.0, 0.0]], "i_ext": [0.0, 0.0]}
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({**payload, field: value}))
+        path.write_text(json.dumps({**payload, **fields}))
         assert main(["simulate", "--net", str(path), "--v0", "zero",
                      "--t-max", "1", "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -330,6 +364,23 @@ class TestCliOrbit:
         assert "undetermined=3" in out and "orbits=0" in out
         data = fileio.read_orbits_json(tmp_path / "o.json")
         assert data["undetermined"] == 3 and data["regime"].startswith("Undetermined")
+
+    @pytest.mark.parametrize("name, seed", [
+        ("gamma0", 2), ("gamma05", 0), ("gamma0875_a", 10), ("gamma0875_b", 106), ("ghost", 1),
+        ("ulp_below_theta", 3),
+    ])
+    def test_include_states_matches_the_golden_files(self, tmp_path, monkeypatch, name, seed):
+        # tests/data/orbit_<name>.json is this command's output, run in tests/data.  Weights
+        # are quarters and gamma is 0, 0.5 or 0.875, so every W z sum is exact in any BLAS
+        # order.  The gamma nets have drives 0 or 0.25 and neurons without current beside
+        # firing ones; ghost is criterion 1's net; in ulp_below_theta the drive
+        # (1 - 2^-53) / 8 puts neuron 0's exact fixed point one ulp below theta
+        monkeypatch.chdir(DATA)
+        out = tmp_path / "orbit.json"
+        assert main(["orbit", "--net", f"orbit_{name}_net.json", "--inits", "8",
+                     "--max-transient", "2000", "--max-period", "200", "--seed", str(seed),
+                     "--include-states", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"orbit_{name}.json").read_bytes()
 
     def test_threads_match_serial(self, tmp_path, capsys):
         net = sm.NetworkParams(n=3, gamma=0.5, theta=1.0,
