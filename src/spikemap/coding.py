@@ -21,9 +21,10 @@ from .model import (
     Trajectory,
     ValidationError,
     _advance,
+    _as_array,
     _as_count,
-    _as_vector,
     _fires,
+    _trajectory,
     compute_bounds,
 )
 
@@ -79,28 +80,32 @@ def encode(traj, theta: Optional[float] = None) -> np.ndarray:
 
 
 def _check_raster(raster, n: int) -> np.ndarray:
-    r = np.atleast_2d(np.asarray(raster, dtype=np.uint8))
+    try:
+        r = np.atleast_2d(np.asarray(raster))
+    except ValueError:  # ragged rows
+        raise ValidationError("raster rows must all have one length") from None
+    if r.dtype.kind not in "biuf" or not ((r == 0) | (r == 1)).all():
+        raise ValidationError("raster must hold 0/1 values only")
     if r.shape[1] != n:
         raise ValidationError(f"raster width {r.shape[1]} does not match N={n}")
-    return r
+    return r.astype(np.uint8, copy=False)
 
 
 def reconstruct_trajectory(net: NetworkParams, v0, raster) -> np.ndarray:
-    """All states of the trajectory implied by v0 and its raster.
+    """All states of the trajectory implied by v0 and its raster, one per raster row.
 
     Replays the affine recursion with the stored firing bits in place of
     threshold tests, so when the raster is the encoding of a simulated
     trajectory the result matches the simulation bit for bit; a neuron's
-    initial condition drops out at its first recorded spike.
+    initial condition drops out at its first recorded spike.  Once a state
+    repeats bit for bit, the following states are copied for as long as the
+    raster repeats too, and stepped again where it does not (see
+    :func:`spikemap.model._trajectory`).
     """
     raster = _check_raster(raster, net.n)
-    v = _as_vector(v0, net.n, "v0")
-    out = np.empty((raster.shape[0], net.n), dtype=np.float64)
-    out[0] = v
-    for t in range(1, raster.shape[0]):
-        v = _advance(net, v, raster[t - 1].astype(np.float64))
-        out[t] = v
-    return out
+    if raster.shape[0] == 0:
+        raise ValidationError("raster must have at least one row")
+    return _trajectory(net, _as_array(v0, (net.n,), "v0"), raster.shape[0] - 1, raster)
 
 
 def reconstruct_periodic(net: NetworkParams, cycle) -> np.ndarray:

@@ -16,7 +16,7 @@ collapsing fired directions to a point.
 
 from __future__ import annotations
 
-import operator
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -44,29 +44,49 @@ class CapacityError(RuntimeError):
     """Request exceeds a hard size limit (e.g. the graph enumeration cap)."""
 
 
-def _as_vector(x, n: int, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.shape != (n,):
-        raise ValidationError(f"{name} must have shape ({n},), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{name} must be finite")
-    return v
+def _as_array(x, shape: tuple, name: str) -> np.ndarray:
+    """x as a new C-ordered float64 array of the given shape, checked finite.
 
-
-def _as_count(k, name: str) -> int:
-    """k checked to be an integer >= 1; a float, even 2.0, is not an integer."""
+    Only numbers are accepted: a bool, a string or an integer too large for any
+    integer dtype is refused, though numpy would convert some of them.
+    """
     try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {k!r}") from None
-    if k < 1:
-        raise ValidationError(f"{name} must be >= 1, got {k}")
+        a = np.asarray(x)
+    except ValueError as e:  # a ragged nesting
+        raise ValidationError(f"{name} must be a regular array of numbers: {e}") from None
+    if a.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must hold numbers only, got dtype {a.dtype}")
+    a = np.array(a, dtype=np.float64, order="C")
+    if a.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{name} must be finite")
+    return a
+
+
+def _as_count(k, name: str, least: int = 1) -> int:
+    """k checked to be an integer >= least; a float, even 2.0, or a bool is not an integer."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {k!r}")
+    k = int(k)
+    if k < least:
+        raise ValidationError(f"{name} must be >= {least}, got {k}")
     return k
+
+
+def _as_number(x, name: str) -> float:
+    """x as a float; a bool or a string is no number here, though Python converts it."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValidationError(f"{name} is beyond the float range, got {x!r}") from None
 
 
 def _as_finite(x: float, name: str, allow_zero: bool = False) -> float:
     """x as a float, checked finite and > 0 (>= 0 with allow_zero); NaN fails both."""
-    x = float(x)
+    x = _as_number(x, name)
     if not (np.isfinite(x) and (x >= 0.0 if allow_zero else x > 0.0)):
         bound = ">= 0" if allow_zero else "> 0"
         raise ValidationError(f"{name} must be finite and {bound}, got {x}")
@@ -88,8 +108,10 @@ class NetworkParams:
     per-step leak factor of sub-threshold potentials, ``theta`` > 0 the
     firing threshold, and ``i_ext`` a constant external drive per neuron.
 
-    Instances are immutable (arrays are marked read-only) and safe to share
-    across threads.
+    Every field is checked here, once: a bool, a string or a value outside the
+    float range is refused wherever a number is expected, and the arrays are
+    copied.  Instances are immutable (arrays are marked read-only) and safe to
+    share across threads.
     """
 
     n: int
@@ -100,17 +122,12 @@ class NetworkParams:
 
     def __post_init__(self):
         n = _as_count(self.n, "n")
-        gamma = float(self.gamma)
+        gamma = _as_number(self.gamma, "gamma")
         theta = _as_finite(self.theta, "theta")
         if not (0.0 <= gamma < 1.0):
             raise ValidationError(f"gamma must lie in [0, 1), got {gamma}")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (n, n):
-            raise ValidationError(f"weights must have shape ({n}, {n}), got {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("weights must be finite")
-        ie = _as_vector(self.i_ext, n, "i_ext")
-        w = np.ascontiguousarray(w)
+        w = _as_array(self.weights, (n, n), "weights")
+        ie = _as_array(self.i_ext, (n,), "i_ext")
         w.flags.writeable = False
         ie.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -208,6 +225,43 @@ class Trajectory:
         return self.states.shape[0]
 
 
+def _trajectory(net: NetworkParams, v: np.ndarray, t_max: int, raster=None) -> np.ndarray:
+    """States 0..t_max of the map from v: patterns from the threshold through :func:`step`,
+    or, given a raster, ``raster[t]`` drives the step from state t.
+
+    The map is a function of the state's bits and the pattern's, so once Brent's
+    power-of-two anchors catch an exact repeat ``states[t] == states[t - lam]`` the
+    rows after t are copies lagged by lam, made in one gather and never stepped.
+    With a raster they are copies only while ``raster[s] == raster[s - lam]``,
+    compared in doubling windows so the check costs in proportion to the rows it
+    copies; at the first mismatch, stepping resumes with fresh anchors.
+    """
+    states = np.empty((t_max + 1, net.n), dtype=np.float64)
+    states[0] = v
+    t, anchor, power, lam = 0, v.tobytes(), 1, 0
+    while t < t_max:
+        v = step(net, v) if raster is None else _advance(net, v, raster[t].astype(np.float64))
+        t, lam = t + 1, lam + 1
+        states[t] = v
+        key = v.tobytes()
+        if key != anchor:
+            if lam == power:
+                anchor, power, lam = key, 2 * power, 0
+            continue
+        end, width = (t_max, 0) if raster is None else (t, 1)
+        while end < t_max:  # the first s >= t with raster[s] != raster[s - lam], if any
+            stop = min(end + width, t_max)
+            diff = np.flatnonzero((raster[end:stop] != raster[end - lam:stop - lam]).any(axis=1))
+            if diff.size:
+                end += int(diff[0])
+                break
+            end, width = stop, 2 * width
+        states[t + 1:end + 1] = states[t + 1 - lam + np.arange(end - t) % lam]
+        t, v = end, states[end]
+        anchor, power, lam = v.tobytes(), 1, 0
+    return states
+
+
 def simulate(
     net: NetworkParams,
     v0,
@@ -217,20 +271,26 @@ def simulate(
 ) -> Trajectory:
     """Iterate the map t_max times from v0, recording states and the raster.
 
-    With sigma_b > 0 a Gaussian perturbation is added at every step (an rng
-    is then required), drawn step by step so that only the states are held.
-    A negative or non-finite sigma_b is rejected.
+    t_max is an integer >= 0.  Without noise the map is stepped until a state
+    repeats bit for bit, and the periodic tail after the repeat is copied, not
+    stepped (see :func:`_trajectory`): the same bits, as the map is a function
+    of the state's bits.  With sigma_b > 0 a Gaussian perturbation is added at
+    every step (an rng is then required), drawn step by step so that only the
+    states are held.  A negative or non-finite sigma_b is rejected.
     """
-    if t_max < 0:
-        raise ValidationError(f"t_max must be >= 0, got {t_max}")
-    if _as_finite(sigma_b, "sigma_b", allow_zero=True) > 0.0 and rng is None:
+    t_max = _as_count(t_max, "t_max", least=0)
+    sigma_b = _as_finite(sigma_b, "sigma_b", allow_zero=True)
+    if sigma_b > 0.0 and rng is None:
         raise ValidationError("sigma_b > 0 requires a seeded rng")
-    v = _as_vector(v0, net.n, "v0")
-    states = np.empty((t_max + 1, net.n), dtype=np.float64)
-    states[0] = v
-    for t in range(1, t_max + 1):
-        v = step(net, v) + rng.normal(0.0, sigma_b, net.n) if sigma_b > 0.0 else step(net, v)
-        states[t] = v
+    v = _as_array(v0, (net.n,), "v0")
+    if sigma_b == 0.0:
+        states = _trajectory(net, v, t_max)
+    else:
+        states = np.empty((t_max + 1, net.n), dtype=np.float64)
+        states[0] = v
+        for t in range(1, t_max + 1):
+            v = step(net, v) + rng.normal(0.0, sigma_b, net.n)
+            states[t] = v
     raster = _fires(states, net.theta).astype(np.uint8)
     states.flags.writeable = False
     raster.flags.writeable = False

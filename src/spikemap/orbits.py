@@ -25,9 +25,9 @@ from .model import (
     _Stack,
     ValidationError,
     _advance,
+    _as_array,
     _as_count,
     _as_finite,
-    _as_vector,
     _fires,
     compute_bounds,
     max_dist,
@@ -324,7 +324,7 @@ def find_periodic_orbit(
     Never raises on failure: no recurrence inside the horizon yields
     ``Undetermined(max_transient + 2*max_period)``.
     """
-    return _detect([net], _as_vector(v0, net.n, "v0"), max_transient, max_period, tol,
+    return _detect([net], _as_array(v0, (net.n,), "v0"), max_transient, max_period, tol,
                    polish_steps)[0]
 
 
@@ -564,7 +564,7 @@ def effective_lyapunov(
     if every step collapses the result is -inf.  This is the one-network case
     of the lockstep estimator that lyapunov_map runs on batches of networks.
     """
-    return _lyapunov([net], _as_vector(v0, net.n, "v0"), ball_radius, num_directions, horizon,
+    return _lyapunov([net], _as_array(v0, (net.n,), "v0"), ball_radius, num_directions, horizon,
                      [rng], burn_in)[0]
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 import spikemap as sm
+from spikemap.model import _advance
 
 
 def random_net(rng, n=None, gamma=None, coupling=1.5, i_ext_high=0.2, theta=1.0):
@@ -20,6 +21,30 @@ def batch_step(net, states):
     """Map applied to each row of states; independent of spikemap.step."""
     z = (states >= net.theta).astype(np.float64)
     return net.gamma * states * (1.0 - z) + z @ net.weights.T + net.i_ext
+
+
+def stepped_states(net, v0, t_max, raster=None):
+    """States 0..t_max stepped one at a time, independent of the repeated-tail copy.
+
+    Patterns from the threshold through spikemap.step, or raster[t] drives the step
+    from state t through the one kernel, as reconstruct_trajectory replays it.
+    """
+    v = np.asarray(v0, dtype=np.float64)
+    states = [v]
+    for t in range(t_max):
+        v = sm.step(net, v) if raster is None else _advance(net, v, raster[t].astype(np.float64))
+        states.append(v)
+    return np.array(states)
+
+
+def first_repeat(states):
+    """(t, lam) for the first t whose state equals state t - lam bit for bit, or None."""
+    seen = {}
+    for t, key in enumerate(map(np.ndarray.tobytes, states)):
+        if key in seen:
+            return t, t - seen[key]
+        seen[key] = t
+    return None
 
 
 def example1_net():

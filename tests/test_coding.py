@@ -67,6 +67,24 @@ class TestReconstruct:
         net = random_net(np.random.default_rng(6), n=3)
         with pytest.raises(sm.ValidationError):
             sm.reconstruct_trajectory(net, np.zeros(3), np.zeros((4, 2), dtype=np.uint8))
+        with pytest.raises(sm.ValidationError):
+            sm.reconstruct_trajectory(net, np.zeros(3), [[0, 1, 0], [0, 1]])
+        with pytest.raises(sm.ValidationError):  # no row to hold v0
+            sm.reconstruct_trajectory(net, np.zeros(3), np.zeros((0, 3), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan, "1"])
+@pytest.mark.parametrize("use", ["reconstruct_trajectory", "reconstruct_periodic", "check_legal"])
+def test_raster_values_other_than_0_and_1_rejected(bad, use):
+    # none is a firing bit, though a uint8 cast takes 2 as 2, -1 as 255 (or fails) and 0.5 as 0
+    net = sm.NetworkParams(n=2, gamma=0.5, theta=1.0, weights=[[0.0, 0.1], [0.0, 0.0]],
+                           i_ext=[0.0, 0.0])
+    call = {"reconstruct_trajectory": lambda r: sm.reconstruct_trajectory(net, [0.0, 0.0], r),
+            "reconstruct_periodic": lambda r: sm.reconstruct_periodic(net, r),
+            "check_legal": lambda r: sm.check_legal(r, sm.build_transition_graph(net))}[use]
+    with pytest.raises(sm.ValidationError):
+        call([[bad, 0], [0, 0]])
+    call([[0, 0], [0, 0]])  # a 0/1 raster of the same shape passes
 
 
 class TestReconstructPeriodic:

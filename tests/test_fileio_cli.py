@@ -15,6 +15,18 @@ from conftest import example1_net, quarter_net, random_net, submask_walk_edges
 DATA = pathlib.Path(__file__).parent / "data"
 
 
+def assert_csv_matches_fmt_float_writer(tmp, traj):
+    """write_trajectory_csv gives the bytes of a writer that formats each value with fmt_float."""
+    config = {"command": "simulate", "seed": 3}
+    fileio.write_trajectory_csv(tmp / "new.csv", traj, config)
+    with open(tmp / "old.csv", "w", encoding="utf-8", newline="\n") as f:
+        f.write("".join(f"# {k}={v}\n" for k, v in config.items()))
+        f.write("t," + ",".join(f"v_{i}" for i in range(traj.net.n)) + "\n")
+        for t, v in enumerate(traj.states):
+            f.write(str(t) + "," + ",".join(fileio.fmt_float(x) for x in v) + "\n")
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
 @pytest.fixture
 def ex1_file(tmp_path):
     path = tmp_path / "ex1.json"
@@ -94,14 +106,17 @@ class TestTrajectoryAndRasterFiles:
         else:
             states = np.resize(np.array(values), (len(values), n))
             traj = sm.Trajectory(net=net, states=states, raster=np.zeros(states.shape, np.uint8))
-        config = {"command": "simulate", "seed": 3}
-        fileio.write_trajectory_csv(tmp / "new.csv", traj, config)
-        with open(tmp / "old.csv", "w", encoding="utf-8", newline="\n") as f:
-            f.write("".join(f"# {k}={v}\n" for k, v in config.items()))
-            f.write("t," + ",".join(f"v_{i}" for i in range(n)) + "\n")
-            for t, v in enumerate(traj.states):
-                f.write(str(t) + "," + ",".join(fileio.fmt_float(x) for x in v) + "\n")
-        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+        assert_csv_matches_fmt_float_writer(tmp, traj)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=40))
+    def test_trajectory_csv_keeps_repeated_rows_apart_by_their_bits(self, tmp_path_factory, picks):
+        # rows formatted once per distinct state: 0.0 and -0.0 compare equal, yet differ in text
+        pool = np.array([[0.0, 1.5], [-0.0, 1.5], [1.5, -0.0], [1.5, 0.0], [np.nan, -0.0]])
+        states = pool[picks]
+        net = random_net(np.random.default_rng(0), n=2)
+        traj = sm.Trajectory(net=net, states=states, raster=np.zeros(states.shape, np.uint8))
+        assert_csv_matches_fmt_float_writer(tmp_path_factory.mktemp("traj"), traj)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=60),
@@ -228,6 +243,24 @@ def test_fmt_float_round_trips():
 
 
 class TestCliSimulate:
+    @pytest.mark.parametrize("name, args", [
+        ("dead", ["--net", "simulate_dead_net.json", "--seed", "4", "--t-max", "600"]),
+        ("active", ["--net", "simulate_active_net.json", "--seed", "1", "--t-max", "200"]),
+        ("noisy", ["--net", "simulate_active_net.json", "--seed", "1", "--noise", "0.05",
+                   "--t-max", "80"]),
+    ])
+    def test_matches_the_golden_files(self, tmp_path, monkeypatch, name, args):
+        # tests/data/simulate_<name>.csv and .raster are this command's output, run in
+        # tests/data by a simulation that stepped every row.  Weights are quarters and gamma
+        # is 0.125 or 0.5, so every W z sum is exact in any BLAS order.  The dead net fires
+        # twice and decays to exactly 0 at t = 361; the active one repeats with period 5
+        # from t = 54; the noisy run is the active one with --noise 0.05
+        monkeypatch.chdir(DATA)
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--v0", "random", *args, "--out", out]) == 0
+        for ext in (".csv", ".raster"):
+            assert pathlib.Path(out + ext).read_bytes() == (DATA / f"simulate_{name}{ext}").read_bytes()
+
     def test_ghost_ramp_csv(self, ex1_file, tmp_path, capsys):
         out = str(tmp_path / "run")
         assert main(["simulate", "--net", ex1_file, "--v0", "zero",

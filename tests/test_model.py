@@ -1,12 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spikemap as sm
+from spikemap import model
 from spikemap.model import _Stack
-from conftest import batch_step, example1_net, quarter_net, random_net
+from conftest import (
+    batch_step, example1_net, first_repeat, quarter_net, random_net, stepped_states,
+)
 
 
 class TestComputeBounds:
@@ -171,8 +175,9 @@ class TestSimulate:
             sm.simulate(example1_net(), [0.0], 5, sigma_b=sigma_b, rng=np.random.default_rng(0))
 
     def test_negative_horizon_rejected(self):
-        with pytest.raises(sm.ValidationError):
-            sm.simulate(example1_net(), [0.0], -1)
+        for t_max in (-1, 2.0):  # 2.0 is no integer either
+            with pytest.raises(sm.ValidationError):
+                sm.simulate(example1_net(), [0.0], t_max)
 
     def test_noise_matches_step_noisy_loop(self):
         # simulate checks the noise once, then adds one draw of N values to each step
@@ -185,6 +190,59 @@ class TestSimulate:
         for t in range(1, 201):
             v = sm.step(net, v) + loop_rng.normal(0.0, 0.05, net.n)
             assert np.array_equal(traj.states[t], v)
+
+
+class TestRepeatedTail:
+    """simulate and reconstruct_trajectory copy the tail after an exact repeat: the same bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 6), gamma=st.sampled_from([0.0, 0.125, 0.5, 0.875, 0.3]),
+           seed=st.integers(0, 2**32 - 1), t_max=st.integers(0, 400),
+           flips=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 5)), max_size=4))
+    # periods 3, 4 and 5 after transients of 4 to 62 steps; horizons 0 and 1
+    @example(n=3, gamma=0.0, seed=136, t_max=50, flips=[(0, 1), (7, 0)])
+    @example(n=5, gamma=0.125, seed=131, t_max=300, flips=[(1, 2), (40, 4), (41, 0)])
+    @example(n=3, gamma=0.125, seed=153, t_max=200, flips=[(2, 1)])
+    @example(n=5, gamma=0.5, seed=28, t_max=400, flips=[(3, 3), (100, 1)])
+    @example(n=3, gamma=0.5, seed=31, t_max=400, flips=[(70, 2)])
+    @example(n=3, gamma=0.5, seed=31, t_max=0, flips=[])
+    @example(n=3, gamma=0.5, seed=31, t_max=1, flips=[(0, 0)])
+    def test_equals_the_per_step_loop(self, n, gamma, seed, t_max, flips):
+        rng = np.random.default_rng(seed)
+        net = quarter_net(rng, n, gamma)
+        v0 = rng.uniform(*sm.compute_bounds(net), n)
+        want = stepped_states(net, v0, t_max)
+        traj = sm.simulate(net, v0, t_max)
+        assert traj.states.tobytes() == want.tobytes()
+        assert traj.raster.tobytes() == (want >= net.theta).astype(np.uint8).tobytes()
+        assert sm.reconstruct_trajectory(net, v0, traj.raster).tobytes() == want.tobytes()
+        # bits flipped just after the first repeat: the copy must stop where the raster does
+        raster = traj.raster.copy()
+        at = (first_repeat(want) or (0, 0))[0]
+        for offset, i in flips:
+            raster[min(at + offset, t_max), i % n] ^= 1
+        got = sm.reconstruct_trajectory(net, v0, raster)
+        assert got.tobytes() == stepped_states(net, v0, t_max, raster).tobytes()
+
+    def test_periodic_raster_with_glitches(self):
+        # a raster that repeats with period 3 except at a few rows, each one resuming the stepping
+        net = quarter_net(np.random.default_rng(3), 4, 0.5)
+        raster = np.tile(np.array([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 1]], np.uint8), (400, 1))
+        raster[[150, 151, 600, 1199]] ^= 1
+        v0 = np.full(4, 0.25)
+        got = sm.reconstruct_trajectory(net, v0, raster)
+        assert got.tobytes() == stepped_states(net, v0, len(raster) - 1, raster).tobytes()
+
+    def test_dead_network_steps_only_until_its_repeat(self):
+        # both neurons fire once, then decay by halves to exactly 0 near t = 1078;
+        # Brent's anchors catch the repeat at t = 2048, and the rest is copied
+        net = sm.NetworkParams(n=2, gamma=0.5, theta=1.0,
+                               weights=[[0.5, -1.0], [1.25, -0.5]], i_ext=[0.0, 0.0])
+        with mock.patch.object(model, "step", wraps=model.step) as counted:
+            traj = sm.simulate(net, [1.2, 0.2], 20_000)
+        assert 1_078 <= counted.call_count <= 2_100  # through step, which the tracer counts
+        assert traj.raster[:2].any() and not traj.states[-1].any()
+        assert traj.states.tobytes() == stepped_states(net, [1.2, 0.2], 20_000).tobytes()
 
 
 class TestFiringTimes:
@@ -293,7 +351,31 @@ def test_network_validation():
         sm.NetworkParams(n=2, gamma=0.5, theta=1.0, weights=np.zeros((2, 2)), i_ext=[np.inf, 0.0])
 
 
+@pytest.mark.parametrize("fields", [
+    {"n": True, "gamma": "0.5", "theta": "1", "weights": [["0.25"]], "i_ext": ["0.0"]},
+    {"n": 1.0}, {"n": True}, {"gamma": "0.5"}, {"gamma": False}, {"theta": True},
+    {"theta": "1"}, {"theta": 10**400}, {"weights": [["0.25"]]}, {"weights": [[True]]},
+    {"weights": [[1 + 0j]]}, {"weights": [[10**400]]}, {"weights": [[0.0, 0.0], [0.0]]},
+    {"i_ext": ["0.0"]}, {"i_ext": [None]},
+])
+def test_network_refuses_what_is_no_number(fields):
+    # each would convert to a one-neuron net with float() or numpy, but is no number here
+    good = {"n": 1, "gamma": 0.5, "theta": 1.0, "weights": [[0.25]], "i_ext": [0.0]}
+    with pytest.raises(sm.ValidationError):
+        sm.NetworkParams(**{**good, **fields})
+
+
+def test_network_accepts_numpy_numbers():
+    net = sm.NetworkParams(n=np.int64(2), gamma=np.float32(0.5), theta=np.int8(1),
+                           weights=np.eye(2, dtype=np.int32), i_ext=np.zeros(2, np.float32))
+    assert (net.n, net.gamma, net.theta) == (2, 0.5, 1.0) and type(net.n) is int
+    assert net.weights.dtype == net.i_ext.dtype == np.float64
+
+
 def test_network_arrays_read_only():
     net = random_net(np.random.default_rng(0), n=3)
     with pytest.raises(ValueError):
         net.weights[0, 0] = 5.0
+    weights = np.zeros((2, 2))  # the network holds a copy: the caller's array stays writeable
+    sm.NetworkParams(n=2, gamma=0.5, theta=1.0, weights=weights, i_ext=np.zeros(2))
+    weights[0, 0] = 5.0
