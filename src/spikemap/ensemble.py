@@ -17,8 +17,10 @@ import numpy as np
 
 from .model import NetworkParams, ValidationError, _as_count, _as_finite
 from .orbits import (
+    Undetermined,
     _batch_size,
-    _detect,
+    _cycle,
+    _cycles,
     _fan_out,
     _lyapunov,
     _sample,
@@ -132,18 +134,21 @@ def _grid_cells(worker, gammas, cs, networks_per_cell: int, seed: int, threads: 
 def _run_sweep_batch(tasks) -> list:
     """(regime kind, attractor gap or None, periods, undetermined count) per network.
 
-    Every start of every network in the batch is detected in one lockstep call.
+    Every start of every network in the batch is detected in one lockstep call.  A cell
+    reads each cycle's period, gap and raster up to rotation alone, none of which depends
+    on when or at which phase a start entered its cycle, so no entry pass is run.
     """
     nets, starts = [], []
     for seed, gamma, c, net_idx, n, theta, i_ext, inits, *_ in tasks:
         nets.append(_draw_network(seed, gamma, c, net_idx, n, theta, i_ext))
         starts.append(_starts(nets[-1], inits, _stream(seed, gamma, c, net_idx, 1)))
     max_transient, max_period, tol, polish_steps, epsilon_singular = tasks[0][-5:]
-    results = _detect(nets, np.array(starts), max_transient, max_period, tol, polish_steps)
-    inits = len(starts[0])
+    horizon = max_transient + 2 * max_period
+    cycles = _cycles(nets, np.array(starts), max_transient, max_period, tol, polish_steps)
     out = []
-    for m in range(len(nets)):
-        sample = _sample(results[m * inits:(m + 1) * inits], tol, max_transient + 2 * max_period)
+    for m, net in enumerate(nets):
+        sample = _sample([_cycle(net, *cycles[m, s]) if (m, s) in cycles else Undetermined(horizon)
+                          for s in range(len(starts[m]))], tol, horizon)
         regime = classify_regime(
             sample.orbits, sample.undetermined,
             epsilon_singular=epsilon_singular, horizon=sample.horizon,
@@ -177,7 +182,9 @@ def sweep(
     (seed, gamma, c, network index) by value, so permuting the grids or the
     schedule cannot change any cell.  Orbit detection runs on every start of
     every network of a batch at once, a batch being at most 64 contiguous
-    networks of the grid (fewer for n > 128).  Rows come back in grid order
+    networks of the grid (fewer for n > 128).  A cell depends only on the
+    cycles found (their periods, gaps and rasters up to rotation), never on
+    transients, so the sweep does not locate them.  Rows come back in grid order
     (gammas outer, cs inner); ``progress(done, total, cell)`` is called per
     cell, as the batch holding the cell's last network finishes.
     """

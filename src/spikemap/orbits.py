@@ -28,6 +28,7 @@ from .model import (
     _as_array,
     _as_count,
     _as_finite,
+    _as_number,
     _fires,
     compute_bounds,
     max_dist,
@@ -246,34 +247,44 @@ def _locate_entries(stack, v0, cycles: dict, tol, cap) -> dict:
     return entries | dict.fromkeys((keys[r] for r in np.unique(owner)), (cap, 0))
 
 
-def _report(net, states, period, transient, phase) -> OrbitReport:
-    states = np.roll(states, -phase, axis=0)
+@dataclass(frozen=True)
+class _Cycle:
+    """A detected cycle as dedupe and regime classification read it: an OrbitReport
+    without the transient.  Its period, gap and raster up to rotation do not depend on
+    the phase its states start at."""
+
+    period: int
+    states: np.ndarray
+    cycle_raster: np.ndarray
+    min_threshold_gap: float
+
+
+def _cycle(net, states, period) -> _Cycle:
     states.flags.writeable = False
     raster = _fires(states, net.theta).astype(np.uint8)
     raster.flags.writeable = False
-    gap = float(np.min(np.abs(states - net.theta)))
-    return OrbitReport(transient=transient, period=period, states=states, cycle_raster=raster,
-                       min_threshold_gap=gap)
+    return _Cycle(period, states, raster, float(np.min(np.abs(states - net.theta))))
 
 
-def _detect(nets, v0s, max_transient, max_period, tol, polish_steps) -> list:
-    """Orbit detection from every start on every network of nets, all in lockstep.
+def _report(net, states, period, transient, phase) -> OrbitReport:
+    return OrbitReport(transient, **vars(_cycle(net, np.roll(states, -phase, axis=0), period)))
 
-    nets share one size N, and v0s holds the same number S of starts for each network,
-    network by network: any shape that reshapes to (M, S, N).  Returns one OrbitReport
-    or Undetermined per start in that order, each bit-identical to what the start gives
-    alone: a row keeps exactly its own arithmetic and control flow.  Rows scan
-    together; a candidate is polished per row, and a row whose candidate was a
+
+def _cycles(nets, v0s, max_transient, max_period, tol, polish_steps) -> dict:
+    """The polished cycle, (states, period), of each start (m, s) of the (M, S, N) states
+    v0s that finds one within max_transient + 2*max_period steps, all in lockstep.
+
+    nets share one size N.  A row keeps exactly its own arithmetic and control flow.
+    Rows scan together; a candidate is polished per row, and a row whose candidate was a
     pseudo-orbit scans on, with the other rejected rows, from where its polish stopped.
+    The states start where the scan met the cycle, not where the start entered it.
     """
     if max_transient < 0 or max_period < 1 or polish_steps < 0:
         raise ValidationError("need max_transient >= 0, max_period >= 1, polish_steps >= 0")
     _as_finite(tol, "tol", allow_zero=True)
     stack = _Stack.of(nets)
-    horizon = max_transient + 2 * max_period
-    v0s = np.asarray(v0s, dtype=np.float64).reshape(len(nets), -1, nets[0].n)
     v = v0s.copy()
-    budget = np.full(v.shape[:2], horizon)
+    budget = np.full(v.shape[:2], max_transient + 2 * max_period)
     live = np.ones(v.shape[:2], bool)
     cycles = {}
     for _ in range(8):  # pseudo-orbit rejections restart the scan downstream
@@ -288,10 +299,26 @@ def _detect(nets, v0s, max_transient, max_period, tol, polish_steps) -> list:
             if polished is not None:
                 cycles[m, s] = polished
                 live[m, s] = False
-    entries = _locate_entries(stack, v0s, {key: c[0] for key, c in cycles.items()}, tol, horizon)
+    return cycles
+
+
+def _detect(nets, v0s, max_transient, max_period, tol, polish_steps) -> list:
+    """Orbit detection from every start on every network of nets, all in lockstep.
+
+    nets share one size N, and v0s holds the same number S of starts for each network,
+    network by network: any shape that reshapes to (M, S, N).  Returns one OrbitReport
+    or Undetermined per start in that order, each bit-identical to what the start gives
+    alone: the cycles of :func:`_cycles`, each re-based at its start's entry into it by a
+    second lockstep pass, :func:`_locate_entries`.
+    """
+    v0s = np.asarray(v0s, dtype=np.float64).reshape(len(nets), -1, nets[0].n)
+    cycles = _cycles(nets, v0s, max_transient, max_period, tol, polish_steps)
+    horizon = max_transient + 2 * max_period
+    entries = _locate_entries(_Stack.of(nets), v0s, {key: c[0] for key, c in cycles.items()},
+                              tol, horizon)
     return [
         _report(net, *cycles[m, s], *entries[m, s]) if (m, s) in cycles else Undetermined(horizon)
-        for m, net in enumerate(nets) for s in range(v.shape[1])
+        for m, net in enumerate(nets) for s in range(v0s.shape[1])
     ]
 
 
@@ -319,7 +346,8 @@ def find_periodic_orbit(
     trajectory, which polishing never alters.
     The report is re-based at the first time the trajectory from v0 enters
     the detected cycle.  This is the one-start case of the lockstep detection
-    that omega_sample and sweep run on many starts at once.
+    that omega_sample runs on many starts at once; sweep runs it without the
+    re-basing.
 
     Never raises on failure: no recurrence inside the horizon yields
     ``Undetermined(max_transient + 2*max_period)``.
@@ -343,17 +371,17 @@ def _sample(results, tol, horizon) -> OmegaSample:
     Two orbits are one when some rotation of one has the other's raster and lies
     within tol of its states.
     """
-    def same(prev, res):
-        return prev.period == res.period and any(
-            np.array_equal(np.roll(res.cycle_raster, -r, axis=0), prev.cycle_raster)
-            and max_dist(np.roll(res.states, -r, axis=0), prev.states) <= tol
-            for r in range(res.period))
-
     orbits, undetermined = [], 0
     for res in results:
         if isinstance(res, Undetermined):
             undetermined += 1
-        elif not any(same(prev, res) for prev in orbits):
+            continue
+        p = res.period  # rotation r of the cycle is rows r:r+p of it twice over
+        raster, states = np.concatenate([res.cycle_raster] * 2), np.concatenate([res.states] * 2)
+        if not any(prev.period == p and any(
+                np.array_equal(raster[r:r + p], prev.cycle_raster)
+                and max_dist(states[r:r + p], prev.states) <= tol for r in range(p))
+                for prev in orbits):
             orbits.append(res)
     return OmegaSample(orbits=orbits, undetermined=undetermined, horizon=horizon)
 
@@ -451,7 +479,7 @@ def markov_horizon(epsilon: float, domain_diameter: float, gamma: float) -> int:
     """
     _as_finite(epsilon, "epsilon")
     _as_finite(domain_diameter, "domain_diameter")
-    if not (0.0 <= gamma < 1.0):
+    if not (0.0 <= _as_number(gamma, "gamma") < 1.0):
         raise ValidationError(f"gamma must lie in [0, 1), got {gamma}")
     if epsilon >= domain_diameter:
         return 0
@@ -466,7 +494,7 @@ def period_bound_log2(n: int, d_as: float, gamma: float) -> float:
     The bound itself, 2 ** this, overflows a float once n is large.
     """
     _as_count(n, "n")
-    if not (0.0 < gamma < 1.0):
+    if not (0.0 < _as_number(gamma, "gamma") < 1.0):
         raise ValidationError(f"gamma must lie in (0, 1), got {gamma}")
     _as_finite(d_as, "d_as")
     if d_as >= 1.0:

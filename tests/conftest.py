@@ -153,6 +153,25 @@ def scalar_orbit(net, v0, max_transient, max_period, tol, polish_steps):
     return sm.Undetermined(horizon)
 
 
+def reference_sample(results, tol):
+    """orbits._sample with np.roll rotations: the distinct orbits of results in first-seen
+    order, and the Undetermined count.
+
+    An orbit is a duplicate of a kept one of the same period when some rotation of it,
+    tried in order, has the kept one's raster and lies within tol of its states.
+    """
+    kept, undetermined = [], 0
+    for res in results:
+        if isinstance(res, sm.Undetermined):
+            undetermined += 1
+        elif not any(prev.period == res.period and any(
+                np.array_equal(np.roll(res.cycle_raster, -r, axis=0), prev.cycle_raster)
+                and sm.max_dist(np.roll(res.states, -r, axis=0), prev.states) <= tol
+                for r in range(res.period)) for prev in kept):
+            kept.append(res)
+    return kept, undetermined
+
+
 def reference_polish(net, x0, period, tol, budget):
     """orbits._polish one step at a time, independent of its chunked pattern check.
 

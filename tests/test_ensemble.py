@@ -102,6 +102,19 @@ class TestSweep:
         monkeypatch.setattr(orbits, "_BATCH", 65)
         assert sm.sweep([0.5], cs, **kwargs) == cells
 
+    def test_no_entry_pass(self, monkeypatch):
+        # a cell reads each cycle's period, gap and raster up to rotation alone, so neither
+        # the sweep nor one of its batches locates where a start entered its cycle
+        def entry_pass(*args):
+            raise AssertionError("the sweep ran the entry pass")
+
+        monkeypatch.setattr(orbits, "_locate_entries", entry_pass)
+        cells = sm.sweep([0.5, 0.875], [0.5, 3.0], n=8, networks_per_cell=2, inits_per_network=3,
+                         max_transient=200, max_period=50, seed=2)
+        assert min(cell.death_fraction for cell in cells) < 1.0
+        tasks = [(2, 0.875, 3.0, k, 8, 1.0, 0.0, 3, 200, 50, 1e-10, 20_000, 1e-6) for k in range(4)]
+        assert [kind for kind, *_ in ensemble._run_sweep_batch(tasks)] != ["NeuralDeath"] * 4
+
 
 class TestLyapunovMap:
     def test_decoupled_cell_is_pure_leak(self):

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spikemap as sm
 from spikemap import orbits
-from spikemap.ensemble import _lyap_samples
+from spikemap.ensemble import _draw_network, _lyap_samples, _run_sweep_batch, _stream
 from spikemap.model import _Stack
-from spikemap.orbits import _batch_size, _brent_scan, _detect, _fan_out, _locate_entries
-from conftest import example1_net, quarter_net, random_net, reference_polish, scalar_orbit
+from spikemap.orbits import (_batch_size, _brent_scan, _detect, _fan_out, _locate_entries, _sample,
+                             _starts)
+from conftest import (example1_net, quarter_net, random_net, reference_polish, reference_sample,
+                      scalar_orbit)
 
 
 def quiescent_net(n=3, gamma=0.5, i_ext=0.0):
@@ -368,6 +370,53 @@ class TestLockstep:
         assert _locate_entries(stack, v0, cycles, 0.05, 5) == {(0, 0): (2, 1), (1, 1): (5, 0)}
 
 
+class TestSweepCycles:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8),
+           st.lists(st.tuples(st.sampled_from([0.0, 0.5, 0.75, 0.875]),
+                              st.sampled_from([0.5, 1.5, 4.0])), min_size=1, max_size=4),
+           st.integers(1, 6), st.sampled_from([0, 3, 40, 400]), st.sampled_from([2, 30]),
+           st.sampled_from([0.0, 1e-10, 0.05]), st.sampled_from([1e-6, 1e-2]),
+           st.integers(0, 2**32 - 1))
+    # each: Undetermined rows, a network with three orbits, periods up to 2; tol 0 dedupes
+    # only bit-identical rotations
+    @example(2, 6, [(0.75, 4.0)] * 3, 6, 40, 30, 1e-10, 1e-6, 0)
+    @example(2, 6, [(0.0, 0.5), (0.0, 4.0), (0.5, 4.0)], 4, 400, 30, 0.0, 1e-6, 0)
+    def test_batch_equals_reports_deduped(self, seed, n, cells, inits, max_transient, max_period,
+                                          tol, epsilon_singular, rotation_seed):
+        # the sweep reads cycles without the entry pass; its tuples equal those built from
+        # full reports deduped by np.roll rotations, every gap bit for bit
+        tasks = [(seed, gamma, c, k, n, 1.0, 0.0, inits, max_transient, max_period, tol, 200,
+                  epsilon_singular) for k, (gamma, c) in enumerate(cells)]
+        nets = [_draw_network(*task[:7]) for task in tasks]
+        starts = [_starts(net, inits, _stream(seed, gamma, c, k, 1))
+                  for k, (net, (gamma, c)) in enumerate(zip(nets, cells))]
+        reports = _detect(nets, np.array(starts), max_transient, max_period, tol, 200)
+        horizon = max_transient + 2 * max_period
+        want = []
+        for m in range(len(nets)):
+            orbits_m, undetermined = reference_sample(reports[m * inits:(m + 1) * inits], tol)
+            kind = sm.classify_regime(orbits_m, undetermined, epsilon_singular, horizon).kind
+            d = np.float64(sm.dist_attractor_to_S(orbits_m)).tobytes() if orbits_m else None
+            want.append((kind, d, [o.period for o in orbits_m], undetermined))
+        got = [(kind, None if d is None else np.float64(d).tobytes(), periods, undetermined)
+               for kind, d, periods, undetermined in _run_sweep_batch(tasks)]
+        assert got == want
+        # dedupe by slices of the doubled cycle keeps what np.roll keeps, over every report of
+        # the batch and a copy of each at a random rotation, in random order
+        rng = np.random.default_rng(rotation_seed)
+        results = [*reports, *(res if isinstance(res, sm.Undetermined) else sm.OrbitReport(
+            res.transient, res.period, *(np.roll(a, -int(rng.integers(res.period)), axis=0)
+                                         for a in (res.states, res.cycle_raster)),
+            res.min_threshold_gap) for res in reports)]
+        results = [results[i] for i in rng.permutation(len(results))]
+        sample = _sample(results, tol, horizon)
+        kept, undetermined = reference_sample(results, tol)
+        assert sample.undetermined == undetermined == 2 * sum(
+            isinstance(res, sm.Undetermined) for res in reports)
+        assert len(sample.orbits) == len(kept) and all(a is b for a, b in zip(sample.orbits, kept))
+
+
 class TestDistances:
     def test_ghost_ramp_distance(self):
         traj = sm.simulate(example1_net(), [0.0], 50)
@@ -446,6 +495,9 @@ class TestMarkovHorizon:
             sm.markov_horizon(0.0, 1.0, 0.5)
         with pytest.raises(sm.ValidationError):
             sm.markov_horizon(0.1, 1.0, 1.0)
+        for gamma in ("0.5", False, True):  # neither a string nor a bool is a gamma
+            with pytest.raises(sm.ValidationError):
+                sm.markov_horizon(1e-3, 2.0, gamma)
 
     @given(st.floats(1e-9, 0.9), st.floats(1e-9, 0.9), st.floats(0.01, 0.99))
     @settings(max_examples=200)
@@ -470,6 +522,9 @@ class TestPeriodBound:
             sm.period_bound_log2(3, 0.5, 0.0)
         with pytest.raises(sm.ValidationError):
             sm.period_bound_log2(3, -0.5, 0.5)
+        for gamma in ("0.5", True):
+            with pytest.raises(sm.ValidationError):
+                sm.period_bound_log2(4, 0.1, gamma)
 
     def test_monotone_in_distance(self):
         vals = [sm.period_bound_log2(10, d, 0.5) for d in np.logspace(-8, -1, 30)]
