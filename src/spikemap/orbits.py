@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -56,6 +57,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_POLISH_STEPS = 20_000
 _BATCH = 64  # starts, or networks, per lockstep call
 _BATCH_WEIGHTS = 2**20  # and no more weights than this per call (8 MiB): fewer networks once N > 128
+_LYAP_BLOCK = 1024  # steps of largest separations _lyapunov holds between folds into its sums
 
 
 @dataclass(frozen=True)
@@ -251,23 +253,29 @@ def _locate_entries(stack, v0, cycles: dict, tol, cap) -> dict:
 class _Cycle:
     """A detected cycle as dedupe and regime classification read it: an OrbitReport
     without the transient.  Its period, gap and raster up to rotation do not depend on
-    the phase its states start at."""
+    the phase its states start at.  The gap is computed when first read: dedupe reads
+    only the period, states and raster, so a dropped duplicate never computes it."""
 
     period: int
     states: np.ndarray
     cycle_raster: np.ndarray
-    min_threshold_gap: float
+    theta: float
+
+    @functools.cached_property
+    def min_threshold_gap(self) -> float:
+        return float(np.min(np.abs(self.states - self.theta)))
 
 
 def _cycle(net, states, period) -> _Cycle:
     states.flags.writeable = False
     raster = _fires(states, net.theta).astype(np.uint8)
     raster.flags.writeable = False
-    return _Cycle(period, states, raster, float(np.min(np.abs(states - net.theta))))
+    return _Cycle(period, states, raster, net.theta)
 
 
 def _report(net, states, period, transient, phase) -> OrbitReport:
-    return OrbitReport(transient, **vars(_cycle(net, np.roll(states, -phase, axis=0), period)))
+    c = _cycle(net, np.roll(states, -phase, axis=0), period)
+    return OrbitReport(transient, c.period, c.states, c.cycle_raster, c.min_threshold_gap)
 
 
 def _cycles(nets, v0s, max_transient, max_period, tol, polish_steps) -> dict:
@@ -598,13 +606,19 @@ def effective_lyapunov(
 
 def _lyapunov(nets, v0s, ball_radius, num_directions, horizon, rngs, burn_in) -> list:
     """effective_lyapunov of each network of nets (one size N) from its start in v0s, all in
-    lockstep as (M, 1+k, N) states on one stack.  Network m draws only from rngs[m] and sums
-    its logs one step at a time with math.log, so each rate is bit-identical to a lone run."""
+    lockstep as (M, 1+k, N) states on one stack.  Network m draws only from rngs[m].
+
+    Each step's largest separation per network goes into a block of _LYAP_BLOCK rows, folded
+    into the sums when it fills and after the last step: per network, in step order, one
+    math.log and one float addition per step, the sequence a lone step-at-a-time loop
+    makes, so each rate is bit-identical to a lone run and memory does not grow with the
+    horizon.  A step on which no companion sits on its mother rescales the whole stack in
+    place; only one on which some do takes the re-seeding branch.
+    """
     _as_finite(ball_radius, "ball_radius")
     _as_count(num_directions, "num_directions")
     _as_count(horizon, "horizon")
-    if burn_in < 0:
-        raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
+    burn_in = _as_count(burn_in, "burn_in", least=0)
     stack, n = _Stack.of(nets), nets[0].n
     mother = np.asarray(v0s, dtype=np.float64).reshape(len(nets), 1, n)
     for _ in range(burn_in):
@@ -612,17 +626,28 @@ def _lyapunov(nets, v0s, ball_radius, num_directions, horizon, rngs, burn_in) ->
     dirs = np.array([_cube_directions(rng, num_directions, n) for rng in rngs])
     pts = np.concatenate([mother, mother + ball_radius * dirs], axis=1)
     totals, samples = [0.0] * len(nets), [0] * len(nets)
-    for _ in range(horizon):
+    rows = min(horizon, _LYAP_BLOCK)
+    block = np.empty((rows, len(nets), 1))
+    for t in range(horizon):
         pts = step(stack, pts)  # row 0 of each network is the mother, the rest its companions
         mother, comps = pts[:, :1], pts[:, 1:]
-        seps = np.max(np.abs(comps - mother), axis=2)
-        dead = seps == 0.0
-        top = (seps.max(axis=1) / ball_radius).tolist()
-        # a dead companion sits on its mother: divided by 1, it stays there until re-seeded
-        comps[...] = mother + (comps - mother) * (ball_radius / np.where(dead, 1.0, seps))[..., None]
-        for m, d in enumerate(dead.sum(axis=1).tolist()):
-            if d < num_directions:
-                totals[m], samples[m] = totals[m] + math.log(top[m]), samples[m] + 1
-            if d:
+        diff = comps - mother
+        seps = np.maximum.reduce(np.abs(diff), axis=2, keepdims=True)
+        row = t % rows
+        np.maximum.reduce(seps, axis=1, out=block[row])
+        if np.minimum.reduce(seps, axis=None) > 0.0:
+            diff *= ball_radius / seps
+            np.add(mother, diff, out=comps)
+        else:
+            # a dead companion sits on its mother: divided by 1, it stays there until re-seeded
+            dead = seps[..., 0] == 0.0
+            comps[...] = mother + diff * (ball_radius / np.where(dead, 1.0, seps[..., 0]))[..., None]
+            for m in np.flatnonzero(dead.any(axis=1)).tolist():
+                d = int(np.count_nonzero(dead[m]))
                 comps[m, dead[m]] = mother[m] + ball_radius * _cube_directions(rngs[m], d, n)
+        if row == rows - 1 or t == horizon - 1:  # fold the block into the sums
+            for m, col in enumerate((block[:row + 1, :, 0] / ball_radius).T):
+                live = col[col != 0.0].tolist()  # 0: every companion collapsed, no sample
+                totals[m] = functools.reduce(operator.add, map(math.log, live), totals[m])
+                samples[m] += len(live)
     return [t / k if k else -math.inf for t, k in zip(totals, samples)]

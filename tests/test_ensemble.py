@@ -136,6 +136,13 @@ class TestLyapunovMap:
         parallel = sm.lyapunov_map([0.4, 0.7], [0.5, 2.0], threads=2, **kwargs)
         assert serial == parallel
 
+    @pytest.mark.parametrize("burn_in", [-1, 1.5, "3", True])
+    def test_burn_in_is_a_count(self, burn_in):
+        # checked in the worker, and raised as a ValidationError through the pool
+        with pytest.raises(sm.ValidationError):
+            sm.lyapunov_map([0.5], [1.0, 2.0], n=3, networks_per_cell=1, inits_per_network=1,
+                            ball_radius=1e-3, horizon=10, burn_in=burn_in, threads=2)
+
     def test_a_batch_steps_on_one_stack(self, monkeypatch):
         # 12 networks in one batch: one step call per step of each start, not per network
         calls = []

@@ -690,6 +690,28 @@ class TestLyapunovLockstep:
         assert runs[0][1] > 0 and runs[1][2] > 0
         assert rates[1] == [lam for lam, _, _ in runs]
 
+    def test_horizon_over_several_blocks(self):
+        # the per-step maxima are folded into the sums a block at a time; a horizon of two
+        # full blocks and a partial one, on a batch that collapses fully on every step,
+        # re-seeds some companions, and never collapses, gives the lone runs' rates
+        horizon = 2 * orbits._LYAP_BLOCK + 37
+        nets = [quiescent_net(i_ext=2.0), quarter_net(np.random.default_rng(1), 3, 0.875),
+                quiescent_net(gamma=0.5)]
+        v0s = [np.full(3, 2.0), np.random.default_rng(5).uniform(-1.0, 1.5, 3), np.zeros(3)]
+        seeds = (7, 2, 3)
+        rates = orbits._lyapunov(nets, v0s, 0.1, 4, horizon,
+                                 [np.random.default_rng(s) for s in seeds], 5)
+        runs = [looped_lyapunov(net, v0, 0.1, 4, horizon, np.random.default_rng(s), burn_in=5)
+                for net, v0, s in zip(nets, v0s, seeds)]
+        assert runs[0] == (-math.inf, 0, horizon)
+        assert runs[1][1] > 0 and runs[2][1:] == (0, 0)
+        assert [r.hex() for r in rates] == [lam.hex() for lam, _, _ in runs]
+        kwargs = dict(n=3, networks_per_cell=2, inits_per_network=1, ball_radius=0.1,
+                      horizon=horizon, burn_in=5, seed=3)
+        serial = sm.lyapunov_map([0.0, 0.875], [0.5, 3.0], **kwargs)
+        assert serial == sm.lyapunov_map([0.0, 0.875], [0.5, 3.0], threads=2, **kwargs)
+        assert serial[0].mean_lyapunov == serial[1].mean_lyapunov == -math.inf  # gamma 0
+
 
 class TestEffectiveLyapunov:
     def test_quiescent_equals_log_gamma(self):
@@ -738,3 +760,7 @@ class TestEffectiveLyapunov:
         with pytest.raises(sm.ValidationError):
             sm.effective_lyapunov(quiescent_net(), np.zeros(3), 1e-3, 0, 10,
                                   np.random.default_rng(0))
+        for burn_in in (-1, 2.5, "3", True):
+            with pytest.raises(sm.ValidationError):
+                sm.effective_lyapunov(quiescent_net(), np.zeros(3), 1e-3, 4, 10,
+                                      np.random.default_rng(0), burn_in=burn_in)
