@@ -17,10 +17,11 @@ from .model import (
     CapacityError,
     NetworkParams,
     ValidationError,
+    _as_count,
     simulate,
 )
 from .coding import build_transition_graph
-from .orbits import _starts, classify_regime, dist_attractor_to_S, omega_sample
+from .orbits import _lyap_params, _starts, classify_regime, dist_attractor_to_S, omega_sample
 from .ensemble import _lyap_samples, lyapunov_map, sweep
 from . import fileio
 
@@ -161,8 +162,9 @@ def _cmd_lyap(args) -> int:
             flag = "--" + given[0].replace("_", "-")
             raise ValidationError(f"{flag} applies only to ensemble lyap, not to lyap --net")
         net = fileio.read_network(args.net)
-        vals = _lyap_samples([net], args.inits, [np.random.default_rng(args.seed)],
-                             args.ball, args.directions, args.horizon, args.burn_in)[0]
+        vals = _lyap_samples([net], _as_count(args.inits, "inits"),
+                             [np.random.default_rng(args.seed)],
+                             *_lyap_params(args.ball, args.directions, args.horizon, args.burn_in))[0]
         config = _base_config(args, "lyap", [
             "net", "inits", "ball", "horizon", "burn_in", "directions", "seed",
         ])

@@ -9,6 +9,7 @@ the per-cell log-distance surface is the plot-ready product.
 
 from __future__ import annotations
 
+import copy
 import math
 from contextlib import closing
 from dataclasses import dataclass
@@ -19,9 +20,12 @@ from .model import NetworkParams, ValidationError, _as_count, _as_finite
 from .orbits import (
     Undetermined,
     _batch_size,
+    _cube_directions,
     _cycle,
     _cycles,
+    _detection_params,
     _fan_out,
+    _lyap_params,
     _lyapunov,
     _sample,
     _starts,
@@ -184,11 +188,16 @@ def sweep(
     every network of a batch at once, a batch being at most 64 contiguous
     networks of the grid (fewer for n > 128).  A cell depends only on the
     cycles found (their periods, gaps and rasters up to rotation), never on
-    transients, so the sweep does not locate them.  Rows come back in grid order
+    transients, so the sweep does not locate them.  The run parameters are checked
+    here, before any worker starts.  Rows come back in grid order
     (gammas outer, cs inner); ``progress(done, total, cell)`` is called per
     cell, as the batch holding the cell's last network finishes.
     """
     gammas, cs = list(gammas), list(cs)
+    inits_per_network = _as_count(inits_per_network, "inits_per_network")
+    max_transient, max_period, tol, polish_steps = _detection_params(
+        max_transient, max_period, tol, polish_steps)
+    epsilon_singular = _as_finite(epsilon_singular, "epsilon_singular")
     cells = []
     for g, c, nets in _grid_cells(
         _run_sweep_batch, gammas, cs, networks_per_cell, seed, threads,
@@ -217,18 +226,40 @@ def sweep(
 
 def _lyap_samples(nets, inits: int, rngs, ball_radius: float, num_directions: int, horizon: int,
                   burn_in: int) -> list:
-    """Per network, the rates from inits starts drawn uniformly in its invariant box.
+    """Per network, the rates from inits starts drawn uniformly in its invariant box, every
+    start of every network in one lockstep :func:`_lyapunov` pass.
 
-    Network m draws only from rngs[m], a start then its directions and re-seeds, as lone
-    effective_lyapunov runs do: the networks of one start step in lockstep, the starts in turn.
+    Network m draws only from rngs[m], in the order of a loop of lone effective_lyapunov
+    runs: start 1, its directions, its re-seeds, then start 2, and so on.  Directions do not
+    depend on the state, so each start's are drawn with it, before the pass.  Start i+1 and
+    its directions are drawn from a copy of the stream taken after start i's directions,
+    and each start re-seeds from its own copy.  A start that re-seeds leaves the stream
+    beyond the point its copy was taken at, so the later starts of that network are run
+    again, by this function, from where start i's copy stopped: in one call per first
+    re-seeding start, on the networks that share it.  The parameters are checked by the
+    callers (:func:`orbits._lyap_params`).
     """
-    _as_count(inits, "inits")
-    runs = [
-        _lyapunov(nets, [_starts(net, 1, rng)[0] for net, rng in zip(nets, rngs)],
-                  ball_radius, num_directions, horizon, rngs, burn_in)
-        for _ in range(inits)
-    ]
-    return [list(rates) for rates in zip(*runs)]
+    gens, v0s, dirs = [], [], []
+    for net, rng in zip(nets, rngs):
+        gens.append([])
+        for i in range(inits):
+            if i:
+                rng = copy.deepcopy(rng)  # taken after the previous start's directions
+            gens[-1].append(rng)
+            v0s.append(_starts(net, 1, rng)[0])
+            dirs.append(_cube_directions(rng, num_directions, net.n))
+    shape = (len(nets), inits, nets[0].n)
+    rates, reseeded = _lyapunov(nets, np.reshape(v0s, shape),
+                                np.reshape(dirs, (*shape[:2], num_directions, shape[2])),
+                                ball_radius, horizon, gens, burn_in)
+    first = np.where(reseeded.any(axis=1), reseeded.argmax(axis=1), inits - 1)
+    for i in np.unique(first[first < inits - 1]).tolist():  # the later starts are invalid
+        rerun = np.flatnonzero(first == i).tolist()
+        later = _lyap_samples([nets[m] for m in rerun], inits - 1 - i, [gens[m][i] for m in rerun],
+                              ball_radius, num_directions, horizon, burn_in)
+        for m, rates_m in zip(rerun, later):
+            rates[m][i + 1:] = rates_m
+    return rates
 
 
 def _run_lyap_batch(tasks) -> list:
@@ -255,7 +286,13 @@ def lyapunov_map(
     seed: int = 0,
     threads: int = 1,
 ) -> list[LyapCell]:
-    """Mean finite-ball expansion rate per (gamma, c) cell."""
+    """Mean finite-ball expansion rate per (gamma, c) cell.
+
+    The run parameters are checked here, before any worker starts.
+    """
+    inits_per_network = _as_count(inits_per_network, "inits_per_network")
+    ball_radius, num_directions, horizon, burn_in = _lyap_params(
+        ball_radius, num_directions, horizon, burn_in)
     return [
         LyapCell(gamma=g, c=c, samples=networks_per_cell,
                  mean_lyapunov=float(np.mean([lam for vals in nets for lam in vals])))

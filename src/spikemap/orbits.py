@@ -278,6 +278,15 @@ def _report(net, states, period, transient, phase) -> OrbitReport:
     return OrbitReport(transient, c.period, c.states, c.cycle_raster, c.min_threshold_gap)
 
 
+def _detection_params(max_transient, max_period, tol, polish_steps) -> tuple:
+    """Orbit detection's run parameters, checked once at the public boundary, before any
+    worker starts: max_transient and polish_steps counts >= 0, max_period a count >= 1, tol
+    finite and >= 0."""
+    return (_as_count(max_transient, "max_transient", least=0),
+            _as_count(max_period, "max_period"), _as_finite(tol, "tol", allow_zero=True),
+            _as_count(polish_steps, "polish_steps", least=0))
+
+
 def _cycles(nets, v0s, max_transient, max_period, tol, polish_steps) -> dict:
     """The polished cycle, (states, period), of each start (m, s) of the (M, S, N) states
     v0s that finds one within max_transient + 2*max_period steps, all in lockstep.
@@ -285,11 +294,9 @@ def _cycles(nets, v0s, max_transient, max_period, tol, polish_steps) -> dict:
     nets share one size N.  A row keeps exactly its own arithmetic and control flow.
     Rows scan together; a candidate is polished per row, and a row whose candidate was a
     pseudo-orbit scans on, with the other rejected rows, from where its polish stopped.
-    The states start where the scan met the cycle, not where the start entered it.
+    The states start where the scan met the cycle, not where the start entered it.  The
+    parameters are those :func:`_detection_params` returns.
     """
-    if max_transient < 0 or max_period < 1 or polish_steps < 0:
-        raise ValidationError("need max_transient >= 0, max_period >= 1, polish_steps >= 0")
-    _as_finite(tol, "tol", allow_zero=True)
     stack = _Stack.of(nets)
     v = v0s.copy()
     budget = np.full(v.shape[:2], max_transient + 2 * max_period)
@@ -360,8 +367,8 @@ def find_periodic_orbit(
     Never raises on failure: no recurrence inside the horizon yields
     ``Undetermined(max_transient + 2*max_period)``.
     """
-    return _detect([net], _as_array(v0, (net.n,), "v0"), max_transient, max_period, tol,
-                   polish_steps)[0]
+    v0 = _as_array(v0, (net.n,), "v0")
+    return _detect([net], v0, *_detection_params(max_transient, max_period, tol, polish_steps))[0]
 
 
 @dataclass(frozen=True)
@@ -448,6 +455,8 @@ def omega_sample(
     rotation of their raster first (the raster is exact) and then by state
     proximity within tol.  Undetermined runs are counted, never raised.
     """
+    max_transient, max_period, tol, polish_steps = _detection_params(
+        max_transient, max_period, tol, polish_steps)
     detect = functools.partial(_detect, [net], max_transient=max_transient,
                                max_period=max_period, tol=tol, polish_steps=polish_steps)
     results = _fan_out(detect, list(_starts(net, num_inits, rng)), threads, _BATCH)
@@ -597,57 +606,85 @@ def effective_lyapunov(
 
     Steps on which all companions collapse exactly onto the mother (every
     direction fired) contribute no sample and the companions are re-seeded;
-    if every step collapses the result is -inf.  This is the one-network case
-    of the lockstep estimator that lyapunov_map runs on batches of networks.
+    if every step collapses the result is -inf.  This is the one-start case
+    of the lockstep estimator that lyapunov_map and ``lyap --net`` run on
+    every start of a batch of networks at once.
     """
-    return _lyapunov([net], _as_array(v0, (net.n,), "v0"), ball_radius, num_directions, horizon,
-                     [rng], burn_in)[0]
+    v0 = _as_array(v0, (net.n,), "v0")
+    ball_radius, num_directions, horizon, burn_in = _lyap_params(
+        ball_radius, num_directions, horizon, burn_in)
+    dirs = _cube_directions(rng, num_directions, net.n)  # burn-in draws nothing
+    rates, _ = _lyapunov([net], v0[None, None], dirs[None, None], ball_radius, horizon, [[rng]],
+                         burn_in)
+    return rates[0][0]
 
 
-def _lyapunov(nets, v0s, ball_radius, num_directions, horizon, rngs, burn_in) -> list:
-    """effective_lyapunov of each network of nets (one size N) from its start in v0s, all in
-    lockstep as (M, 1+k, N) states on one stack.  Network m draws only from rngs[m].
+def _lyap_params(ball_radius, num_directions, horizon, burn_in) -> tuple:
+    """The estimator's run parameters, checked once at the public boundary, before any
+    worker starts: ball_radius finite and > 0, num_directions and horizon counts >= 1,
+    burn_in a count >= 0."""
+    return (_as_finite(ball_radius, "ball_radius"), _as_count(num_directions, "num_directions"),
+            _as_count(horizon, "horizon"), _as_count(burn_in, "burn_in", least=0))
 
-    Each step's largest separation per network goes into a block of _LYAP_BLOCK rows, folded
-    into the sums when it fills and after the last step: per network, in step order, one
-    math.log and one float addition per step, the sequence a lone step-at-a-time loop
+
+def _lyapunov(nets, v0s, dirs, ball_radius, horizon, rngs, burn_in) -> tuple:
+    """effective_lyapunov of every start of every network of nets (one size N), all in
+    lockstep.  v0s (M, I, N) holds I starts per network and dirs (M, I, k, N) the directions
+    of each, drawn before the call (burn-in draws nothing); start i of network m re-seeds
+    from rngs[m][i] alone.  The parameters are those :func:`_lyap_params` returns.
+
+    Returns the rates, I per network, and the (M, I) mask of the starts that re-seeded some
+    companion.  A start's copy of the stream is valid only while no earlier start of its
+    network has re-seeded, so the starts after the first that does re-seed nothing: their
+    rates are wrong, and the caller runs them again.
+
+    The states are one (M, I*(1+k), N) array, a mother and its k companions per start,
+    advanced by one step call on the stack of the M networks, whose weights are held
+    once.  Each step's largest separation per start goes into a block of _LYAP_BLOCK rows,
+    folded into the sums when it fills and after the last step: per start, in step order,
+    one math.log and one float addition per step, the sequence a lone step-at-a-time loop
     makes, so each rate is bit-identical to a lone run and memory does not grow with the
     horizon.  A step on which no companion sits on its mother rescales the whole stack in
     place; only one on which some do takes the re-seeding branch.
     """
-    _as_finite(ball_radius, "ball_radius")
-    _as_count(num_directions, "num_directions")
-    _as_count(horizon, "horizon")
-    burn_in = _as_count(burn_in, "burn_in", least=0)
-    stack, n = _Stack.of(nets), nets[0].n
-    mother = np.asarray(v0s, dtype=np.float64).reshape(len(nets), 1, n)
+    stack, (m_nets, inits, n), k = _Stack.of(nets), v0s.shape, dirs.shape[2]
+    mother = v0s
     for _ in range(burn_in):
         mother = step(stack, mother)
-    dirs = np.array([_cube_directions(rng, num_directions, n) for rng in rngs])
-    pts = np.concatenate([mother, mother + ball_radius * dirs], axis=1)
-    totals, samples = [0.0] * len(nets), [0] * len(nets)
+    mother = mother[:, :, None]
+    pts = np.concatenate([mother, mother + ball_radius * dirs], axis=2)
+    totals, samples = [0.0] * (m_nets * inits), [0] * (m_nets * inits)
+    reseeded = np.zeros((m_nets, inits), bool)
     rows = min(horizon, _LYAP_BLOCK)
-    block = np.empty((rows, len(nets), 1))
+    block = np.empty((rows, m_nets, inits, 1))
     for t in range(horizon):
-        pts = step(stack, pts)  # row 0 of each network is the mother, the rest its companions
-        mother, comps = pts[:, :1], pts[:, 1:]
+        # each start's row 0 is its mother, the rest its companions
+        pts = step(stack, pts.reshape(m_nets, -1, n)).reshape(m_nets, inits, 1 + k, n)
+        mother, comps = pts[:, :, :1], pts[:, :, 1:]
         diff = comps - mother
-        seps = np.maximum.reduce(np.abs(diff), axis=2, keepdims=True)
+        # each companion's largest |difference|, reduced over a leading axis: numpy reduces
+        # a short last axis one output at a time
+        seps = np.maximum.reduce(np.abs(diff.transpose(3, 0, 1, 2), order="C"), axis=0)[..., None]
         row = t % rows
-        np.maximum.reduce(seps, axis=1, out=block[row])
-        if np.minimum.reduce(seps, axis=None) > 0.0:
+        np.maximum.reduce(seps, axis=2, out=block[row])
+        if np.count_nonzero(seps) == seps.size:
             diff *= ball_radius / seps
             np.add(mother, diff, out=comps)
         else:
             # a dead companion sits on its mother: divided by 1, it stays there until re-seeded
             dead = seps[..., 0] == 0.0
             comps[...] = mother + diff * (ball_radius / np.where(dead, 1.0, seps[..., 0]))[..., None]
-            for m in np.flatnonzero(dead.any(axis=1)).tolist():
-                d = int(np.count_nonzero(dead[m]))
-                comps[m, dead[m]] = mother[m] + ball_radius * _cube_directions(rngs[m], d, n)
+            for m, i in np.argwhere(dead.any(axis=2)).tolist():
+                if reseeded[m, :i].any():  # an earlier start moved the stream: this one is rerun
+                    continue
+                d = int(np.count_nonzero(dead[m, i]))
+                comps[m, i, dead[m, i]] = mother[m, i] + ball_radius * _cube_directions(
+                    rngs[m][i], d, n)
+                reseeded[m, i] = True
         if row == rows - 1 or t == horizon - 1:  # fold the block into the sums
-            for m, col in enumerate((block[:row + 1, :, 0] / ball_radius).T):
+            for j, col in enumerate((block[:row + 1].reshape(row + 1, -1) / ball_radius).T):
                 live = col[col != 0.0].tolist()  # 0: every companion collapsed, no sample
-                totals[m] = functools.reduce(operator.add, map(math.log, live), totals[m])
-                samples[m] += len(live)
-    return [t / k if k else -math.inf for t, k in zip(totals, samples)]
+                totals[j] = functools.reduce(operator.add, map(math.log, live), totals[j])
+                samples[j] += len(live)
+    rates = [t / s if s else -math.inf for t, s in zip(totals, samples)]
+    return [rates[j:j + inits] for j in range(0, len(rates), inits)], reseeded

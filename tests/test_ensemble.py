@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -137,22 +138,110 @@ class TestLyapunovMap:
         assert serial == parallel
 
     @pytest.mark.parametrize("burn_in", [-1, 1.5, "3", True])
-    def test_burn_in_is_a_count(self, burn_in):
-        # checked in the worker, and raised as a ValidationError through the pool
+    def test_burn_in_is_a_count(self, burn_in, no_pool):
+        # checked in lyapunov_map, before the process pool starts
         with pytest.raises(sm.ValidationError):
             sm.lyapunov_map([0.5], [1.0, 2.0], n=3, networks_per_cell=1, inits_per_network=1,
                             ball_radius=1e-3, horizon=10, burn_in=burn_in, threads=2)
 
     def test_a_batch_steps_on_one_stack(self, monkeypatch):
-        # 12 networks in one batch: one step call per step of each start, not per network
-        calls = []
-        step = orbits.step
-
-        def counting_step(net, v):
-            calls.append(isinstance(net, _Stack))
-            return step(net, v)
-
-        monkeypatch.setattr(orbits, "step", counting_step)
+        # 12 networks in one batch, 2 starts each: one step call per step for all of them
+        stacks = stacked_steps(monkeypatch)
         sm.lyapunov_map([0.4, 0.7], [0.5, 2.0], n=4, networks_per_cell=3, inits_per_network=2,
                         ball_radius=1e-3, horizon=50, burn_in=7, seed=2)
-        assert len(calls) == 2 * (7 + 50) and all(calls)
+        assert stacks == [12] * (7 + 50)
+
+    def test_a_start_that_re_seeds_reruns_its_network_alone(self, monkeypatch):
+        # the second network fires every neuron on every step, so its first start re-seeds
+        # its companions and moves its stream: its second start takes one more pass, alone
+        stacks = stacked_steps(monkeypatch)
+        nets = [sm.NetworkParams(n=3, gamma=0.5, theta=1.0, weights=np.zeros((3, 3)),
+                                 i_ext=np.full(3, drive)) for drive in (0.0, 2.0)]
+        rates = ensemble._lyap_samples(nets, 2, [np.random.default_rng(s) for s in (1, 2)],
+                                       1e-3, 4, 50, 7)
+        assert stacks == [2] * (7 + 50) + [1] * (7 + 50)
+        assert rates[1] == [-math.inf, -math.inf]
+
+    def test_weights_are_held_once_per_network(self, monkeypatch):
+        # every start of a network steps on its one weight matrix, so a batch holds at most
+        # the 2^20 weights _batch_size allows whatever the number of starts
+        stacks = []
+        of = _Stack.of
+
+        def recorded(nets):
+            stacks.append(of(nets))
+            return stacks[-1]
+
+        monkeypatch.setattr(_Stack, "of", staticmethod(recorded))
+        sm.lyapunov_map([0.4, 0.7], [0.5, 2.0], n=4, networks_per_cell=3, inits_per_network=3,
+                        ball_radius=1e-3, horizon=20, burn_in=2, seed=2)
+        assert [s.weights.shape for s in stacks] == [(12, 1, 4, 4)]
+
+
+def stacked_steps(monkeypatch) -> list:
+    """The number of networks of each step call the Lyapunov estimator makes from now on;
+    every call must be on a stack."""
+    stacks = []
+    step = orbits.step
+
+    def counting_step(net, v):
+        assert isinstance(net, _Stack)
+        stacks.append(net.weights.shape[0])
+        return step(net, v)
+
+    monkeypatch.setattr(orbits, "step", counting_step)
+    return stacks
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if it starts a process pool."""
+    def pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+
+
+@pytest.mark.usefixtures("no_pool")
+class TestValidatedBeforeThePool:
+    """Every run parameter is refused before a process pool starts."""
+
+    LYAP = dict(n=3, networks_per_cell=1, inits_per_network=1, ball_radius=1e-3, horizon=10,
+                threads=2)
+    SWEEP = dict(n=3, networks_per_cell=1, inits_per_network=1, max_transient=10, max_period=5,
+                 threads=2)
+    NET = sm.NetworkParams(n=2, gamma=0.5, theta=1.0, weights=np.zeros((2, 2)), i_ext=np.zeros(2))
+
+    def test_a_valid_run_would_start_the_pool(self):
+        with pytest.raises(AssertionError, match="process pool"):
+            sm.lyapunov_map([0.5], [1.0, 2.0], **self.LYAP)
+        with pytest.raises(AssertionError, match="process pool"):
+            sm.sweep([0.5], [1.0, 2.0], **self.SWEEP)
+        with pytest.raises(AssertionError, match="process pool"):
+            sm.omega_sample(self.NET, 4, np.random.default_rng(0), threads=2)
+
+    @pytest.mark.parametrize("key, value", [
+        ("inits_per_network", 0), ("inits_per_network", 1.0), ("ball_radius", 0.0),
+        ("ball_radius", math.nan), ("horizon", 0), ("horizon", 2.5), ("num_directions", 0),
+        ("num_directions", True),
+    ])
+    def test_lyapunov_map(self, key, value):
+        with pytest.raises(sm.ValidationError):
+            sm.lyapunov_map([0.5], [1.0, 2.0], **{**self.LYAP, key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("inits_per_network", 0), ("inits_per_network", 2.0), ("max_transient", -1),
+        ("max_transient", 2.5), ("max_period", 0), ("max_period", 1.5), ("tol", -1.0),
+        ("tol", math.inf), ("polish_steps", -1), ("polish_steps", True),
+        ("epsilon_singular", 0.0), ("epsilon_singular", math.nan),
+    ])
+    def test_sweep(self, key, value):
+        with pytest.raises(sm.ValidationError):
+            sm.sweep([0.5], [1.0, 2.0], **{**self.SWEEP, key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_transient", 2.5), ("max_period", 0), ("tol", math.nan), ("polish_steps", True),
+    ])
+    def test_omega_sample(self, key, value):
+        with pytest.raises(sm.ValidationError):
+            sm.omega_sample(self.NET, 4, np.random.default_rng(0), threads=2, **{key: value})

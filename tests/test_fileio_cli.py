@@ -493,6 +493,17 @@ class TestCliLyap:
         for row in rows[1:]:
             assert abs(float(row.split(",")[1]) - math.log(0.5)) <= 1e-9
 
+    def test_net_matches_the_golden_file(self, tmp_path, monkeypatch, capsys):
+        # tests/data/lyap_net.csv is this command's output, run in tests/data with each start
+        # estimated after the one before.  The net has quarter weights and gamma 0, so every
+        # W z sum is exact in any BLAS order.  At this ball every start re-seeds some
+        # companions, which moves the shared stream before the next start is drawn
+        monkeypatch.chdir(DATA)
+        out = tmp_path / "lyap.csv"
+        assert main(["lyap", "--net", "orbit_gamma0_net.json", "--inits", "3", "--ball", "0.5",
+                     "--seed", "9", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "lyap_net.csv").read_bytes()
+
     def test_ensemble_mode(self, tmp_path):
         assert main(["lyap", "--n", "3", "--gammas", "0.5", "--cs", "0.0",
                      "--networks", "2", "--inits", "1", "--horizon", "100",

@@ -201,6 +201,9 @@ class TestFindPeriodicOrbit:
             sm.find_periodic_orbit(example1_net(), [0.0], max_period=0)
         with pytest.raises(sm.ValidationError):
             sm.find_periodic_orbit(example1_net(), [0.0], tol=-1.0)
+        for horizons in ({"max_transient": 2.5}, {"max_period": 1.5}, {"polish_steps": True}):
+            with pytest.raises(sm.ValidationError):  # counts are integers
+                sm.find_periodic_orbit(example1_net(), [0.0], **horizons)
 
 
 class TestOmegaSample:
@@ -699,8 +702,12 @@ class TestLyapunovLockstep:
                 quiescent_net(gamma=0.5)]
         v0s = [np.full(3, 2.0), np.random.default_rng(5).uniform(-1.0, 1.5, 3), np.zeros(3)]
         seeds = (7, 2, 3)
-        rates = orbits._lyapunov(nets, v0s, 0.1, 4, horizon,
-                                 [np.random.default_rng(s) for s in seeds], 5)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        dirs = np.array([[orbits._cube_directions(rng, 4, 3)] for rng in rngs])
+        rates, reseeded = orbits._lyapunov(nets, np.reshape(v0s, (3, 1, 3)), dirs, 0.1, horizon,
+                                           [[rng] for rng in rngs], 5)
+        assert reseeded.tolist() == [[True], [True], [False]]
+        rates = [rate for rate, in rates]
         runs = [looped_lyapunov(net, v0, 0.1, 4, horizon, np.random.default_rng(s), burn_in=5)
                 for net, v0, s in zip(nets, v0s, seeds)]
         assert runs[0] == (-math.inf, 0, horizon)
