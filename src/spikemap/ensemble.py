@@ -10,13 +10,14 @@ the per-cell log-distance surface is the plot-ready product.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkParams, ValidationError, _as_count, _as_finite
+from .model import NetworkParams, ValidationError, _as_count, _as_finite, _as_gamma, _as_number
 from .orbits import (
     Undetermined,
     _batch_size,
@@ -47,7 +48,11 @@ LOG10_FLOOR = 1e-300  # keeps the geometric mean finite when an orbit sits exact
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Distribution of one random network: size, coupling scale, and map parameters."""
+    """Distribution of one random network: size, coupling scale, and map parameters.
+
+    Every field is checked here and held as an int or a float: n and the map parameters
+    by the rules of :class:`NetworkParams`, c finite and >= 0.  i_ext drives every neuron.
+    """
 
     n: int
     c: float
@@ -56,8 +61,14 @@ class EnsembleSpec:
     i_ext: float = 0.0
 
     def __post_init__(self):
-        _as_count(self.n, "n")
-        _as_finite(self.c, "c", allow_zero=True)
+        object.__setattr__(self, "n", _as_count(self.n, "n"))
+        object.__setattr__(self, "c", _as_finite(self.c, "c", allow_zero=True))
+        object.__setattr__(self, "gamma", _as_gamma(self.gamma))
+        object.__setattr__(self, "theta", _as_finite(self.theta, "theta"))
+        i_ext = _as_number(self.i_ext, "i_ext")
+        if not math.isfinite(i_ext):
+            raise ValidationError(f"i_ext must be finite, got {i_ext}")
+        object.__setattr__(self, "i_ext", i_ext)
 
 
 def sample_network(spec: EnsembleSpec, rng: np.random.Generator) -> NetworkParams:
@@ -95,58 +106,44 @@ class LyapCell:
     mean_lyapunov: float
 
 
-def _float_bits(x: float) -> int:
-    return int(np.float64(x).view(np.uint64))
-
-
 def _stream(seed: int, gamma: float, c: float, *indices: int) -> np.random.Generator:
     """Rng keyed by the cell's parameter values, so results are independent of grid order."""
-    key = [int(seed), _float_bits(gamma), _float_bits(c), *[int(i) for i in indices]]
-    return np.random.default_rng(np.random.SeedSequence(key))
+    bits = np.array([gamma, c], dtype=np.float64).view(np.uint64).tolist()  # the values' bits
+    return np.random.default_rng(np.random.SeedSequence([int(seed), *bits, *map(int, indices)]))
 
 
-def _draw_network(seed: int, gamma: float, c: float, net_idx: int, n: int,
-                  theta: float, i_ext: float) -> NetworkParams:
-    """Network net_idx of the (gamma, c) cell, drawn from its own value-keyed stream."""
-    spec = EnsembleSpec(n=n, c=c, gamma=gamma, theta=theta, i_ext=i_ext)
-    return sample_network(spec, _stream(seed, gamma, c, net_idx))
-
-
-def _grid_cells(worker, gammas, cs, networks_per_cell: int, seed: int, threads: int, n: int,
-                *params):
+def _grid_cells(worker, gammas, cs, networks_per_cell: int, threads: int, **spec):
     """Run worker on every network of the (gamma, c) grid, a batch of networks at a time.
 
-    A task is (seed, gamma, c, network index, n, *params), and worker takes a
-    batch of tasks and returns one result per task.  The batches are
-    contiguous, of at most _batch_size(n) networks, and at least threads of
-    them.  Yields (gamma, c, [one result per network]) per cell in grid order
-    (gammas outer, cs inner), each as soon as the batch holding its last
-    network is done.
+    Each cell is an EnsembleSpec of its gamma, its c and the fields in spec, all checked
+    here, before any worker starts.  A task is (cell spec, network index), and worker
+    takes a batch of tasks and returns one result per task.  The batches are contiguous,
+    of at most _batch_size(n) networks, and at least threads of them.  Yields
+    (cell spec, [one result per network]) per cell in grid order (gammas outer, cs
+    inner), each as soon as the batch holding its last network is done.
     """
-    gammas = [float(g) for g in gammas]
-    cs = [float(c) for c in cs]
-    if not gammas or not cs:
+    cs = list(cs)
+    grid = [EnsembleSpec(gamma=g, c=c, **spec) for g in gammas for c in cs]
+    if not grid:
         raise ValidationError("gamma and c grids must be nonempty")
     _as_count(networks_per_cell, "networks_per_cell")
-    grid = [(g, c) for g in gammas for c in cs]
-    tasks = [(seed, g, c, k, n, *params) for g, c in grid for k in range(networks_per_cell)]
-    with closing(_fan_out(worker, tasks, threads, _batch_size(n))) as results:
-        for g, c in grid:
-            yield g, c, [next(results) for _ in range(networks_per_cell)]
+    tasks = [(cell, k) for cell in grid for k in range(networks_per_cell)]
+    with closing(_fan_out(worker, tasks, threads, _batch_size(grid[0].n))) as results:
+        for cell in grid:
+            yield cell, [next(results) for _ in range(networks_per_cell)]
 
 
-def _run_sweep_batch(tasks) -> list:
+def _run_sweep_batch(tasks, *, seed, inits, max_transient, max_period, tol, polish_steps,
+                     epsilon_singular) -> list:
     """(regime kind, attractor gap or None, periods, undetermined count) per network.
 
     Every start of every network in the batch is detected in one lockstep call.  A cell
     reads each cycle's period, gap and raster up to rotation alone, none of which depends
     on when or at which phase a start entered its cycle, so no entry pass is run.
     """
-    nets, starts = [], []
-    for seed, gamma, c, net_idx, n, theta, i_ext, inits, *_ in tasks:
-        nets.append(_draw_network(seed, gamma, c, net_idx, n, theta, i_ext))
-        starts.append(_starts(nets[-1], inits, _stream(seed, gamma, c, net_idx, 1)))
-    max_transient, max_period, tol, polish_steps, epsilon_singular = tasks[0][-5:]
+    nets = [sample_network(spec, _stream(seed, spec.gamma, spec.c, k)) for spec, k in tasks]
+    starts = [_starts(net, inits, _stream(seed, spec.gamma, spec.c, k, 1))
+              for net, (spec, k) in zip(nets, tasks)]
     horizon = max_transient + 2 * max_period
     cycles = _cycles(nets, np.array(starts), max_transient, max_period, tol, polish_steps)
     out = []
@@ -188,8 +185,9 @@ def sweep(
     every network of a batch at once, a batch being at most 64 contiguous
     networks of the grid (fewer for n > 128).  A cell depends only on the
     cycles found (their periods, gaps and rasters up to rotation), never on
-    transients, so the sweep does not locate them.  The run parameters are checked
-    here, before any worker starts.  Rows come back in grid order
+    transients, so the sweep does not locate them.  Every argument is checked here,
+    before any worker starts: each grid cell as an :class:`EnsembleSpec` of its gamma
+    and c with n, theta and i_ext, and the run parameters.  Rows come back in grid order
     (gammas outer, cs inner); ``progress(done, total, cell)`` is called per
     cell, as the batch holding the cell's last network finishes.
     """
@@ -197,13 +195,13 @@ def sweep(
     inits_per_network = _as_count(inits_per_network, "inits_per_network")
     max_transient, max_period, tol, polish_steps = _detection_params(
         max_transient, max_period, tol, polish_steps)
-    epsilon_singular = _as_finite(epsilon_singular, "epsilon_singular")
+    run = functools.partial(
+        _run_sweep_batch, seed=seed, inits=inits_per_network, max_transient=max_transient,
+        max_period=max_period, tol=tol, polish_steps=polish_steps,
+        epsilon_singular=_as_finite(epsilon_singular, "epsilon_singular"))
     cells = []
-    for g, c, nets in _grid_cells(
-        _run_sweep_batch, gammas, cs, networks_per_cell, seed, threads,
-        n, theta, i_ext, inits_per_network, max_transient, max_period, tol, polish_steps,
-        epsilon_singular,
-    ):
+    for spec, nets in _grid_cells(run, gammas, cs, networks_per_cell, threads,
+                                  n=n, theta=theta, i_ext=i_ext):
         dists = [d for _, d, _, _ in nets if d is not None]
         periods = [p for _, _, ps, _ in nets for p in ps]
         death = sum(kind == "NeuralDeath" for kind, _, _, _ in nets) / networks_per_cell
@@ -215,7 +213,7 @@ def sweep(
         avg_p = float(np.mean(periods)) if periods else math.nan
         undet_frac = sum(u for _, _, _, u in nets) / (networks_per_cell * inits_per_network)
         cells.append(SweepCell(
-            gamma=g, c=c, samples=networks_per_cell,
+            gamma=spec.gamma, c=spec.c, samples=networks_per_cell,
             avg_d_as=avg_d, log10_d_as=log_d, death_fraction=death,
             avg_period=avg_p, undetermined_fraction=undet_frac,
         ))
@@ -262,11 +260,10 @@ def _lyap_samples(nets, inits: int, rngs, ball_radius: float, num_directions: in
     return rates
 
 
-def _run_lyap_batch(tasks) -> list:
+def _run_lyap_batch(tasks, *, seed, inits, ball_radius, num_directions, horizon, burn_in) -> list:
     """The rates of each task's network and starts, every network of the batch in lockstep."""
-    *_, n, theta, i_ext, inits, ball_radius, num_directions, horizon, burn_in = tasks[0]
-    nets = [_draw_network(seed, gamma, c, k, n, theta, i_ext) for seed, gamma, c, k, *_ in tasks]
-    rngs = [_stream(seed, gamma, c, k, 2) for seed, gamma, c, k, *_ in tasks]
+    nets = [sample_network(spec, _stream(seed, spec.gamma, spec.c, k)) for spec, k in tasks]
+    rngs = [_stream(seed, spec.gamma, spec.c, k, 2) for spec, k in tasks]
     return _lyap_samples(nets, inits, rngs, ball_radius, num_directions, horizon, burn_in)
 
 
@@ -288,16 +285,16 @@ def lyapunov_map(
 ) -> list[LyapCell]:
     """Mean finite-ball expansion rate per (gamma, c) cell.
 
-    The run parameters are checked here, before any worker starts.
+    Every argument is checked here, before any worker starts, as :func:`sweep` checks it.
     """
-    inits_per_network = _as_count(inits_per_network, "inits_per_network")
     ball_radius, num_directions, horizon, burn_in = _lyap_params(
         ball_radius, num_directions, horizon, burn_in)
+    run = functools.partial(
+        _run_lyap_batch, seed=seed, inits=_as_count(inits_per_network, "inits_per_network"),
+        ball_radius=ball_radius, num_directions=num_directions, horizon=horizon, burn_in=burn_in)
     return [
-        LyapCell(gamma=g, c=c, samples=networks_per_cell,
+        LyapCell(gamma=spec.gamma, c=spec.c, samples=networks_per_cell,
                  mean_lyapunov=float(np.mean([lam for vals in nets for lam in vals])))
-        for g, c, nets in _grid_cells(
-            _run_lyap_batch, gammas, cs, networks_per_cell, seed, threads,
-            n, theta, i_ext, inits_per_network, ball_radius, num_directions, horizon, burn_in,
-        )
+        for spec, nets in _grid_cells(run, gammas, cs, networks_per_cell, threads,
+                                      n=n, theta=theta, i_ext=i_ext)
     ]

@@ -3,17 +3,20 @@ transition-graph JSON, orbit-report JSON, and sweep/heatmap/lyap CSV.
 
 Every CSV starts with ``# key=value`` comment lines echoing the effective
 configuration, and the graph and orbit JSON embed it under ``"config"``.
-Floats are written in shortest round-trip form.  The network, trajectory,
-raster and sweep readers reproduce the written objects exactly; the graph
-and orbit readers return the parsed JSON as a plain dict, and the heatmap
-and lyap CSVs, made for plotting, have no reader.
+Floats are written in shortest round-trip form.  A sweep or lyap CSV has a
+column per field of SweepCell or LyapCell, named after it and in declared
+order.  The network, trajectory, raster and sweep readers reproduce the
+written objects exactly; the graph and orbit readers return the parsed JSON
+as a plain dict, and the heatmap and lyap CSVs, made for plotting, have no reader.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -221,39 +224,40 @@ def read_orbits_json(path) -> dict:
     return _read_json(path)
 
 
-SWEEP_HEADER = "gamma,c,samples,avg_d_as,log10_d_as,death_fraction,avg_period,undetermined_fraction"
+@functools.cache
+def _columns(cls) -> tuple:
+    """The CSV columns of a cell dataclass: its field names in declared order, and their types."""
+    names, hints = tuple(f.name for f in dataclasses.fields(cls)), get_type_hints(cls)
+    return names, tuple(hints[name] for name in names)
+
+
+SWEEP_HEADER = ",".join(_columns(SweepCell)[0])
+
+
+def _write_cells(path, cls, cells, config: Optional[dict]) -> None:
+    """One row per cell, its fields in column order: an int by ``str``, a float by fmt_float."""
+    names, kinds = _columns(cls)
+    columns = [(name, str if kind is int else fmt_float) for name, kind in zip(names, kinds)]
+    _write_csv(path, config, ",".join(names), (
+        ",".join([fmt(getattr(cell, name)) for name, fmt in columns]) for cell in cells))
 
 
 def write_sweep_csv(path, cells: list[SweepCell], config: Optional[dict] = None) -> None:
-    _write_csv(path, config, SWEEP_HEADER, (
-        ",".join([
-            fmt_float(cell.gamma),
-            fmt_float(cell.c),
-            str(cell.samples),
-            fmt_float(cell.avg_d_as),
-            fmt_float(cell.log10_d_as),
-            fmt_float(cell.death_fraction),
-            fmt_float(cell.avg_period),
-            fmt_float(cell.undetermined_fraction),
-        ])
-        for cell in cells
-    ))
+    _write_cells(path, SweepCell, cells, config)
 
 
 def read_sweep_csv(path) -> tuple[dict, list[SweepCell]]:
     config, rows = _read_csv(path)
     if not rows or rows[0] != SWEEP_HEADER:
         raise ValidationError(f"sweep file {path} has an unexpected header")
+    kinds = _columns(SweepCell)[1]
     cells = []
     for row in rows[1:]:
+        values = row.split(",")
         try:
-            g, c, samples, avg_d, log_d, death, period, undet = row.split(",")
-            cells.append(SweepCell(
-                gamma=float(g), c=float(c), samples=int(samples),
-                avg_d_as=float(avg_d), log10_d_as=float(log_d),
-                death_fraction=float(death), avg_period=float(period),
-                undetermined_fraction=float(undet),
-            ))
+            if len(values) != len(kinds):
+                raise ValueError(f"{len(values)} fields, want {len(kinds)}")
+            cells.append(SweepCell(*[kind(value) for kind, value in zip(kinds, values)]))
         except ValueError as e:
             raise ValidationError(f"sweep file {path} has a malformed row: {e}") from e
     return config, cells
@@ -271,8 +275,4 @@ def write_heatmap_csv(path, cells: list[SweepCell], gammas, cs, config: Optional
 
 
 def write_lyap_csv(path, cells: list[LyapCell], config: Optional[dict] = None) -> None:
-    _write_csv(path, config, "gamma,c,samples,mean_lyapunov", (
-        ",".join([fmt_float(cell.gamma), fmt_float(cell.c), str(cell.samples),
-                  fmt_float(cell.mean_lyapunov)])
-        for cell in cells
-    ))
+    _write_cells(path, LyapCell, cells, config)

@@ -16,6 +16,7 @@ collapsing fired directions to a point.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -87,10 +88,18 @@ def _as_number(x, name: str) -> float:
 def _as_finite(x: float, name: str, allow_zero: bool = False) -> float:
     """x as a float, checked finite and > 0 (>= 0 with allow_zero); NaN fails both."""
     x = _as_number(x, name)
-    if not (np.isfinite(x) and (x >= 0.0 if allow_zero else x > 0.0)):
+    if not (math.isfinite(x) and (x >= 0.0 if allow_zero else x > 0.0)):
         bound = ">= 0" if allow_zero else "> 0"
         raise ValidationError(f"{name} must be finite and {bound}, got {x}")
     return x
+
+
+def _as_gamma(x) -> float:
+    """The leak factor x as a float, checked to lie in [0, 1)."""
+    gamma = _as_number(x, "gamma")
+    if not (0.0 <= gamma < 1.0):
+        raise ValidationError(f"gamma must lie in [0, 1), got {gamma}")
+    return gamma
 
 
 # The firing test, the one place the threshold decision is made: exactly
@@ -122,10 +131,8 @@ class NetworkParams:
 
     def __post_init__(self):
         n = _as_count(self.n, "n")
-        gamma = _as_number(self.gamma, "gamma")
+        gamma = _as_gamma(self.gamma)
         theta = _as_finite(self.theta, "theta")
-        if not (0.0 <= gamma < 1.0):
-            raise ValidationError(f"gamma must lie in [0, 1), got {gamma}")
         w = _as_array(self.weights, (n, n), "weights")
         ie = _as_array(self.i_ext, (n,), "i_ext")
         w.flags.writeable = False

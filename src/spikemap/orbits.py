@@ -29,6 +29,7 @@ from .model import (
     _as_array,
     _as_count,
     _as_finite,
+    _as_gamma,
     _as_number,
     _fires,
     compute_bounds,
@@ -217,8 +218,7 @@ def _locate_entries(stack, v0, cycles: dict, tol, cap) -> dict:
     of v0[m, s] comes within tol of a state of its cycle (same firing pattern, max
     distance <= tol), and the lowest phase k it hits then; (cap, 0) if it never does.
 
-    The trajectories advance in lockstep from v0, each compared only with its own cycle;
-    networks whose rows are all located drop out as :func:`_keep_live` allows.
+    The trajectories advance in lockstep from v0, each compared only with its own cycle.
     """
     if not cycles:
         return {}
@@ -228,16 +228,12 @@ def _locate_entries(stack, v0, cycles: dict, tol, cap) -> dict:
     states = np.concatenate([cycles[key] for key in keys])
     net, start = np.array(keys)[owner].T  # each cycle state's row in v
     pattern = _patterns(states, np.broadcast_to(stack.theta, (len(v0), 1, 1))[net, 0])
-    entries, idx, sub, v, left = {}, np.arange(len(v0)), stack, v0, True
+    entries, v = {}, v0
     for t in range(cap + 1):
-        if left:
-            idx, sub, v = _keep_live(np.isin(idx, net), idx, sub, v)
-            at = np.searchsorted(idx, net)  # each cycle state's network in sub
-        hit = np.flatnonzero(_patterns(v, sub.theta)[at, start] == pattern)
+        hit = np.flatnonzero(_patterns(v, stack.theta)[net, start] == pattern)
         if hit.size:
-            hit = hit[np.abs(v[at[hit], start[hit]] - states[hit]).max(axis=-1) <= tol]
-        left = hit.size > 0
-        if left:
+            hit = hit[np.abs(v[net[hit], start[hit]] - states[hit]).max(axis=-1) <= tol]
+        if hit.size:
             done, first = np.unique(owner[hit], return_index=True)  # the lowest phase per row
             entries.update((keys[r], (t, int(phase[i]))) for r, i in zip(done, hit[first]))
             kept = ~np.isin(owner, done)
@@ -245,7 +241,7 @@ def _locate_entries(stack, v0, cycles: dict, tol, cap) -> dict:
                 a[kept] for a in (owner, phase, states, pattern, net, start))
             if not owner.size:
                 return entries
-        v = step(sub, v)
+        v = step(stack, v)
     return entries | dict.fromkeys((keys[r] for r in np.unique(owner)), (cap, 0))
 
 
@@ -496,8 +492,7 @@ def markov_horizon(epsilon: float, domain_diameter: float, gamma: float) -> int:
     """
     _as_finite(epsilon, "epsilon")
     _as_finite(domain_diameter, "domain_diameter")
-    if not (0.0 <= _as_number(gamma, "gamma") < 1.0):
-        raise ValidationError(f"gamma must lie in [0, 1), got {gamma}")
+    gamma = _as_gamma(gamma)
     if epsilon >= domain_diameter:
         return 0
     if gamma == 0.0:

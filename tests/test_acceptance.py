@@ -241,8 +241,10 @@ def test_criterion_09_ensemble_sweep_phenomenology():
     cs = [float(c) for c in np.linspace(0.25, 3.0, 8)]
     death = {}
     dists = {}
-    results = iter(_run_sweep_batch([(seed, gamma, c, k, n, 1.0, 0.0, 5, 3000, 1000, 1e-10, 20000, 1e-6)
-                                     for gamma in gammas for c in cs for k in range(10)]))
+    results = iter(_run_sweep_batch([(EnsembleSpec(n=n, c=c, gamma=gamma), k)
+                                     for gamma in gammas for c in cs for k in range(10)],
+                                    seed=seed, inits=5, max_transient=3000, max_period=1000,
+                                    tol=1e-10, polish_steps=20000, epsilon_singular=1e-6))
     for gamma in gammas:
         for c in cs:
             kinds, ds = [], []

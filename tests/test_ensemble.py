@@ -37,10 +37,11 @@ class TestSampleNetwork:
         assert np.count_nonzero(np.diag(w)) == 30
 
     def test_spec_validation(self):
-        with pytest.raises(sm.ValidationError):
-            sm.EnsembleSpec(n=0, c=1.0, gamma=0.5)
-        with pytest.raises(sm.ValidationError):
-            sm.EnsembleSpec(n=4, c=-1.0, gamma=0.5)
+        # every field is checked by the spec itself; "0.5" and True are no numbers
+        for bad in [dict(n=0), dict(n=2.0), dict(c=-1.0), dict(c=True), dict(gamma=1.5),
+                    dict(gamma="0.5"), dict(theta=0.0), dict(i_ext=math.inf), dict(i_ext=True)]:
+            with pytest.raises(sm.ValidationError):
+                sm.EnsembleSpec(**{"n": 4, "c": 1.0, "gamma": 0.5, **bad})
 
 
 class TestSweep:
@@ -90,9 +91,9 @@ class TestSweep:
         events = []
         batch = ensemble._run_sweep_batch
 
-        def logged(tasks):
+        def logged(tasks, **params):
             events.append(("batch", len(tasks)))
-            return batch(tasks)
+            return batch(tasks, **params)
 
         monkeypatch.setattr(ensemble, "_run_sweep_batch", logged)
         cs = [0.05 * k for k in range(65)]
@@ -113,8 +114,10 @@ class TestSweep:
         cells = sm.sweep([0.5, 0.875], [0.5, 3.0], n=8, networks_per_cell=2, inits_per_network=3,
                          max_transient=200, max_period=50, seed=2)
         assert min(cell.death_fraction for cell in cells) < 1.0
-        tasks = [(2, 0.875, 3.0, k, 8, 1.0, 0.0, 3, 200, 50, 1e-10, 20_000, 1e-6) for k in range(4)]
-        assert [kind for kind, *_ in ensemble._run_sweep_batch(tasks)] != ["NeuralDeath"] * 4
+        tasks = [(sm.EnsembleSpec(n=8, c=3.0, gamma=0.875), k) for k in range(4)]
+        batch = ensemble._run_sweep_batch(tasks, seed=2, inits=3, max_transient=200, max_period=50,
+                                          tol=1e-10, polish_steps=20_000, epsilon_singular=1e-6)
+        assert [kind for kind, *_ in batch] != ["NeuralDeath"] * 4
 
 
 class TestLyapunovMap:
@@ -204,40 +207,44 @@ def no_pool(monkeypatch):
 
 @pytest.mark.usefixtures("no_pool")
 class TestValidatedBeforeThePool:
-    """Every run parameter is refused before a process pool starts."""
+    """Every run parameter and grid value is refused before a process pool starts."""
 
-    LYAP = dict(n=3, networks_per_cell=1, inits_per_network=1, ball_radius=1e-3, horizon=10,
-                threads=2)
-    SWEEP = dict(n=3, networks_per_cell=1, inits_per_network=1, max_transient=10, max_period=5,
-                 threads=2)
+    LYAP = dict(gammas=[0.5], cs=[1.0, 2.0], n=3, networks_per_cell=1, inits_per_network=1,
+                ball_radius=1e-3, horizon=10, threads=2)
+    SWEEP = dict(gammas=[0.5], cs=[1.0, 2.0], n=3, networks_per_cell=1, inits_per_network=1,
+                 max_transient=10, max_period=5, threads=2)
+    # a grid value or a field every cell's EnsembleSpec shares, on a grid of two cells so that
+    # a valid run would start the pool; "0.5" and True are no numbers
+    GRID = [("gammas", [1.5]), ("gammas", ["0.5"]), ("cs", [1.0, -1.0]), ("cs", [1.0, True]),
+            ("theta", -1.0), ("i_ext", math.nan)]
     NET = sm.NetworkParams(n=2, gamma=0.5, theta=1.0, weights=np.zeros((2, 2)), i_ext=np.zeros(2))
 
     def test_a_valid_run_would_start_the_pool(self):
         with pytest.raises(AssertionError, match="process pool"):
-            sm.lyapunov_map([0.5], [1.0, 2.0], **self.LYAP)
+            sm.lyapunov_map(**self.LYAP)
         with pytest.raises(AssertionError, match="process pool"):
-            sm.sweep([0.5], [1.0, 2.0], **self.SWEEP)
+            sm.sweep(**self.SWEEP)
         with pytest.raises(AssertionError, match="process pool"):
             sm.omega_sample(self.NET, 4, np.random.default_rng(0), threads=2)
 
     @pytest.mark.parametrize("key, value", [
         ("inits_per_network", 0), ("inits_per_network", 1.0), ("ball_radius", 0.0),
         ("ball_radius", math.nan), ("horizon", 0), ("horizon", 2.5), ("num_directions", 0),
-        ("num_directions", True),
+        ("num_directions", True), *GRID,
     ])
     def test_lyapunov_map(self, key, value):
         with pytest.raises(sm.ValidationError):
-            sm.lyapunov_map([0.5], [1.0, 2.0], **{**self.LYAP, key: value})
+            sm.lyapunov_map(**{**self.LYAP, key: value})
 
     @pytest.mark.parametrize("key, value", [
         ("inits_per_network", 0), ("inits_per_network", 2.0), ("max_transient", -1),
         ("max_transient", 2.5), ("max_period", 0), ("max_period", 1.5), ("tol", -1.0),
         ("tol", math.inf), ("polish_steps", -1), ("polish_steps", True),
-        ("epsilon_singular", 0.0), ("epsilon_singular", math.nan),
+        ("epsilon_singular", 0.0), ("epsilon_singular", math.nan), *GRID,
     ])
     def test_sweep(self, key, value):
         with pytest.raises(sm.ValidationError):
-            sm.sweep([0.5], [1.0, 2.0], **{**self.SWEEP, key: value})
+            sm.sweep(**{**self.SWEEP, key: value})
 
     @pytest.mark.parametrize("key, value", [
         ("max_transient", 2.5), ("max_period", 0), ("tol", math.nan), ("polish_steps", True),

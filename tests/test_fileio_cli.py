@@ -200,13 +200,39 @@ class TestSweepFiles:
         assert back == cells
 
     @pytest.mark.parametrize("row", ["0.5,1.0,5,0.1,-1.0,0.0,2.0",
+                                     "0.5,1.0,5,0.1,-1.0,0.0,2.0,0.0,0.0",
                                      "0.5,1.0,five,0.1,-1.0,0.0,2.0,0.0"],
-                             ids=["short", "non-numeric"])
+                             ids=["short", "long", "non-numeric"])
     def test_malformed_row(self, tmp_path, row):
         path = tmp_path / "sweep.csv"
         path.write_text(fileio.SWEEP_HEADER + "\n" + row + "\n")
         with pytest.raises(sm.ValidationError, match="malformed row"):
             fileio.read_sweep_csv(path)
+
+    def test_rows_are_the_fields_joined(self, tmp_path):
+        # samples by str, every other field by fmt_float, in declared order; numpy scalars,
+        # nan, the infinities and -0.0 written as the Python floats they equal
+        sweep = sm.SweepCell(gamma=np.float64(0.5), c=-0.0, samples=np.int64(10), avg_d_as=math.nan,
+                             log10_d_as=-math.inf, death_fraction=np.float32(0.25),
+                             avg_period=math.inf, undetermined_fraction=0.1)
+        lyap = sm.LyapCell(gamma=0.0, c=np.float64(3.0), samples=np.int64(2), mean_lyapunov=-0.0)
+        config = {"seed": 2}
+        fileio.write_sweep_csv(tmp_path / "sweep.csv", [sweep, sweep], config)
+        fileio.write_lyap_csv(tmp_path / "lyap.csv", [lyap], config)
+        row = ",".join([fileio.fmt_float(sweep.gamma), fileio.fmt_float(sweep.c), str(sweep.samples),
+                        fileio.fmt_float(sweep.avg_d_as), fileio.fmt_float(sweep.log10_d_as),
+                        fileio.fmt_float(sweep.death_fraction), fileio.fmt_float(sweep.avg_period),
+                        fileio.fmt_float(sweep.undetermined_fraction)])
+        assert row == "0.5,-0.0,10,nan,-inf,0.25,inf,0.1"
+        assert (tmp_path / "sweep.csv").read_bytes() == (
+            f"# seed=2\n{fileio.SWEEP_HEADER}\n{row}\n{row}\n").encode()
+        assert fileio.SWEEP_HEADER == ("gamma,c,samples,avg_d_as,log10_d_as,death_fraction,"
+                                       "avg_period,undetermined_fraction")
+        row = ",".join([fileio.fmt_float(lyap.gamma), fileio.fmt_float(lyap.c), str(lyap.samples),
+                        fileio.fmt_float(lyap.mean_lyapunov)])
+        assert row == "0.0,3.0,2,-0.0"
+        assert (tmp_path / "lyap.csv").read_bytes() == (
+            f"# seed=2\ngamma,c,samples,mean_lyapunov\n{row}\n").encode()
 
     def test_heatmap_layout(self, tmp_path):
         cells = sm.sweep([0.3, 0.5], [0.0, 1.0], n=3, networks_per_cell=1,

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import spikemap as sm
 from spikemap import orbits
-from spikemap.ensemble import _draw_network, _lyap_samples, _run_sweep_batch, _stream
+from spikemap.ensemble import _lyap_samples, _run_sweep_batch, _stream
 from spikemap.model import _Stack
 from spikemap.orbits import (_batch_size, _brent_scan, _detect, _fan_out, _locate_entries, _sample,
                              _starts)
@@ -389,9 +389,8 @@ class TestSweepCycles:
                                           tol, epsilon_singular, rotation_seed):
         # the sweep reads cycles without the entry pass; its tuples equal those built from
         # full reports deduped by np.roll rotations, every gap bit for bit
-        tasks = [(seed, gamma, c, k, n, 1.0, 0.0, inits, max_transient, max_period, tol, 200,
-                  epsilon_singular) for k, (gamma, c) in enumerate(cells)]
-        nets = [_draw_network(*task[:7]) for task in tasks]
+        tasks = [(sm.EnsembleSpec(n=n, c=c, gamma=gamma), k) for k, (gamma, c) in enumerate(cells)]
+        nets = [sm.sample_network(spec, _stream(seed, spec.gamma, spec.c, k)) for spec, k in tasks]
         starts = [_starts(net, inits, _stream(seed, gamma, c, k, 1))
                   for k, (net, (gamma, c)) in enumerate(zip(nets, cells))]
         reports = _detect(nets, np.array(starts), max_transient, max_period, tol, 200)
@@ -403,7 +402,10 @@ class TestSweepCycles:
             d = np.float64(sm.dist_attractor_to_S(orbits_m)).tobytes() if orbits_m else None
             want.append((kind, d, [o.period for o in orbits_m], undetermined))
         got = [(kind, None if d is None else np.float64(d).tobytes(), periods, undetermined)
-               for kind, d, periods, undetermined in _run_sweep_batch(tasks)]
+               for kind, d, periods, undetermined in _run_sweep_batch(
+                   tasks, seed=seed, inits=inits, max_transient=max_transient,
+                   max_period=max_period, tol=tol, polish_steps=200,
+                   epsilon_singular=epsilon_singular)]
         assert got == want
         # dedupe by slices of the doubled cycle keeps what np.roll keeps, over every report of
         # the batch and a copy of each at a random rotation, in random order
