@@ -156,6 +156,17 @@ def _pattern_index(bits: np.ndarray):
     return bits.astype(np.int64) @ (np.int64(1) << np.arange(bits.shape[-1], dtype=np.int64))
 
 
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Set bits of each mask, counted in parallel within its 64-bit word: per bit pair, nibble
+    and byte, then one multiply sums the bytes into the top one (np.bitwise_count needs numpy 2).
+    """
+    x = masks.astype(np.uint64)
+    x -= (x >> 1) & 0x5555555555555555
+    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
+    return ((x * 0x0101010101010101) >> 56).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class TransitionGraph:
     """Feasibility structure of pattern-to-pattern transitions.
@@ -239,7 +250,7 @@ class TransitionGraph:
 
     def counts(self) -> dict[str, int]:
         """Edge counts by kind over all 2^N x 2^N pairs, computed without enumeration."""
-        cube_dims = self.src_bits[self.free].sum(axis=1, dtype=np.int64)
+        cube_dims = _popcount(self.free)
         conditional = int((1 << cube_dims[cube_dims > 0]).sum())
         unconditional = int(np.count_nonzero(cube_dims == 0))
         illegal = (1 << self.n) ** 2 - unconditional - conditional
@@ -258,7 +269,7 @@ class TransitionGraph:
         """
         num = self.num_patterns
         lo, hi = sources or (0, num)
-        dims = self.src_bits[self.free[lo:hi]].sum(axis=1, dtype=np.int64)
+        dims = _popcount(self.free[lo:hi])
         sizes = np.full(hi - lo, num) if include_illegal else np.int64(1) << dims
         cuts = np.searchsorted(np.cumsum(sizes), np.arange(0, sizes.sum(), _EDGE_BLOCK), "right")
         bounds = [*np.unique(lo + cuts).tolist(), hi]
@@ -294,8 +305,8 @@ def build_transition_graph(net: NetworkParams, cap: int = GRAPH_CAP_DEFAULT) -> 
         raise CapacityError(f"transition graph needs N <= {cap}, got N={net.n}")
     n = net.n
     num = 1 << n
-    idx = np.arange(num, dtype=np.uint64)[:, None]
-    src_bits = ((idx >> np.arange(n, dtype=np.uint64)[None, :]) & 1).astype(np.uint8)
+    src_bits = np.unpackbits(np.arange(num, dtype="<u8")[:, None].view(np.uint8), axis=1,
+                             count=n, bitorder="little")
     currents = _advance(net, 0.0, src_bits.astype(np.float64))  # as step sends a fired neuron
     theta, gamma = net.theta, net.gamma
     v_min = compute_bounds(net).v_min

@@ -187,17 +187,17 @@ def sweep(
     cycles found (their periods, gaps and rasters up to rotation), never on
     transients, so the sweep does not locate them.  Every argument is checked here,
     before any worker starts: each grid cell as an :class:`EnsembleSpec` of its gamma
-    and c with n, theta and i_ext, and the run parameters.  Rows come back in grid order
-    (gammas outer, cs inner); ``progress(done, total, cell)`` is called per
-    cell, as the batch holding the cell's last network finishes.
+    and c with n, theta and i_ext, and the run parameters, the seed an integer >= 0.
+    Rows come back in grid order (gammas outer, cs inner); ``progress(done, total, cell)``
+    is called per cell, as the batch holding the cell's last network finishes.
     """
     gammas, cs = list(gammas), list(cs)
     inits_per_network = _as_count(inits_per_network, "inits_per_network")
     max_transient, max_period, tol, polish_steps = _detection_params(
         max_transient, max_period, tol, polish_steps)
     run = functools.partial(
-        _run_sweep_batch, seed=seed, inits=inits_per_network, max_transient=max_transient,
-        max_period=max_period, tol=tol, polish_steps=polish_steps,
+        _run_sweep_batch, seed=_as_count(seed, "seed", least=0), inits=inits_per_network,
+        max_transient=max_transient, max_period=max_period, tol=tol, polish_steps=polish_steps,
         epsilon_singular=_as_finite(epsilon_singular, "epsilon_singular"))
     cells = []
     for spec, nets in _grid_cells(run, gammas, cs, networks_per_cell, threads,
@@ -290,8 +290,9 @@ def lyapunov_map(
     ball_radius, num_directions, horizon, burn_in = _lyap_params(
         ball_radius, num_directions, horizon, burn_in)
     run = functools.partial(
-        _run_lyap_batch, seed=seed, inits=_as_count(inits_per_network, "inits_per_network"),
-        ball_radius=ball_radius, num_directions=num_directions, horizon=horizon, burn_in=burn_in)
+        _run_lyap_batch, seed=_as_count(seed, "seed", least=0),
+        inits=_as_count(inits_per_network, "inits_per_network"), ball_radius=ball_radius,
+        num_directions=num_directions, horizon=horizon, burn_in=burn_in)
     return [
         LyapCell(gamma=spec.gamma, c=spec.c, samples=networks_per_cell,
                  mean_lyapunov=float(np.mean([lam for vals in nets for lam in vals])))

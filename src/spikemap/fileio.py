@@ -169,7 +169,8 @@ def write_graph_json(
 ) -> None:
     """The graph as ``json.dump({"n", "edges", "config"}, indent=1)`` writes it, but streamed.
 
-    Edges in ``iter_edges`` order (sources, then targets, ascending), assembled in numpy blocks.
+    Edges in ``iter_edges`` order (sources, then targets, ascending), assembled in numpy blocks
+    and written as bytes: each block is its NUL-padded records with the padding dropped.
     """
     n = graph.n
     records = [f',\n  {{\n   "from": "{"F" * n}",\n   "to": "{"T" * n}",\n   "kind": "{kind}"\n  }}'
@@ -178,13 +179,13 @@ def write_graph_json(
     at_from, at_to = records[0].index("F"), records[0].index("T")
     names = graph.src_bits + np.uint8(ord("0"))
     before, _, after = _json_text({"n": n, "edges": []}, config).partition('"edges": []')
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(before + '"edges": [')
+    with open(path, "wb") as f:
+        f.write((before + '"edges": [').encode())
         for i, (a, b, kind) in enumerate(graph._edge_blocks(include_illegal)):
             text = table[kind]
             text[:, at_from:at_from + n], text[:, at_to:at_to + n] = names[a], names[b]
-            f.write(text[text != 0][i == 0:].tobytes().decode())  # the first edge drops its comma
-        f.write("\n ]" + after)
+            f.write(text.tobytes().replace(b"\0", b"")[i == 0:])  # the first edge drops its comma
+        f.write(("\n ]" + after).encode())
 
 
 def read_graph_json(path) -> dict:

@@ -236,24 +236,25 @@ def _trajectory(net: NetworkParams, v: np.ndarray, t_max: int, raster=None) -> n
     """States 0..t_max of the map from v: patterns from the threshold through :func:`step`,
     or, given a raster, ``raster[t]`` drives the step from state t.
 
-    The map is a function of the state's bits and the pattern's, so once Brent's
-    power-of-two anchors catch an exact repeat ``states[t] == states[t - lam]`` the
-    rows after t are copies lagged by lam, made in one gather and never stepped.
-    With a raster they are copies only while ``raster[s] == raster[s - lam]``,
-    compared in doubling windows so the check costs in proportion to the rows it
-    copies; at the first mismatch, stepping resumes with fresh anchors.
+    The map is a function of the state's bits and the pattern's, so once a state repeats
+    bit for bit, ``states[t] == states[t - lam]``, the rows after t are copies lagged by
+    lam, made in one gather and never stepped.  With a raster they are copies only while
+    ``raster[s] == raster[s - lam]``, compared in doubling windows so the check costs in
+    proportion to the rows it copies; at the first mismatch, stepping resumes.  Stepping
+    stops at the first repeat: the hash of each stepped state's bytes is kept with its step
+    (from the start, or from where stepping resumed), and a state whose hash was seen is
+    compared bit for bit with that step's.  A hash two states share only delays the stop.
     """
     states = np.empty((t_max + 1, net.n), dtype=np.float64)
     states[0] = v
-    t, anchor, power, lam = 0, v.tobytes(), 1, 0
+    t, seen = 0, {hash(v.tobytes()): 0}
     while t < t_max:
         v = step(net, v) if raster is None else _advance(net, v, raster[t].astype(np.float64))
-        t, lam = t + 1, lam + 1
+        t += 1
         states[t] = v
         key = v.tobytes()
-        if key != anchor:
-            if lam == power:
-                anchor, power, lam = key, 2 * power, 0
+        lam = t - seen.setdefault(hash(key), t)
+        if not lam or states[t - lam].tobytes() != key:  # a new state, or another one's hash
             continue
         end, width = (t_max, 0) if raster is None else (t, 1)
         while end < t_max:  # the first s >= t with raster[s] != raster[s - lam], if any
@@ -265,7 +266,7 @@ def _trajectory(net: NetworkParams, v: np.ndarray, t_max: int, raster=None) -> n
             end, width = stop, 2 * width
         states[t + 1:end + 1] = states[t + 1 - lam + np.arange(end - t) % lam]
         t, v = end, states[end]
-        anchor, power, lam = v.tobytes(), 1, 0
+        seen = {hash(v.tobytes()): t}
     return states
 
 
@@ -278,10 +279,10 @@ def simulate(
 ) -> Trajectory:
     """Iterate the map t_max times from v0, recording states and the raster.
 
-    t_max is an integer >= 0.  Without noise the map is stepped until a state
-    repeats bit for bit, and the periodic tail after the repeat is copied, not
-    stepped (see :func:`_trajectory`): the same bits, as the map is a function
-    of the state's bits.  With sigma_b > 0 a Gaussian perturbation is added at
+    t_max is an integer >= 0.  Without noise the map is stepped until the first
+    state that repeats an earlier one bit for bit, and the periodic tail after it
+    is copied, not stepped (see :func:`_trajectory`): the same bits, as the map is
+    a function of the state's bits.  With sigma_b > 0 a Gaussian perturbation is added at
     every step (an rng is then required), drawn step by step so that only the
     states are held.  A negative or non-finite sigma_b is rejected.
     """

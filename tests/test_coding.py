@@ -285,6 +285,10 @@ class TestEdgeEnumeration:
         legal = submask_walk_edges(g)
         assert len(legal) > 2 * coding._EDGE_BLOCK
         assert list(g.iter_edges()) == legal
+        tally = {EDGE_UNCONDITIONAL: 0, EDGE_CONDITIONAL: 0, EDGE_ILLEGAL: 4**16 - len(legal)}
+        for _, _, kind in legal:
+            tally[kind] += 1
+        assert tally == g.counts()  # cube sizes from masks two bytes wide
 
 
 class TestGraphAgreesWithStep:

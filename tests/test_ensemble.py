@@ -213,10 +213,10 @@ class TestValidatedBeforeThePool:
                 ball_radius=1e-3, horizon=10, threads=2)
     SWEEP = dict(gammas=[0.5], cs=[1.0, 2.0], n=3, networks_per_cell=1, inits_per_network=1,
                  max_transient=10, max_period=5, threads=2)
-    # a grid value or a field every cell's EnsembleSpec shares, on a grid of two cells so that
-    # a valid run would start the pool; "0.5" and True are no numbers
+    # a grid value, a field every cell's EnsembleSpec shares or the seed, on a grid of two cells
+    # so that a valid run would start the pool; "0.5", "7" and True are no numbers
     GRID = [("gammas", [1.5]), ("gammas", ["0.5"]), ("cs", [1.0, -1.0]), ("cs", [1.0, True]),
-            ("theta", -1.0), ("i_ext", math.nan)]
+            ("theta", -1.0), ("i_ext", math.nan), ("seed", 1.5), ("seed", "7"), ("seed", -1)]
     NET = sm.NetworkParams(n=2, gamma=0.5, theta=1.0, weights=np.zeros((2, 2)), i_ext=np.zeros(2))
 
     def test_a_valid_run_would_start_the_pool(self):
@@ -245,6 +245,12 @@ class TestValidatedBeforeThePool:
     def test_sweep(self, key, value):
         with pytest.raises(sm.ValidationError):
             sm.sweep(**{**self.SWEEP, key: value})
+
+    def test_a_numpy_integer_seed_is_its_int(self):
+        one = dict(self.LYAP, threads=1, cs=[1.0])
+        assert sm.lyapunov_map(**one, seed=np.int64(7)) == sm.lyapunov_map(**one, seed=7)
+        one = dict(self.SWEEP, threads=1, cs=[1.0])
+        assert sm.sweep(**one, seed=np.int64(7)) == sm.sweep(**one, seed=7)
 
     @pytest.mark.parametrize("key, value", [
         ("max_transient", 2.5), ("max_period", 0), ("tol", math.nan), ("polish_steps", True),

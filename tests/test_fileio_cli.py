@@ -166,12 +166,18 @@ class TestTrajectoryAndRasterFiles:
 
 
 class TestGraphFile:
+    # (n, include_illegal): legal edges up to N = 11, where masks are wider than one byte
+    # and N is no multiple of 8; all 4^N edges up to N = 8
+    SIZES = st.booleans().flatmap(
+        lambda ill: st.tuples(st.integers(1, 8 if ill else 11), st.just(ill)))
+
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 8), st.just(0.0) | st.floats(0.0, 0.99), st.integers(0, 2**32 - 1),
-           st.booleans(), st.booleans(), st.integers(1, 300))
-    def test_bytes_match_dict_writer(self, tmp_path_factory, n, gamma, seed, include_illegal,
-                                     with_config, block):
+    @given(SIZES, st.just(0.0) | st.floats(0.0, 0.99), st.integers(0, 2**32 - 1), st.booleans(),
+           st.integers(1, 300))
+    def test_bytes_match_dict_writer(self, tmp_path_factory, size, gamma, seed, with_config,
+                                     block):
         # reference: a list of edge dicts, then json.dump(indent=1)
+        n, include_illegal = size
         tmp = tmp_path_factory.mktemp("graph")
         g = sm.build_transition_graph(quarter_net(np.random.default_rng(seed), n, gamma))
         config = {"net": 'a "quoted" \\path\\n\u00e9t.json', "cap": 16,  # escaped by json

@@ -212,7 +212,9 @@ class TestRepeatedTail:
         net = quarter_net(rng, n, gamma)
         v0 = rng.uniform(*sm.compute_bounds(net), n)
         want = stepped_states(net, v0, t_max)
-        traj = sm.simulate(net, v0, t_max)
+        with mock.patch.object(model, "step", wraps=model.step) as counted:
+            traj = sm.simulate(net, v0, t_max)
+        assert counted.call_count == (first_repeat(want) or (t_max,))[0]  # stepped until then
         assert traj.states.tobytes() == want.tobytes()
         assert traj.raster.tobytes() == (want >= net.theta).astype(np.uint8).tobytes()
         assert sm.reconstruct_trajectory(net, v0, traj.raster).tobytes() == want.tobytes()
@@ -233,16 +235,30 @@ class TestRepeatedTail:
         got = sm.reconstruct_trajectory(net, v0, raster)
         assert got.tobytes() == stepped_states(net, v0, len(raster) - 1, raster).tobytes()
 
+    def test_a_shared_hash_only_delays_the_stop(self):
+        # every state hashes alike, so only a state equal to state 0 could stop the stepping;
+        # this one enters a cycle of period 5 at t = 55 and never returns to state 0
+        rng = np.random.default_rng(31)
+        net = quarter_net(rng, 3, 0.5)
+        v0 = rng.uniform(*sm.compute_bounds(net), 3)
+        want = stepped_states(net, v0, 300)
+        assert first_repeat(want) == (60, 5) and not (want[1:] == want[0]).all(axis=1).any()
+        with mock.patch.object(model, "hash", create=True, new=lambda key: 0):
+            traj = sm.simulate(net, v0, 300)
+            assert traj.states.tobytes() == want.tobytes()
+            assert sm.reconstruct_trajectory(net, v0, traj.raster).tobytes() == want.tobytes()
+
     def test_dead_network_steps_only_until_its_repeat(self):
-        # both neurons fire once, then decay by halves to exactly 0 near t = 1078;
-        # Brent's anchors catch the repeat at t = 2048, and the rest is copied
+        # both neurons fire once, then decay by halves to exactly 0 at t = 1077, which
+        # t = 1078 repeats; the rest is copied
         net = sm.NetworkParams(n=2, gamma=0.5, theta=1.0,
                                weights=[[0.5, -1.0], [1.25, -0.5]], i_ext=[0.0, 0.0])
+        want = stepped_states(net, [1.2, 0.2], 20_000)
         with mock.patch.object(model, "step", wraps=model.step) as counted:
             traj = sm.simulate(net, [1.2, 0.2], 20_000)
-        assert 1_078 <= counted.call_count <= 2_100  # through step, which the tracer counts
+        assert counted.call_count == first_repeat(want)[0]  # through step, which the tracer counts
         assert traj.raster[:2].any() and not traj.states[-1].any()
-        assert traj.states.tobytes() == stepped_states(net, [1.2, 0.2], 20_000).tobytes()
+        assert traj.states.tobytes() == want.tobytes()
 
 
 class TestFiringTimes:
