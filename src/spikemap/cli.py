@@ -8,6 +8,7 @@ under ``--seed``; every output file but the raster embeds its configuration.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -278,6 +279,9 @@ def main(argv=None) -> int:
     try:
         if (getattr(args, "seed", None) or 0) < 0:  # numpy seeds are nonnegative
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+        out_dir = os.path.dirname(args.out) or "."  # checked before any work, not at the write
+        if not os.path.isdir(out_dir):
+            raise ValidationError(f"--out: no directory {out_dir!r}")
         return args.func(args)
     except CapacityError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -158,59 +158,71 @@ def _brent_scan(stack, v, budget, rows, max_period, tol):
                 left = True
 
 
-def _polish(net, x0, period, tol, budget):
-    """Verify and sharpen a candidate cycle.
+def _polish(stack, x0, period, tol, budget):
+    """Verify and sharpen candidate cycles of one period in lockstep: row g of the (G, N)
+    states x0 on network g of the stack, all rows stepping together.
 
-    Iterates x0's own trajectory in chunks of one period and never alters it.
-    The firing pattern must keep repeating the first chunk's pattern sequence,
-    otherwise the candidate was a pseudo-orbit and we reject, returning the
-    first state off the sequence so the caller can resume scanning there.  A
-    coordinate that never fires in the first chunk and receives exactly zero
-    current at every step of it is leaking: it decays as v -> gamma*v towards
-    the subnormals, its only cycle value is 0, and while the patterns repeat it
-    feeds no other coordinate.  Closure is judged on the other coordinates, and
-    the leaking ones are set to 0 in the reported cycle.  Acceptance is by
-    bit-identical chunk recurrence, or by within-tol closure once the budget
-    runs out; division by the pattern check keeps tol-acceptance honest.  On
-    success the minimal period is extracted by divisor reduction.
+    Each row iterates its own trajectory in chunks of one period and never alters it.
+    Its firing pattern must keep repeating its first chunk's pattern sequence, otherwise
+    the candidate was a pseudo-orbit and the row is rejected at the first state off the
+    sequence, where the caller resumes scanning.  A coordinate that never fires in the
+    first chunk and receives exactly zero current at every step of it is leaking: it
+    decays as v -> gamma*v towards the subnormals, its only cycle value is 0, and while
+    the patterns repeat it feeds no other coordinate.  Closure is judged on the other
+    coordinates, and the leaking ones are set to 0 in the reported cycle.  Acceptance is
+    by bit-identical chunk recurrence, or by within-tol closure once the budget runs out;
+    division by the pattern check keeps tol-acceptance honest.  Finished rows leave as
+    :func:`_keep_live` allows; an accepted row's minimal period is then extracted by
+    divisor reduction, one row at a time.  Returns each row's (states, minimal period),
+    or None if rejected, and the (G, N) states the rows stopped at.
     """
     budget = max(budget, 2 * period)
-    chunk = np.empty((period + 1, net.n), dtype=np.float64)
-    cycle = None  # the firing pattern due at each of chunk[1:], from the first chunk
-    x = np.array(x0, dtype=np.float64)
+    found, resume = [None] * len(x0), x0.copy()
+    idx, sub, todo = np.arange(len(x0)), stack, np.ones(len(x0), bool)
+    chunk = np.empty((len(x0), period + 1, x0.shape[-1]))
+    chunk[:, period] = x0
+    cycle = None  # the firing pattern due at each of chunk[:, 1:], from the first chunk
     steps = 0
     while True:
-        chunk[0] = x
+        chunk[:, 0] = chunk[:, period]
         for k in range(1, period + 1):
-            chunk[k] = x = step(net, x)
+            chunk[:, k:k + 1] = step(sub, chunk[:, k - 1:k])
         steps += period
-        patterns = _patterns(chunk, net.theta)
+        patterns = _patterns(chunk, sub.theta)
+        stop = np.full(len(idx), period)  # where a rejected row stopped
         if cycle is None:
-            if patterns[period] != patterns[0]:
-                return None, x
-            cycle = patterns[1:]
-            fired = _fires(chunk[:-1], net.theta)
-            current = _advance(net, 0.0, fired.astype(np.float64))  # W z + i_ext, as step sums it
-            leak = ~fired.any(axis=0) & (current == 0.0).all(axis=0) & (x != 0.0)
+            off = patterns[:, period] != patterns[:, 0]
+            cycle = patterns[:, 1:]
+            fired = _fires(chunk[:, :-1], sub.theta)
+            current = _advance(sub, 0.0, fired.astype(np.float64))  # W z + i_ext, as step sums it
+            leak = ~fired.any(axis=1) & (current == 0.0).all(axis=1) & (chunk[:, period] != 0.0)
         else:
-            off = patterns[1:] != cycle
-            if np.count_nonzero(off):
-                return None, chunk[off.argmax() + 1]  # the first state off the cycle's patterns
-        exact = np.array_equal(chunk[period, ~leak], chunk[0, ~leak])
-        if exact or steps >= budget:
-            break
-    if not exact and max_dist(chunk[period, ~leak], chunk[0, ~leak]) > tol:
-        return None, x
-    states = chunk[:period].copy()
-    states[:, leak] = x[leak] = 0.0
-    minimal = period
-    for d in (d for d in range(1, period) if period % d == 0):  # the proper divisors
-        shifted = np.roll(states, -d, axis=0)
-        if (np.array_equal(shifted, states) if exact else max_dist(shifted, states) <= tol):
-            minimal = d
-            break
-    states = states[:minimal]
-    return (states, minimal), x
+            wrong = patterns[:, 1:] != cycle
+            off = wrong.any(axis=1)
+            stop[off] = wrong[off].argmax(axis=1) + 1  # the first state off the cycle's patterns
+        close = ((chunk[:, period] == chunk[:, 0]) | leak).all(axis=-1)
+        exact, spent = close, steps >= budget
+        if spent:
+            close = close | (np.where(leak, 0.0, np.abs(chunk[:, period] - chunk[:, 0]))
+                             .max(axis=-1) <= tol)
+        done, accepted = todo & (off | close | spent), todo & ~off & close
+        resume[idx[done]] = chunk[done, stop[done]]
+        if accepted.any():
+            ends = np.where(leak[accepted, None], 0.0, chunk[accepted])
+            resume[idx[accepted]] = ends[:, period]
+            for i, states, ex in zip(idx[accepted].tolist(), ends[:, :period],
+                                     exact[accepted].tolist()):
+                minimal = period
+                for d in (d for d in range(1, period) if period % d == 0):  # the proper divisors
+                    shifted = np.roll(states, -d, axis=0)
+                    if (np.array_equal(shifted, states) if ex else max_dist(shifted, states) <= tol):
+                        minimal = d
+                        break
+                found[i] = states[:minimal], minimal
+        todo &= ~done
+        if not todo.any():
+            return found, resume
+        idx, sub, todo, chunk, cycle, leak = _keep_live(todo, idx, sub, todo, chunk, cycle, leak)
 
 
 def _locate_entries(stack, v0, cycles: dict, tol, cap) -> dict:
@@ -288,12 +300,14 @@ def _cycles(nets, v0s, max_transient, max_period, tol, polish_steps) -> dict:
     v0s that finds one within max_transient + 2*max_period steps, all in lockstep.
 
     nets share one size N.  A row keeps exactly its own arithmetic and control flow.
-    Rows scan together; a candidate is polished per row, and a row whose candidate was a
-    pseudo-orbit scans on, with the other rejected rows, from where its polish stopped.
-    The states start where the scan met the cycle, not where the start entered it.  The
-    parameters are those :func:`_detection_params` returns.
+    Rows scan together; the candidates are grouped by period, in row order, and each
+    group is polished in lockstep, in runs of at most :func:`_batch_size` rows whose
+    chunks hold at most _BATCH_WEIGHTS floats.  A row whose candidate was a pseudo-orbit
+    scans on, with the other rejected rows, from where its polish stopped.  The states
+    start where the scan met the cycle, not where the start entered it.  The parameters
+    are those :func:`_detection_params` returns.
     """
-    stack = _Stack.of(nets)
+    stack, n = _Stack.of(nets), v0s.shape[-1]
     v = v0s.copy()
     budget = np.full(v.shape[:2], max_transient + 2 * max_period)
     live = np.ones(v.shape[:2], bool)
@@ -305,11 +319,17 @@ def _cycles(nets, v0s, max_transient, max_period, tol, polish_steps) -> dict:
         lam, used = _brent_scan(stack, v, budget, live, max_period, tol)
         budget -= used
         live &= lam > 0
-        for m, s in np.argwhere(live).tolist():
-            polished, v[m, s] = _polish(nets[m], v[m, s], int(lam[m, s]), tol, polish_steps)
-            if polished is not None:
-                cycles[m, s] = polished
-                live[m, s] = False
+        groups = {}  # the rows of each candidate period, in row order
+        for row, period in zip(map(tuple, np.argwhere(live).tolist()), lam[live].tolist()):
+            groups.setdefault(period, []).append(row)
+        for period, rows in groups.items():
+            run = max(1, min(_batch_size(n), _BATCH_WEIGHTS // ((period + 1) * n)))
+            for i in range(0, len(rows), run):
+                m, s = np.array(rows[i:i + run]).T
+                found, v[m, s] = _polish(stack[m], v[m, s], period, tol, polish_steps)
+                for row, polished in zip(rows[i:i + run], found):
+                    if polished is not None:
+                        cycles[row], live[row] = polished, False
     return cycles
 
 

@@ -173,7 +173,7 @@ def reference_sample(results, tol):
 
 
 def reference_polish(net, x0, period, tol, budget):
-    """orbits._polish one step at a time, independent of its chunked pattern check.
+    """orbits._polish on one row, one step at a time, independent of its chunked pattern check.
 
     After every step the firing pattern, as bytes, must match the first chunk's
     at that phase; a mismatch rejects at once with the state that showed it.  The

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spikemap as sm
-from spikemap import coding, fileio
+from spikemap import cli, coding, fileio
 from spikemap.cli import main
 from conftest import example1_net, quarter_net, random_net, submask_walk_edges
 
@@ -607,3 +607,22 @@ def test_meaningless_arguments_exit_2(argv, ex1_file, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, worker", [
+    (["simulate", "--net", "{net}", "--t-max", "5"], "simulate"),
+    (["graph", "--net", "{net}"], "build_transition_graph"),
+    (_ORBIT, "omega_sample"),
+    (_SWEEP, "sweep"),
+    (_ENSEMBLE_LYAP, "lyapunov_map"),
+    (_NET_LYAP, "_lyap_samples"),
+], ids=["simulate", "graph", "orbit", "sweep", "lyap", "lyap-net"])
+def test_missing_out_directory_exits_2_before_any_work(argv, worker, ex1_file, tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(cli, worker, lambda *a, **k: pytest.fail(f"{worker} ran"))
+    missing = tmp_path / "missing"
+    argv = [a.format(net=ex1_file) for a in argv] + ["--out", str(missing / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out: no directory {str(missing)!r}\n"
+    assert not missing.exists()

@@ -19,6 +19,25 @@ def quiescent_net(n=3, gamma=0.5, i_ext=0.0):
                             weights=np.zeros((n, n)), i_ext=np.full(n, i_ext))
 
 
+def polish_alone(net, x, period, tol, budget):
+    """orbits._polish on a group of one row: (states, period) or None, and the resume state."""
+    found, resume = orbits._polish(_Stack.of([net]), np.array([x], dtype=np.float64), period, tol,
+                                   budget)
+    return found[0], resume[0]
+
+
+def assert_polish_equals_reference(nets, xs, period, tol, budget):
+    """Each row of one group polish, bit for bit, as reference_polish on that row alone."""
+    found, resume = orbits._polish(_Stack.of(nets), np.array(xs), period, tol, budget)
+    for net, x, got, at in zip(nets, xs, found, resume):
+        want, want_at = reference_polish(net, x, period, tol, budget)
+        assert at.tobytes() == want_at.tobytes()
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[1] == want[1] and got[0].tobytes() == want[0].tobytes()
+    return found, resume
+
+
 class TestFindPeriodicOrbit:
     def test_neural_death_fixed_point(self):
         net = quiescent_net()
@@ -111,7 +130,7 @@ class TestFindPeriodicOrbit:
         v0 = np.array([0.99, 0.3])
         trajectory = sm.simulate(net, v0, 100)
         first = int(np.argmax(trajectory.raster[:, 0]))  # neuron 0's first firing
-        polished, resume = orbits._polish(net, v0, 1, 0.05, 100)
+        polished, resume = polish_alone(net, v0, 1, 0.05, 100)
         assert polished is None and first > 1
         assert resume.tobytes() == trajectory.states[first].tobytes()
         kw = dict(max_transient=200, max_period=10, tol=0.05, polish_steps=100)
@@ -124,7 +143,7 @@ class TestFindPeriodicOrbit:
         net = sm.NetworkParams(n=2, gamma=0.9, theta=1.0, weights=np.zeros((2, 2)),
                                i_ext=[0.05, 0.0])
         v0 = np.array([0.2, 0.3])
-        polished, resume = orbits._polish(net, v0, 1, 0.0, 10)
+        polished, resume = polish_alone(net, v0, 1, 0.0, 10)
         assert polished is None
         assert resume.tobytes() == sm.simulate(net, v0, 10).states[-1].tobytes()
         assert resume[1] != 0.0
@@ -268,22 +287,56 @@ class TestLockstep:
                 assert same_report(batch[k * s + j], scalar_orbit(net, v0s[k, j], **kw))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1),
-           st.sampled_from([0.0, 1e-10, 0.05]), st.integers(0, 60), st.sampled_from([0, 40]))
-    def test_polish_equals_the_per_step_reference(self, n, period, seed, tol, budget, warm_up):
-        # most random box states are pseudo-orbits, rejected with the first state off the
-        # cycle's patterns; warmed-up states are often accepted
+    @given(st.integers(1, 8), st.integers(1, 6), st.integers(1, 5), st.booleans(),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-10, 0.05]), st.integers(0, 60))
+    def test_polish_equals_the_per_step_reference(self, n, period, rows, shared_theta, seed, tol,
+                                                  budget):
+        # a group of rows on networks of their own, with one theta or several, each row as the
+        # reference alone: most random box states are pseudo-orbits, rejected with the first
+        # state off the cycle's patterns; warmed-up states are often accepted
         rng = np.random.default_rng(seed)
-        net = quarter_net(rng, n, float(rng.choice([0.0, 0.25, 0.5, 0.875])))
-        x = rng.uniform(*sm.compute_bounds(net), n)
-        for _ in range(warm_up):
-            x = sm.step(net, x)
-        got = orbits._polish(net, x, period, tol, budget)
-        want = reference_polish(net, x, period, tol, budget)
-        assert got[1].tobytes() == want[1].tobytes()
-        assert (got[0] is None) == (want[0] is None)
-        if got[0] is not None:
-            assert got[0][1] == want[0][1] and got[0][0].tobytes() == want[0][0].tobytes()
+        nets = [quarter_net(rng, n, float(rng.choice([0.0, 0.25, 0.5, 0.875])),
+                            theta=1.0 if shared_theta else (0.75, 1.0, 1.25)[g % 3])
+                for g in range(rows)]
+        xs = []
+        for net in nets:
+            x = rng.uniform(*sm.compute_bounds(net), n)
+            for _ in range(int(rng.choice([0, 40]))):
+                x = sm.step(net, x)
+            xs.append(x)
+        assert_polish_equals_reference(nets, xs, period, tol, budget)
+
+    @pytest.mark.parametrize("period, tol, budget", [(2, 0.05, 40), (1, 0.0, 40), (4, 0.0, 200)])
+    def test_group_polish_covers_every_outcome(self, period, tol, budget):
+        # one group, row by row as the reference: a leaking neuron closes a cycle exactly; a
+        # creeping one closes within tol only at the budget; a pair alternates; and a ramp
+        # whose neuron 1 leaks until neuron 0 fires at t = 23, mid-chunk at period 2
+        leaky = sm.NetworkParams(n=2, gamma=0.875, theta=1.0, weights=np.zeros((2, 2)),
+                                 i_ext=[1.5, 0.0])
+        creep = sm.NetworkParams(n=2, gamma=0.9, theta=1.0, weights=np.zeros((2, 2)),
+                                 i_ext=[0.05, 1.5])
+        pair = sm.NetworkParams(n=2, gamma=0.3, theta=1.0, weights=[[0.0, 1.2], [1.2, 0.0]],
+                                i_ext=[0.05, 0.05])
+        ramp = sm.NetworkParams(n=2, gamma=0.9, theta=1.0, weights=[[0.0, -0.5], [0.99, 1.0]],
+                                i_ext=[0.1001, 0.0])
+        nets, xs = [leaky, creep, pair, ramp], np.array([[1.5, 0.3], [0.2, 1.5], [1.5, 0.0],
+                                                          [0.99, 0.3]])
+        found, resume = assert_polish_equals_reference(nets, xs, period, tol, budget)
+        # the leaking neuron is 0 in the cycle, and the cycle reduces to period 1
+        assert found[0][1] == 1 and found[0][0].tolist() == [[1.5, 0.0]]
+        creep_states = sm.simulate(creep, xs[1], budget).states
+        if tol == 0.0:  # rejected at the budget, where it stopped
+            assert found[1] is None and resume[1].tobytes() == creep_states[-1].tobytes()
+        else:  # accepted within tol, not bit for bit
+            assert found[1][1] == 1 and not np.array_equal(sm.step(creep, found[1][0][0]),
+                                                            found[1][0][0])
+        if period == 1:  # rejected at the first chunk
+            assert found[2] is None and resume[2].tobytes() == sm.step(pair, xs[2]).tobytes()
+        else:  # a period-4 candidate reduces to 2
+            assert found[2][1] == 2
+        first = int(np.argmax(sm.simulate(ramp, xs[3], 100).raster[:, 0]))
+        assert first == 23 and found[3] is None  # rejected at a later chunk, where it went off
+        assert resume[3].tobytes() == sm.simulate(ramp, xs[3], first).states[-1].tobytes()
 
     def test_retries_and_undetermined_rows_in_one_batch(self, monkeypatch):
         # a batch with Undetermined rows and pseudo-orbits its polish rejects
@@ -292,7 +345,7 @@ class TestLockstep:
 
         def counting_polish(*args):
             out = polish(*args)
-            rejected.append(out[0] is None)
+            rejected.extend(found is None for found in out[0])  # one entry per row
             return out
 
         monkeypatch.setattr(orbits, "_polish", counting_polish)
@@ -317,9 +370,9 @@ class TestLockstep:
         # its budget per scan: it scans until the budget is spent, and at most 8 times
         polished = []
 
-        def reject(net, x0, period, tol, budget):
-            polished.append(period)
-            return None, x0
+        def reject(stack, x0, period, tol, budget):
+            polished.extend([period] * len(x0))  # one entry per row
+            return [None] * len(x0), x0
 
         monkeypatch.setattr(orbits, "_polish", reject)
         nets = [quiescent_net(), quiescent_net(gamma=0.25)]
@@ -338,14 +391,25 @@ class TestLockstep:
         assert need > 1 and lam[0, 0] == 0 and lam[0, 1] > 0 and used[0, 1] == need
 
     def test_lockstep_stops_once_every_row_is_done(self, monkeypatch):
-        # starts at rest recur after one step and enter their cycle at t = 0
-        stacked = []
+        # starts at rest recur after one step and enter their cycle at t = 0: the scan steps
+        # once, and the six rows are polished together in one step
+        stacked, polished = [], []
+        polish = orbits._polish
+
+        def counting_polish(stack, x0, *args):
+            before = len(stacked)
+            out = polish(stack, x0, *args)
+            polished.append((len(x0), len(stacked) - before))  # rows, and steps taken
+            return out
+
         monkeypatch.setattr(orbits, "step",
                             lambda net, v: stacked.append(isinstance(net, _Stack)) or sm.step(net, v))
+        monkeypatch.setattr(orbits, "_polish", counting_polish)
         batch = _detect([quiescent_net(), quiescent_net(gamma=0.25)], np.zeros((2, 3, 3)),
                         max_transient=10**4, max_period=100, tol=0.0, polish_steps=0)
         assert all(r.transient == 0 and r.period == 1 for r in batch)
-        assert sum(stacked) == 1
+        assert polished == [(6, 1)] and all(stacked)
+        assert sum(stacked) - polished[0][1] == 1  # the steps outside polish
 
     def test_batches_are_contiguous_near_equal_and_at_most_size(self):
         sizes = []
@@ -364,6 +428,31 @@ class TestLockstep:
             64, 64, 64, 63, 1, 1, 1]
         with pytest.raises(sm.ValidationError):
             _batch_size(0)
+
+    def test_polish_runs_hold_no_more_than_a_batch(self, monkeypatch):
+        # each candidate period is one group, polished in runs of at most _batch_size(n)
+        # rows whose chunks hold at most 2^20 floats
+        runs = []
+        polish = orbits._polish
+
+        def recording_polish(stack, x0, period, *args):
+            runs.append((len(x0), period))
+            return polish(stack, x0, period, *args)
+
+        monkeypatch.setattr(orbits, "_polish", recording_polish)
+        cycles = orbits._cycles([quiescent_net(n=20)] * 64, np.zeros((64, 5, 20)), 100, 10,
+                                0.0, 0)
+        assert len(cycles) == 320 and runs == [(64, 1)] * 5
+        runs.clear()
+        # each of 100 neurons ramps up to theta, fires and starts over: one long period
+        n = 100
+        ramp = sm.NetworkParams(n=n, gamma=0.99, theta=1.0, weights=np.zeros((n, n)),
+                                i_ext=np.full(n, 0.0101))
+        cycles = orbits._cycles([ramp] * 64, np.zeros((64, 1, n)), 0, 1000, 0.0, 0)
+        period = runs[0][1]
+        assert len(cycles) == 64 and period > 400 and {p for _, p in runs} == {period}
+        assert [rows for rows, _ in runs] == [22, 22, 20]
+        assert all(rows * (period + 1) * n <= 2**20 < 64 * (period + 1) * n for rows, _ in runs)
 
     def test_entry_is_the_first_time_then_the_lowest_phase(self):
         # v halves each step: 0.4, 0.2, 0.1; at t = 2 phases 1 and 2 are both within tol
