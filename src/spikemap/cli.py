@@ -282,6 +282,8 @@ def main(argv=None) -> int:
         out_dir = os.path.dirname(args.out) or "."  # checked before any work, not at the write
         if not os.path.isdir(out_dir):
             raise ValidationError(f"--out: no directory {out_dir!r}")
+        if args.command not in ("simulate", "sweep") and os.path.isdir(args.out):  # not a prefix
+            raise ValidationError(f"--out: {args.out!r} is a directory")
         return args.func(args)
     except CapacityError as e:
         print(f"error: {e}", file=sys.stderr)

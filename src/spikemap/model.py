@@ -150,7 +150,7 @@ class _Stack:
 
     Each network's parameters are held once and broadcast over its S states, so
     ``step(stack, v)`` sums every state's ``W z`` with its own network's matrix, in
-    the one form of :func:`_advance`: each row bit-identical to a single call.  A
+    the one form of :func:`_wz`: each row bit-identical to a single call.  A
     gamma or theta that every network shares, bit for bit, is held as one float,
     which numpy applies without broadcasting.  ``stack[idx]`` is the stack of the
     networks idx selects.
@@ -199,15 +199,25 @@ def compute_bounds(net: NetworkParams) -> Bounds:
     return Bounds(v_min, v_max)
 
 
-def _advance(net: NetworkParams, v, z: np.ndarray) -> np.ndarray:
-    """The affine map on the domain of firing pattern z: a float 0/1 vector or a (K, N) stack,
-    or (M, S, N) states when net is a :class:`_Stack` of M networks.
+def _wz(net: NetworkParams, z: np.ndarray) -> np.ndarray:
+    """W z for a float 0/1 pattern z, a (K, N) stack of them, or (M, S, N) on a :class:`_Stack`.
 
     The one place W z is summed, in one form for any shape: each row enters the product
     as a column, so every caller agrees bit for bit (``Z @ W.T`` sums in another order).
     """
-    wz = np.matmul(net.weights, z[..., None])[..., 0]
+    return np.matmul(net.weights, z[..., None])[..., 0]
+
+
+def _affine(net: NetworkParams, v, z: np.ndarray, wz: np.ndarray) -> np.ndarray:
+    """The map's one formula, given v's pattern z and its sum wz = :func:`_wz` (net, z), or
+    a wz that broadcasts over rows of v whose patterns are all equal."""
     return net.gamma * v * (1.0 - z) + wz + net.i_ext
+
+
+def _advance(net: NetworkParams, v, z: np.ndarray) -> np.ndarray:
+    """The affine map on the domain of firing pattern z: a float 0/1 vector or a (K, N) stack,
+    or (M, S, N) states when net is a :class:`_Stack` of M networks."""
+    return _affine(net, v, z, _wz(net, z))
 
 
 def step(net: NetworkParams, v) -> np.ndarray:

@@ -15,7 +15,7 @@ import functools
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -26,12 +26,14 @@ from .model import (
     _Stack,
     ValidationError,
     _advance,
+    _affine,
     _as_array,
     _as_count,
     _as_finite,
     _as_gamma,
     _as_number,
     _fires,
+    _wz,
     compute_bounds,
     max_dist,
     step,
@@ -59,6 +61,7 @@ DEFAULT_POLISH_STEPS = 20_000
 _BATCH = 64  # starts, or networks, per lockstep call
 _BATCH_WEIGHTS = 2**20  # and no more weights than this per call (8 MiB): fewer networks once N > 128
 _LYAP_BLOCK = 1024  # steps of largest separations _lyapunov holds between folds into its sums
+_LYAP_RECHECK = 16  # steps _lyapunov sums W z for every row, unchecked, once a pattern differs
 
 
 @dataclass(frozen=True)
@@ -653,28 +656,38 @@ def _lyapunov(nets, v0s, dirs, ball_radius, horizon, rngs, burn_in) -> tuple:
     network has re-seeded, so the starts after the first that does re-seed nothing: their
     rates are wrong, and the caller runs them again.
 
-    The states are one (M, I*(1+k), N) array, a mother and its k companions per start,
-    advanced by one step call on the stack of the M networks, whose weights are held
-    once.  Each step's largest separation per start goes into a block of _LYAP_BLOCK rows,
-    folded into the sums when it fills and after the last step: per start, in step order,
-    one math.log and one float addition per step, the sequence a lone step-at-a-time loop
-    makes, so each rate is bit-identical to a lone run and memory does not grow with the
-    horizon.  A step on which no companion sits on its mother rescales the whole stack in
-    place; only one on which some do takes the re-seeding branch.
+    The states are one (M, I, 1+k, N) array, a mother and its k companions per start,
+    advanced together on the stack of the M networks, whose weights are held once.  W z is
+    summed for the M*I mothers alone while every companion fires its mother's pattern, and
+    for every row on a step where one does not and, unchecked, on the _LYAP_RECHECK - 1
+    steps after it: the same W and z give the same bits.  Each step's largest separation
+    per start goes into a block of _LYAP_BLOCK rows, folded into the sums when it fills and
+    after the last step: per start, in step order, one math.log and one float addition per
+    step, the sequence a lone step-at-a-time loop makes, so each rate is bit-identical to a
+    lone run and memory does not grow with the horizon.  A step on which no companion sits
+    on its mother rescales the whole stack in place; only one on which some do takes the
+    re-seeding branch.
     """
-    stack, (m_nets, inits, n), k = _Stack.of(nets), v0s.shape, dirs.shape[2]
+    stack, (m_nets, inits, n) = _Stack.of(nets), v0s.shape
     mother = v0s
     for _ in range(burn_in):
         mother = step(stack, mother)
     mother = mother[:, :, None]
     pts = np.concatenate([mother, mother + ball_radius * dirs], axis=2)
     totals, samples = [0.0] * (m_nets * inits), [0] * (m_nets * inits)
-    reseeded = np.zeros((m_nets, inits), bool)
+    reseeded, check = np.zeros((m_nets, inits), bool), 0  # check: the next step to compare
     rows = min(horizon, _LYAP_BLOCK)
     block = np.empty((rows, m_nets, inits, 1))
+    # i_ext held per point, so that adding it is one pass, not one per row of a broadcast
+    starts = replace(stack[:, None], i_ext=np.broadcast_to(stack.i_ext[:, None], pts.shape).copy())
     for t in range(horizon):
-        # each start's row 0 is its mother, the rest its companions
-        pts = step(stack, pts.reshape(m_nets, -1, n)).reshape(m_nets, inits, 1 + k, n)
+        # row 0 of each start is its mother: companions that fire its pattern share its W z
+        fired = _fires(pts, starts.theta)
+        if t == check:  # every row of a start fires the pattern of the row before it
+            shared = not np.count_nonzero(fired[:, :, 1:] != fired[:, :, :-1])
+            check += 1 if shared else _LYAP_RECHECK
+        z = fired.astype(np.float64)
+        pts = _affine(starts, pts, z, _wz(starts, z[:, :, :1] if shared else z))
         mother, comps = pts[:, :, :1], pts[:, :, 1:]
         diff = comps - mother
         # each companion's largest |difference|, reduced over a leading axis: numpy reduces

@@ -182,17 +182,23 @@ class TestLyapunovMap:
 
 
 def stacked_steps(monkeypatch) -> list:
-    """The number of networks of each step call the Lyapunov estimator makes from now on;
-    every call must be on a stack."""
+    """The number of networks of each step the Lyapunov estimator takes from now on: a step
+    call in the burn-in, then the one W z sum of each step of the horizon; every call must
+    be on a stack."""
     stacks = []
-    step = orbits.step
 
-    def counting_step(net, v):
-        assert isinstance(net, _Stack)
-        stacks.append(net.weights.shape[0])
-        return step(net, v)
+    def counting(name):
+        kernel = getattr(orbits, name)
 
-    monkeypatch.setattr(orbits, "step", counting_step)
+        def counted(net, v):
+            assert isinstance(net, _Stack)
+            stacks.append(net.weights.shape[0])
+            return kernel(net, v)
+
+        monkeypatch.setattr(orbits, name, counted)
+
+    counting("step")
+    counting("_wz")
     return stacks
 
 

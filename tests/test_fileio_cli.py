@@ -536,6 +536,18 @@ class TestCliLyap:
                      "--seed", "9", "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / "lyap_net.csv").read_bytes()
 
+    def test_companions_off_their_mothers_pattern_match_the_golden_file(self, tmp_path,
+                                                                        monkeypatch):
+        # tests/data/lyap_net_wide_ball.csv is this command's output, run in tests/data.  At
+        # this ball some companion leaves its mother's firing pattern on about 80% of the
+        # steps, where W z is summed for every row, and none does on the rest, where it is
+        # summed for the mothers alone.  Quarter weights make every sum exact in any order
+        monkeypatch.chdir(DATA)
+        out = tmp_path / "lyap.csv"
+        assert main(["lyap", "--net", "orbit_gamma0875_a_net.json", "--inits", "3", "--ball",
+                     "0.1", "--seed", "9", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "lyap_net_wide_ball.csv").read_bytes()
+
     def test_ensemble_mode(self, tmp_path):
         assert main(["lyap", "--n", "3", "--gammas", "0.5", "--cs", "0.0",
                      "--networks", "2", "--inits", "1", "--horizon", "100",
@@ -626,3 +638,30 @@ def test_missing_out_directory_exits_2_before_any_work(argv, worker, ex1_file, t
     err = capsys.readouterr().err
     assert err == f"error: --out: no directory {str(missing)!r}\n"
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("argv, worker", [
+    (["graph", "--net", "{net}"], "build_transition_graph"),
+    (_ORBIT, "omega_sample"),
+    (_ENSEMBLE_LYAP, "lyapunov_map"),
+    (_NET_LYAP, "_lyap_samples"),
+], ids=["graph", "orbit", "lyap", "lyap-net"])
+def test_out_naming_a_directory_exits_2_before_any_work(argv, worker, ex1_file, tmp_path, capsys,
+                                                        monkeypatch):
+    # these commands write --out itself, so a directory there could only fail at the write
+    monkeypatch.setattr(cli, worker, lambda *a, **k: pytest.fail(f"{worker} ran"))
+    argv = [a.format(net=ex1_file) for a in argv] + ["--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --out: {str(tmp_path)!r} is a directory\n"
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["simulate", "--net", "{net}", "--t-max", "5"], ("csv", "raster")),
+    (_SWEEP, ("csv", "heatmap.csv")),
+], ids=["simulate", "sweep"])
+def test_a_prefix_may_name_a_directory(argv, written, ex1_file, tmp_path):
+    # simulate and sweep write --out plus a suffix, beside a directory of that name
+    out = tmp_path / "run"
+    out.mkdir()
+    assert main([a.format(net=ex1_file) for a in argv] + ["--out", str(out)]) == 0
+    assert all((tmp_path / f"run.{suffix}").is_file() for suffix in written)

@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import spikemap as sm
 from spikemap import orbits
@@ -768,6 +769,32 @@ class TestLyapunovLockstep:
                 want = lone_rates(net, inits, np.random.default_rng(s), ball, k, 40, burn_in,
                                   estimator)
                 assert [r.hex() for r in rates] == [r.hex() for r in want]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 3), st.integers(1, 3), st.integers(1, 5),
+           st.floats(-1.5, -0.3), st.integers(0, 2**32 - 1))
+    def test_steps_on_and_off_the_mothers_patterns(self, n, m, inits, k, log10_ball, seed):
+        # Gaussian weights, and a gamma and theta of each network's own.  On some steps every
+        # companion fires its mother's pattern and W z is summed for the mothers alone; on
+        # others some companion does not and it is summed for every row.  Either way each
+        # rate is a loop of lone runs', bit for bit
+        rng = np.random.default_rng(seed)
+        nets = [random_net(rng, n=n, gamma=float(rng.uniform(0.0, 0.95)), coupling=2.0,
+                           i_ext_high=0.5, theta=float(rng.uniform(0.5, 1.5))) for _ in range(m)]
+        seeds = rng.integers(0, 2**32, m).tolist()
+        ball, shared, wz = 10.0 ** log10_ball, [], orbits._wz
+
+        def recorded(net, z):
+            shared.append(z.shape[2] == 1)
+            return wz(net, z)
+
+        with mock.patch.object(orbits, "_wz", recorded):
+            batch = _lyap_samples(nets, inits, [np.random.default_rng(s) for s in seeds],
+                                  ball, k, 80, 5)
+        assume(any(shared) and not all(shared))
+        for net, s, rates in zip(nets, seeds, batch):
+            want = lone_rates(net, inits, np.random.default_rng(s), ball, k, 80, 5, looped_rate)
+            assert [r.hex() for r in rates] == [r.hex() for r in want]
 
     def test_all_firing_network_beside_one_that_re_seeds(self):
         # the first network collapses every step; the second re-seeds some companions on
