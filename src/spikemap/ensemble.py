@@ -9,7 +9,6 @@ the per-cell log-distance surface is the plot-ready product.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from contextlib import closing
@@ -227,37 +226,19 @@ def _lyap_samples(nets, inits: int, rngs, ball_radius: float, num_directions: in
     """Per network, the rates from inits starts drawn uniformly in its invariant box, every
     start of every network in one lockstep :func:`_lyapunov` pass.
 
-    Network m draws only from rngs[m], in the order of a loop of lone effective_lyapunov
-    runs: start 1, its directions, its re-seeds, then start 2, and so on.  Directions do not
-    depend on the state, so each start's are drawn with it, before the pass.  Start i+1 and
-    its directions are drawn from a copy of the stream taken after start i's directions,
-    and each start re-seeds from its own copy.  A start that re-seeds leaves the stream
-    beyond the point its copy was taken at, so the later starts of that network are run
-    again, by this function, from where start i's copy stopped: in one call per first
-    re-seeding start, on the networks that share it.  The parameters are checked by the
-    callers (:func:`orbits._lyap_params`).
+    Network m draws only from rngs[m]: each start and then its directions, in start order,
+    and then the pass's re-seeds.  The parameters are checked by the callers
+    (:func:`orbits._lyap_params`).
     """
-    gens, v0s, dirs = [], [], []
+    v0s, dirs = [], []
     for net, rng in zip(nets, rngs):
-        gens.append([])
-        for i in range(inits):
-            if i:
-                rng = copy.deepcopy(rng)  # taken after the previous start's directions
-            gens[-1].append(rng)
+        for _ in range(inits):
             v0s.append(_starts(net, 1, rng)[0])
             dirs.append(_cube_directions(rng, num_directions, net.n))
     shape = (len(nets), inits, nets[0].n)
-    rates, reseeded = _lyapunov(nets, np.reshape(v0s, shape),
-                                np.reshape(dirs, (*shape[:2], num_directions, shape[2])),
-                                ball_radius, horizon, gens, burn_in)
-    first = np.where(reseeded.any(axis=1), reseeded.argmax(axis=1), inits - 1)
-    for i in np.unique(first[first < inits - 1]).tolist():  # the later starts are invalid
-        rerun = np.flatnonzero(first == i).tolist()
-        later = _lyap_samples([nets[m] for m in rerun], inits - 1 - i, [gens[m][i] for m in rerun],
-                              ball_radius, num_directions, horizon, burn_in)
-        for m, rates_m in zip(rerun, later):
-            rates[m][i + 1:] = rates_m
-    return rates
+    return _lyapunov(nets, np.reshape(v0s, shape),
+                     np.reshape(dirs, (*shape[:2], num_directions, shape[2])),
+                     ball_radius, horizon, rngs, burn_in)
 
 
 def _run_lyap_batch(tasks, *, seed, inits, ball_radius, num_directions, horizon, burn_in) -> list:

@@ -104,11 +104,14 @@ def write_network(path, net: NetworkParams) -> None:
 
 
 def read_network(path) -> NetworkParams:
-    payload = _read_json(path)
-    try:
-        return NetworkParams(**{k: payload[k] for k in ("n", "gamma", "theta", "weights", "i_ext")})
-    except (KeyError, TypeError) as e:  # TypeError: the file holds no JSON object
-        raise ValidationError(f"network file {path} is missing a field: {e}") from e
+    """The network of a JSON object with the five fields write_network writes, and no other."""
+    payload, fields = _read_json(path), {"n", "gamma", "theta", "weights", "i_ext"}
+    if not isinstance(payload, dict):
+        raise ValidationError(f"network file {path} holds no JSON object")
+    for what, keys in (("is missing", fields - payload.keys()), ("has unknown", payload.keys() - fields)):
+        if keys:
+            raise ValidationError(f"network file {path} {what} fields: {', '.join(sorted(keys))}")
+    return NetworkParams(**payload)
 
 
 def write_trajectory_csv(path, traj: Trajectory, config: Optional[dict] = None) -> None:

@@ -632,9 +632,8 @@ def effective_lyapunov(
     ball_radius, num_directions, horizon, burn_in = _lyap_params(
         ball_radius, num_directions, horizon, burn_in)
     dirs = _cube_directions(rng, num_directions, net.n)  # burn-in draws nothing
-    rates, _ = _lyapunov([net], v0[None, None], dirs[None, None], ball_radius, horizon, [[rng]],
-                         burn_in)
-    return rates[0][0]
+    return _lyapunov([net], v0[None, None], dirs[None, None], ball_radius, horizon, [rng],
+                     burn_in)[0][0]
 
 
 def _lyap_params(ball_radius, num_directions, horizon, burn_in) -> tuple:
@@ -645,16 +644,12 @@ def _lyap_params(ball_radius, num_directions, horizon, burn_in) -> tuple:
             _as_count(horizon, "horizon"), _as_count(burn_in, "burn_in", least=0))
 
 
-def _lyapunov(nets, v0s, dirs, ball_radius, horizon, rngs, burn_in) -> tuple:
+def _lyapunov(nets, v0s, dirs, ball_radius, horizon, rngs, burn_in) -> list:
     """effective_lyapunov of every start of every network of nets (one size N), all in
-    lockstep.  v0s (M, I, N) holds I starts per network and dirs (M, I, k, N) the directions
-    of each, drawn before the call (burn-in draws nothing); start i of network m re-seeds
-    from rngs[m][i] alone.  The parameters are those :func:`_lyap_params` returns.
-
-    Returns the rates, I per network, and the (M, I) mask of the starts that re-seeded some
-    companion.  A start's copy of the stream is valid only while no earlier start of its
-    network has re-seeded, so the starts after the first that does re-seed nothing: their
-    rates are wrong, and the caller runs them again.
+    lockstep; the rates, I per network.  v0s (M, I, N) holds I starts per network and dirs
+    (M, I, k, N) the directions of each, drawn before the call (burn-in draws nothing).
+    Network m re-seeds from rngs[m] alone: in step order, and within a step in start order.
+    The parameters are those :func:`_lyap_params` returns.
 
     The states are one (M, I, 1+k, N) array, a mother and its k companions per start,
     advanced together on the stack of the M networks, whose weights are held once.  W z is
@@ -663,10 +658,10 @@ def _lyapunov(nets, v0s, dirs, ball_radius, horizon, rngs, burn_in) -> tuple:
     steps after it: the same W and z give the same bits.  Each step's largest separation
     per start goes into a block of _LYAP_BLOCK rows, folded into the sums when it fills and
     after the last step: per start, in step order, one math.log and one float addition per
-    step, the sequence a lone step-at-a-time loop makes, so each rate is bit-identical to a
-    lone run and memory does not grow with the horizon.  A step on which no companion sits
-    on its mother rescales the whole stack in place; only one on which some do takes the
-    re-seeding branch.
+    step, the sequence a step-at-a-time loop over the network's starts makes, so the rates
+    are bit-identical to that loop and memory does not grow with the horizon.  A step on
+    which no companion sits on its mother rescales the whole stack in place; only one on
+    which some do takes the re-seeding branch.
     """
     stack, (m_nets, inits, n) = _Stack.of(nets), v0s.shape
     mother = v0s
@@ -675,7 +670,7 @@ def _lyapunov(nets, v0s, dirs, ball_radius, horizon, rngs, burn_in) -> tuple:
     mother = mother[:, :, None]
     pts = np.concatenate([mother, mother + ball_radius * dirs], axis=2)
     totals, samples = [0.0] * (m_nets * inits), [0] * (m_nets * inits)
-    reseeded, check = np.zeros((m_nets, inits), bool), 0  # check: the next step to compare
+    check = 0  # the next step to compare
     rows = min(horizon, _LYAP_BLOCK)
     block = np.empty((rows, m_nets, inits, 1))
     # i_ext held per point, so that adding it is one pass, not one per row of a broadcast
@@ -703,16 +698,12 @@ def _lyapunov(nets, v0s, dirs, ball_radius, horizon, rngs, burn_in) -> tuple:
             dead = seps[..., 0] == 0.0
             comps[...] = mother + diff * (ball_radius / np.where(dead, 1.0, seps[..., 0]))[..., None]
             for m, i in np.argwhere(dead.any(axis=2)).tolist():
-                if reseeded[m, :i].any():  # an earlier start moved the stream: this one is rerun
-                    continue
-                d = int(np.count_nonzero(dead[m, i]))
                 comps[m, i, dead[m, i]] = mother[m, i] + ball_radius * _cube_directions(
-                    rngs[m][i], d, n)
-                reseeded[m, i] = True
+                    rngs[m], int(np.count_nonzero(dead[m, i])), n)
         if row == rows - 1 or t == horizon - 1:  # fold the block into the sums
             for j, col in enumerate((block[:row + 1].reshape(row + 1, -1) / ball_radius).T):
                 live = col[col != 0.0].tolist()  # 0: every companion collapsed, no sample
                 totals[j] = functools.reduce(operator.add, map(math.log, live), totals[j])
                 samples[j] += len(live)
     rates = [t / s if s else -math.inf for t, s in zip(totals, samples)]
-    return [rates[j:j + inits] for j in range(0, len(rates), inits)], reseeded
+    return [rates[j:j + inits] for j in range(0, len(rates), inits)]

@@ -154,15 +154,15 @@ class TestLyapunovMap:
                         ball_radius=1e-3, horizon=50, burn_in=7, seed=2)
         assert stacks == [12] * (7 + 50)
 
-    def test_a_start_that_re_seeds_reruns_its_network_alone(self, monkeypatch):
-        # the second network fires every neuron on every step, so its first start re-seeds
-        # its companions and moves its stream: its second start takes one more pass, alone
+    def test_a_network_that_re_seeds_steps_in_one_pass(self, monkeypatch):
+        # the second network fires every neuron on every step, so both its starts re-seed
+        # their companions on every step, from its one stream: still one pass for the batch
         stacks = stacked_steps(monkeypatch)
         nets = [sm.NetworkParams(n=3, gamma=0.5, theta=1.0, weights=np.zeros((3, 3)),
                                  i_ext=np.full(3, drive)) for drive in (0.0, 2.0)]
         rates = ensemble._lyap_samples(nets, 2, [np.random.default_rng(s) for s in (1, 2)],
                                        1e-3, 4, 50, 7)
-        assert stacks == [2] * (7 + 50) + [1] * (7 + 50)
+        assert stacks == [2] * (7 + 50)
         assert rates[1] == [-math.inf, -math.inf]
 
     def test_weights_are_held_once_per_network(self, monkeypatch):

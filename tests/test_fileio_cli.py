@@ -53,7 +53,18 @@ class TestNetworkFile:
     def test_missing_field(self, tmp_path):
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"n": 1, "gamma": 0.5}))
-        with pytest.raises(sm.ValidationError):
+        with pytest.raises(sm.ValidationError, match="is missing fields: i_ext, theta, weights"):
+            fileio.read_network(path)
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"n": 1, "gamma": 0.5, "theta": 1.0, "weights": [[0.0]], "i_ext": [0.0], "extra": 1},
+         "has unknown fields: extra"),
+        ([1, 2], "holds no JSON object"),
+    ], ids=["unknown-field", "array"])
+    def test_stray_field_or_no_object_is_named(self, tmp_path, payload, message):
+        path = tmp_path / "stray.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(sm.ValidationError, match=message):
             fileio.read_network(path)
 
 
@@ -310,8 +321,8 @@ class TestCliSimulate:
         _, times, _ = fileio.read_trajectory_csv(out + ".csv")
         assert len(times) == 1
 
-    @pytest.mark.parametrize("content", [b"{oops", b'{"n": 1, "gamma": 0.5\xff}'],
-                             ids=["json-syntax", "non-utf8"])
+    @pytest.mark.parametrize("content", [b"{oops", b'{"n": 1, "gamma": 0.5\xff}', b"[1, 2]"],
+                             ids=["json-syntax", "non-utf8", "json-array"])
     def test_malformed_network_exit_2(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
@@ -333,11 +344,13 @@ class TestCliSimulate:
         {"weights": [[True, False], [False, False]]},
         {"i_ext": ["0.0", 0.0]},
         {"n": True, "weights": [[0.0]], "i_ext": [0.0]},
+        {"extra": 1},
     ], ids=["gamma-string", "weight-string", "weights-ragged", "n-fraction", "gamma-numeral",
             "gamma-bool", "theta-bool", "theta-huge", "weight-numeral", "weights-bool",
-            "i-ext-numeral", "n-bool"])
+            "i-ext-numeral", "n-bool", "unknown-field"])
     def test_mistyped_network_field_exit_2(self, tmp_path, capsys, fields):
-        # each value is a JSON string, bool or out-of-range integer that Python would convert
+        # each value is a JSON string, bool or out-of-range integer that Python would convert,
+        # or a field the format does not have
         payload = {"n": 2, "gamma": 0.5, "theta": 1.0,
                    "weights": [[0.0, 0.0], [0.0, 0.0]], "i_ext": [0.0, 0.0]}
         path = tmp_path / "bad.json"
@@ -526,10 +539,11 @@ class TestCliLyap:
             assert abs(float(row.split(",")[1]) - math.log(0.5)) <= 1e-9
 
     def test_net_matches_the_golden_file(self, tmp_path, monkeypatch, capsys):
-        # tests/data/lyap_net.csv is this command's output, run in tests/data with each start
-        # estimated after the one before.  The net has quarter weights and gamma 0, so every
-        # W z sum is exact in any BLAS order.  At this ball every start re-seeds some
-        # companions, which moves the shared stream before the next start is drawn
+        # tests/data/lyap_net.csv is this command's output, run in tests/data.  The net has
+        # quarter weights and gamma 0, so every W z sum is exact in any BLAS order.  At this
+        # ball start 0 re-seeds some companions on most steps and starts 1 and 2 all of them on
+        # every step (rate -inf), all from the one stream: in step order, within a step in
+        # start order
         monkeypatch.chdir(DATA)
         out = tmp_path / "lyap.csv"
         assert main(["lyap", "--net", "orbit_gamma0_net.json", "--inits", "3", "--ball", "0.5",

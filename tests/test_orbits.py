@@ -662,11 +662,16 @@ class TestClassifyRegime:
             assert sm.RegimeLabel.parse(str(label)).kind == label.kind
 
 
-def looped_lyapunov(net, v0, ball_radius, num_directions, horizon, rng, burn_in=0):
-    """effective_lyapunov with one step per trajectory; also counts the collapsed steps.
+def looped_lyapunov(net, v0s, ball_radius, num_directions, horizon, rng, burn_in=0):
+    """effective_lyapunov of a network's starts, one state of one start at a time, all from
+    the one generator rng; also counts the collapsed steps.
 
-    Returns (estimate, partial, total): steps on which some (partial) or all (total)
-    companions collapsed onto the mother and were re-seeded.
+    v0s is a list of starts, or the number of starts to draw from rng uniformly in net's
+    invariant box.  Every start (drawn or given) and then its directions come first, in start
+    order; the starts then step together and re-seed from rng, in step order and within a
+    step in start order.  Returns (estimate, partial, total) per start: total counts the steps
+    on which all its companions collapsed onto the mother and were re-seeded, partial those
+    on which some but not all did.
     """
     def directions(k):
         u = rng.uniform(-1.0, 1.0, size=(k, net.n))
@@ -674,28 +679,35 @@ def looped_lyapunov(net, v0, ball_radius, num_directions, horizon, rng, burn_in=
         scale[scale == 0.0] = 1.0
         return u / scale
 
-    mother = np.asarray(v0, dtype=np.float64)
-    for _ in range(burn_in):
-        mother = sm.step(net, mother)
-    comps = mother + ball_radius * directions(num_directions)
-    total, samples, partial, collapsed = 0.0, 0, 0, 0
+    mothers, comps, drawn = [], [], isinstance(v0s, int)
+    for v0 in range(v0s) if drawn else v0s:
+        v0 = rng.uniform(*sm.compute_bounds(net), net.n) if drawn else v0
+        mothers.append(np.asarray(v0, dtype=np.float64))
+        comps.append(ball_radius * directions(num_directions))
+    for i, mother in enumerate(mothers):
+        for _ in range(burn_in):
+            mother = sm.step(net, mother)
+        mothers[i], comps[i] = mother, mother + comps[i]
+    runs = [[0.0, 0, 0, 0] for _ in mothers]  # total, samples, partial, collapsed
     for _ in range(horizon):
-        mother = sm.step(net, mother)
-        for k in range(num_directions):
-            comps[k] = sm.step(net, comps[k])
-        seps = np.max(np.abs(comps - mother), axis=1)
-        dead = seps == 0.0
-        if dead.any():
-            comps[dead] = mother + ball_radius * directions(int(dead.sum()))
-            if dead.all():
-                collapsed += 1
-                continue
-            partial += 1
-        total += math.log(float(seps.max()) / ball_radius)
-        samples += 1
-        live = ~dead
-        comps[live] = mother + (comps[live] - mother) * (ball_radius / seps[live, None])
-    return (total / samples if samples else -math.inf), partial, collapsed
+        for i, run in enumerate(runs):
+            mothers[i] = mother = sm.step(net, mothers[i])
+            for k in range(num_directions):
+                comps[i][k] = sm.step(net, comps[i][k])
+            seps = np.max(np.abs(comps[i] - mother), axis=1)
+            dead = seps == 0.0
+            if dead.any():
+                comps[i][dead] = mother + ball_radius * directions(int(dead.sum()))
+                if dead.all():
+                    run[3] += 1
+                    continue
+                run[2] += 1
+            run[0] += math.log(float(seps.max()) / ball_radius)
+            run[1] += 1
+            live = ~dead
+            comps[i][live] = mother + (comps[i][live] - mother) * (ball_radius / seps[live, None])
+    return [(total / samples if samples else -math.inf, partial, collapsed)
+            for total, samples, partial, collapsed in runs]
 
 
 class TestEffectiveLyapunovBatched:
@@ -710,8 +722,8 @@ class TestEffectiveLyapunovBatched:
         v0 = rng.uniform(*sm.compute_bounds(net), n)
         lam = sm.effective_lyapunov(net, v0, ball, k, 60, np.random.default_rng(seed),
                                     burn_in=burn_in)
-        ref, _, _ = looped_lyapunov(net, v0, ball, k, 60, np.random.default_rng(seed),
-                                    burn_in=burn_in)
+        [(ref, _, _)] = looped_lyapunov(net, [v0], ball, k, 60, np.random.default_rng(seed),
+                                        burn_in=burn_in)
         assert lam == ref
 
     def test_partial_and_total_collapse_reseed_alike(self):
@@ -720,15 +732,15 @@ class TestEffectiveLyapunovBatched:
         net = sm.NetworkParams(n=1, gamma=0.5, theta=1.0, weights=[[0.0]], i_ext=[0.6])
         for ball, which in ((0.1, 1), (1e-3, 2)):
             lam = sm.effective_lyapunov(net, [0.6], ball, 6, 90, np.random.default_rng(2))
-            ref = looped_lyapunov(net, [0.6], ball, 6, 90, np.random.default_rng(2))
+            [ref] = looped_lyapunov(net, [[0.6]], ball, 6, 90, np.random.default_rng(2))
             assert ref[which] > 0
             assert lam == ref[0]
 
     def test_all_collapsed_is_minus_inf(self):
         net = quiescent_net(i_ext=2.0)  # every neuron fires every step
         lam = sm.effective_lyapunov(net, np.full(3, 2.0), 1e-3, 4, 30, np.random.default_rng(3))
-        assert lam == looped_lyapunov(net, np.full(3, 2.0), 1e-3, 4, 30,
-                                      np.random.default_rng(3))[0] == -math.inf
+        assert lam == looped_lyapunov(net, [np.full(3, 2.0)], 1e-3, 4, 30,
+                                      np.random.default_rng(3))[0][0] == -math.inf
 
     @pytest.mark.parametrize("v0", [[0.0, math.nan, 0.0], [0.0], np.zeros((4, 3))])
     def test_v0_is_checked(self, v0):
@@ -736,17 +748,8 @@ class TestEffectiveLyapunovBatched:
             sm.effective_lyapunov(quiescent_net(), v0, 1e-3, 4, 10, np.random.default_rng(0))
 
 
-def lone_rates(net, inits, rng, ball, k, horizon, burn_in, estimator):
-    """inits starts drawn in net's invariant box, each followed by its run, all from rng."""
-    rates = []
-    for _ in range(inits):
-        v0 = rng.uniform(*sm.compute_bounds(net), net.n)
-        rates.append(estimator(net, v0, ball, k, horizon, rng, burn_in=burn_in))
-    return rates
-
-
-def looped_rate(*args, **kwargs):
-    return looped_lyapunov(*args, **kwargs)[0]
+def looped_rates(*args, **kwargs):
+    return [rate for rate, _, _ in looped_lyapunov(*args, **kwargs)]
 
 
 class TestLyapunovLockstep:
@@ -756,7 +759,8 @@ class TestLyapunovLockstep:
     @given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 3), st.integers(1, 6),
            st.floats(-6.0, math.log10(3.0)), st.integers(0, 20), st.integers(0, 2**32 - 1))
     def test_batch_rates_equal_lone_runs(self, n, m, inits, k, log10_ball, burn_in, seed):
-        # each network's rates, bit for bit, as a loop of lone runs on its own generator
+        # each network's rates, bit for bit, as the step-by-step loop over its starts on its
+        # own generator; a lone start's as effective_lyapunov's
         rng = np.random.default_rng(seed)
         nets = [quarter_net(rng, n, float(rng.choice([0.0, 0.25, 0.5, 0.875])),
                             theta=float(rng.choice([1.0, 0.75]))) for _ in range(m)]
@@ -765,10 +769,13 @@ class TestLyapunovLockstep:
         batch = _lyap_samples(nets, inits, [np.random.default_rng(s) for s in seeds],
                               ball, k, 40, burn_in)
         for net, s, rates in zip(nets, seeds, batch):
-            for estimator in (sm.effective_lyapunov, looped_rate):
-                want = lone_rates(net, inits, np.random.default_rng(s), ball, k, 40, burn_in,
-                                  estimator)
-                assert [r.hex() for r in rates] == [r.hex() for r in want]
+            want = looped_rates(net, inits, ball, k, 40, np.random.default_rng(s), burn_in)
+            assert [r.hex() for r in rates] == [r.hex() for r in want]
+            if inits == 1:
+                lone = np.random.default_rng(s)
+                v0 = lone.uniform(*sm.compute_bounds(net), n)
+                lam = sm.effective_lyapunov(net, v0, ball, k, 40, lone, burn_in=burn_in)
+                assert rates[0].hex() == lam.hex()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 6), st.integers(1, 3), st.integers(1, 3), st.integers(1, 5),
@@ -777,7 +784,7 @@ class TestLyapunovLockstep:
         # Gaussian weights, and a gamma and theta of each network's own.  On some steps every
         # companion fires its mother's pattern and W z is summed for the mothers alone; on
         # others some companion does not and it is summed for every row.  Either way each
-        # rate is a loop of lone runs', bit for bit
+        # network's rates are the step-by-step loop's, bit for bit
         rng = np.random.default_rng(seed)
         nets = [random_net(rng, n=n, gamma=float(rng.uniform(0.0, 0.95)), coupling=2.0,
                            i_ext_high=0.5, theta=float(rng.uniform(0.5, 1.5))) for _ in range(m)]
@@ -793,21 +800,19 @@ class TestLyapunovLockstep:
                                   ball, k, 80, 5)
         assume(any(shared) and not all(shared))
         for net, s, rates in zip(nets, seeds, batch):
-            want = lone_rates(net, inits, np.random.default_rng(s), ball, k, 80, 5, looped_rate)
+            want = looped_rates(net, inits, ball, k, 80, np.random.default_rng(s), 5)
             assert [r.hex() for r in rates] == [r.hex() for r in want]
 
     def test_all_firing_network_beside_one_that_re_seeds(self):
         # the first network collapses every step; the second re-seeds some companions on
-        # some steps (start 1) and all of them on others (start 2)
+        # some steps (start 0) and all of them on others (start 1), each start's re-seeds
+        # read from the network's one stream between the other's
         always = quiescent_net(i_ext=2.0)
         ordinary = quarter_net(np.random.default_rng(1), 3, 0.875)
         rates = _lyap_samples([always, ordinary], 2, [np.random.default_rng(s) for s in (7, 2)],
                               0.1, 4, 60, 5)
         assert rates[0] == [-math.inf, -math.inf]
-        rng, runs = np.random.default_rng(2), []
-        for _ in range(2):
-            v0 = rng.uniform(*sm.compute_bounds(ordinary), 3)
-            runs.append(looped_lyapunov(ordinary, v0, 0.1, 4, 60, rng, burn_in=5))
+        runs = looped_lyapunov(ordinary, 2, 0.1, 4, 60, np.random.default_rng(2), burn_in=5)
         assert runs[0][1] > 0 and runs[1][2] > 0
         assert rates[1] == [lam for lam, _, _ in runs]
 
@@ -822,11 +827,9 @@ class TestLyapunovLockstep:
         seeds = (7, 2, 3)
         rngs = [np.random.default_rng(s) for s in seeds]
         dirs = np.array([[orbits._cube_directions(rng, 4, 3)] for rng in rngs])
-        rates, reseeded = orbits._lyapunov(nets, np.reshape(v0s, (3, 1, 3)), dirs, 0.1, horizon,
-                                           [[rng] for rng in rngs], 5)
-        assert reseeded.tolist() == [[True], [True], [False]]
+        rates = orbits._lyapunov(nets, np.reshape(v0s, (3, 1, 3)), dirs, 0.1, horizon, rngs, 5)
         rates = [rate for rate, in rates]
-        runs = [looped_lyapunov(net, v0, 0.1, 4, horizon, np.random.default_rng(s), burn_in=5)
+        runs = [looped_lyapunov(net, [v0], 0.1, 4, horizon, np.random.default_rng(s), burn_in=5)[0]
                 for net, v0, s in zip(nets, v0s, seeds)]
         assert runs[0] == (-math.inf, 0, horizon)
         assert runs[1][1] > 0 and runs[2][1:] == (0, 0)
