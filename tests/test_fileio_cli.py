@@ -679,3 +679,38 @@ def test_a_prefix_may_name_a_directory(argv, written, ex1_file, tmp_path):
     out.mkdir()
     assert main([a.format(net=ex1_file) for a in argv] + ["--out", str(out)]) == 0
     assert all((tmp_path / f"run.{suffix}").is_file() for suffix in written)
+
+
+def _echo(command, *lines):
+    return [f"command={command}", f"version={sm.__version__}", *lines]
+
+
+_SWEEP_ECHO = _echo("sweep", "n=3", "gammas=0.5", "cs=1.0", "networks=10", "inits=1", "theta=1.0",
+                    "i_ext=0.0", "max_transient=50", "max_period=20", "tol=1e-10", "seed=0")
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["simulate", "--net", "ex1.json", "--t-max", "5", "--v0", "0.5"],
+     {"out.csv": _echo("simulate", "net=ex1.json", "v0=0.5", "t_max=5", "noise=0.0", "seed=None")}),
+    (_SWEEP + ["--threads", "2"], {"out.csv": _SWEEP_ECHO, "out.heatmap.csv": _SWEEP_ECHO}),
+    (_ENSEMBLE_LYAP + ["--threads", "2"],
+     {"out": _echo("lyap", "n=3", "gammas=0.5", "cs=1.0", "networks=5", "inits=3", "ball=0.001",
+                   "horizon=20", "burn_in=100", "directions=8", "theta=1.0", "i_ext=0.0",
+                   "seed=0")}),
+], ids=["simulate-without-seed", "sweep", "lyap"])
+def test_csv_config_echoes_every_flag_but_out_and_threads(argv, files, ex1_file, monkeypatch):
+    # the exact comment lines; the golden files under tests/data pin the other echoes
+    monkeypatch.chdir(pathlib.Path(ex1_file).parent)
+    assert main(argv + ["--out", "out"]) == 0
+    for name, lines in files.items():
+        head = pathlib.Path(name).read_text().splitlines()[:len(lines) + 1]
+        assert head[:-1] == ["# " + line for line in lines] and not head[-1].startswith("#")
+
+
+@pytest.mark.parametrize("flags", [[], ["--include-illegal"]])
+def test_graph_config_echoes_every_flag_but_out(flags, ex1_file, monkeypatch):
+    monkeypatch.chdir(pathlib.Path(ex1_file).parent)
+    assert main(["graph", "--net", "ex1.json", *flags, "--out", "g.json"]) == 0
+    assert pathlib.Path("g.json").read_text().endswith(
+        ' "config": {\n  "command": "graph",\n  "version": "%s",\n  "net": "ex1.json",\n'
+        '  "cap": "16",\n  "include_illegal": "%s"\n }\n}\n' % (sm.__version__, bool(flags)))
