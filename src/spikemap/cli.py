@@ -49,19 +49,23 @@ def _parse_v0(spec: str, net: NetworkParams, seed) -> np.ndarray:
             raise ValidationError("--v0 random requires --seed")
         return _starts(net, 1, np.random.default_rng(seed))[0]
     try:
-        v0 = np.array([float(x) for x in spec.split(",")], dtype=np.float64)
+        return np.array([float(x) for x in spec.split(",")])
     except ValueError as e:
         raise ValidationError(f"bad v0 spec {spec!r}: {e}") from e
-    if v0.shape != (net.n,):
-        raise ValidationError(f"v0 has length {v0.size}, network has N={net.n}")
-    return v0
 
 
-def _base_config(args, command: str, keys: list[str]) -> dict:
-    config = {"command": command, "version": __version__}
-    for key in keys:
-        config[key] = getattr(args, key.replace("-", "_"))
-    return config
+# the dispatch fields, and flags that set where or how a run is carried out, not what it computes
+_NOT_ECHOED = {"command", "func", "out", "threads", "include_states"}
+
+
+def _config(args, *skip: str) -> dict:
+    """command and version, then the subcommand's flags but _NOT_ECHOED and skip.
+
+    argparse sets each default in the order the flags are declared, so the flags
+    come in that order, the order of ``--help``.
+    """
+    return {"command": args.command, "version": __version__,
+            **{k: v for k, v in vars(args).items() if k not in _NOT_ECHOED and k not in skip}}
 
 
 def _cmd_simulate(args) -> int:
@@ -71,8 +75,7 @@ def _cmd_simulate(args) -> int:
     if args.noise > 0 and args.seed is None:
         raise ValidationError("--noise requires --seed")
     traj = simulate(net, v0, args.t_max, sigma_b=args.noise, rng=rng)
-    config = _base_config(args, "simulate", ["net", "v0", "t_max", "noise", "seed"])
-    fileio.write_trajectory_csv(args.out + ".csv", traj, config)
+    fileio.write_trajectory_csv(args.out + ".csv", traj, _config(args))
     fileio.write_raster_text(args.out + ".raster", traj.raster)
     print(f"wrote {args.out}.csv and {args.out}.raster ({len(traj)} steps, N={net.n})")
     return 0
@@ -80,11 +83,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_graph(args) -> int:
     net = fileio.read_network(args.net)
-    if args.include_illegal and 2 * net.n > args.cap:
+    if args.include_illegal and 2 * net.n > _as_count(args.cap, "cap"):
         raise CapacityError(f"--include-illegal needs 2N <= --cap={args.cap}, got N={net.n}")
     graph = build_transition_graph(net, cap=args.cap)
-    config = _base_config(args, "graph", ["net", "cap", "include_illegal"])
-    fileio.write_graph_json(args.out, graph, include_illegal=args.include_illegal, config=config)
+    fileio.write_graph_json(args.out, graph, include_illegal=args.include_illegal,
+                            config=_config(args))
     print(" ".join(f"{kind}={count}" for kind, count in graph.counts().items()))
     return 0
 
@@ -107,12 +110,9 @@ def _cmd_orbit(args) -> int:
         epsilon_singular=args.eps_singular, horizon=sample.horizon,
     )
     d_as = dist_attractor_to_S(sample.orbits) if sample.orbits else None
-    config = _base_config(args, "orbit", [
-        "net", "inits", "max_transient", "max_period", "tol", "seed", "eps_singular", "polish",
-    ])
     fileio.write_orbits_json(
         args.out, sample.orbits, regime, d_as, sample.undetermined,
-        config=config, include_states=args.include_states,
+        config=_config(args), include_states=args.include_states,
     )
     d_repr = fileio.fmt_float(d_as) if d_as is not None else "nan"
     print(
@@ -139,10 +139,7 @@ def _cmd_sweep(args) -> int:
         tol=args.tol, theta=args.theta, i_ext=args.i_ext,
         seed=args.seed, threads=args.threads, progress=progress,
     )
-    config = _base_config(args, "sweep", [
-        "n", "gammas", "cs", "networks", "inits", "theta", "i_ext",
-        "max_transient", "max_period", "tol", "seed",
-    ])
+    config = _config(args)
     fileio.write_sweep_csv(args.out + ".csv", cells, config)
     fileio.write_heatmap_csv(args.out + ".heatmap.csv", cells, gammas, cs, config)
     print(f"wrote {args.out}.csv and {args.out}.heatmap.csv ({len(cells)} cells)")
@@ -166,9 +163,7 @@ def _cmd_lyap(args) -> int:
         vals = _lyap_samples([net], _as_count(args.inits, "inits"),
                              [np.random.default_rng(args.seed)],
                              *_lyap_params(args.ball, args.directions, args.horizon, args.burn_in))[0]
-        config = _base_config(args, "lyap", [
-            "net", "inits", "ball", "horizon", "burn_in", "directions", "seed",
-        ])
+        config = _config(args, "gammas", *_LYAP_ENSEMBLE_ONLY)  # all None in this mode
         fileio._write_csv(args.out, config, "init,lyapunov",
                           (f"{k},{fileio.fmt_float(lam)}" for k, lam in enumerate(vals)))
         print(f"lambda_mean={fileio.fmt_float(float(np.mean(vals)))} inits={args.inits}")
@@ -185,11 +180,7 @@ def _cmd_lyap(args) -> int:
         num_directions=args.directions, burn_in=args.burn_in,
         theta=args.theta, i_ext=args.i_ext, seed=args.seed, threads=args.threads,
     )
-    config = _base_config(args, "lyap", [
-        "n", "gammas", "cs", "networks", "inits", "ball", "horizon",
-        "burn_in", "directions", "theta", "i_ext", "seed",
-    ])
-    fileio.write_lyap_csv(args.out, cells, config)
+    fileio.write_lyap_csv(args.out, cells, _config(args, "net"))
     print(f"wrote {args.out} ({len(cells)} cells)")
     return 0
 
@@ -225,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-transient", type=int, default=100_000, help=max_transient_help)
     p.add_argument("--max-period", type=int, default=10_000)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--polish", type=int, default=20_000)
-    p.add_argument("--eps-singular", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eps-singular", type=float, default=1e-6)
+    p.add_argument("--polish", type=int, default=20_000)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--include-states", action="store_true")
     p.add_argument("--out", required=True)

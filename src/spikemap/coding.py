@@ -67,10 +67,12 @@ def str_to_pattern(s: str) -> np.ndarray:
 def encode(traj, theta: Optional[float] = None) -> np.ndarray:
     """Raster of a trajectory: raster[t][i] = 1 iff state t has v_i >= theta.
 
-    Accepts a Trajectory (theta taken from its network) or a (T, N) array of
-    states together with an explicit theta.
+    Accepts a Trajectory (theta taken from its network, so none may be given) or
+    a (T, N) array of states together with an explicit theta.
     """
     if isinstance(traj, Trajectory):
+        if theta is not None:
+            raise ValidationError("encode of a Trajectory takes theta from its network")
         states, theta = traj.states, traj.net.theta
     else:
         states = np.asarray(traj, dtype=np.float64)

@@ -132,8 +132,7 @@ def _grid_cells(worker, gammas, cs, networks_per_cell: int, threads: int, **spec
             yield cell, [next(results) for _ in range(networks_per_cell)]
 
 
-def _run_sweep_batch(tasks, *, seed, inits, max_transient, max_period, tol, polish_steps,
-                     epsilon_singular) -> list:
+def _run_sweep_batch(tasks, *, seed, inits, max_transient, max_period, tol, polish_steps) -> list:
     """(regime kind, attractor gap or None, periods, undetermined count) per network.
 
     Every start of every network in the batch is detected in one lockstep call.  A cell
@@ -149,10 +148,7 @@ def _run_sweep_batch(tasks, *, seed, inits, max_transient, max_period, tol, poli
     for m, net in enumerate(nets):
         sample = _sample([_cycle(net, *cycles[m, s]) if (m, s) in cycles else Undetermined(horizon)
                           for s in range(len(starts[m]))], tol, horizon)
-        regime = classify_regime(
-            sample.orbits, sample.undetermined,
-            epsilon_singular=epsilon_singular, horizon=sample.horizon,
-        )
+        regime = classify_regime(sample.orbits, sample.undetermined, horizon=sample.horizon)
         d = dist_attractor_to_S(sample.orbits) if sample.orbits else None
         out.append((regime.kind, d, [o.period for o in sample.orbits], sample.undetermined))
     return out
@@ -171,7 +167,6 @@ def sweep(
     polish_steps: int = 20_000,
     theta: float = 1.0,
     i_ext: float = 0.0,
-    epsilon_singular: float = 1e-6,
     seed: int = 0,
     threads: int = 1,
     progress=None,
@@ -196,8 +191,7 @@ def sweep(
         max_transient, max_period, tol, polish_steps)
     run = functools.partial(
         _run_sweep_batch, seed=_as_count(seed, "seed", least=0), inits=inits_per_network,
-        max_transient=max_transient, max_period=max_period, tol=tol, polish_steps=polish_steps,
-        epsilon_singular=_as_finite(epsilon_singular, "epsilon_singular"))
+        max_transient=max_transient, max_period=max_period, tol=tol, polish_steps=polish_steps)
     cells = []
     for spec, nets in _grid_cells(run, gammas, cs, networks_per_cell, threads,
                                   n=n, theta=theta, i_ext=i_ext):

@@ -244,7 +244,7 @@ def test_criterion_09_ensemble_sweep_phenomenology():
     results = iter(_run_sweep_batch([(EnsembleSpec(n=n, c=c, gamma=gamma), k)
                                      for gamma in gammas for c in cs for k in range(10)],
                                     seed=seed, inits=5, max_transient=3000, max_period=1000,
-                                    tol=1e-10, polish_steps=20000, epsilon_singular=1e-6))
+                                    tol=1e-10, polish_steps=20000))
     for gamma in gammas:
         for c in cs:
             kinds, ds = [], []

@@ -27,6 +27,11 @@ class TestEncode:
         with pytest.raises(sm.ValidationError):
             sm.encode(np.zeros((2, 2)))
 
+    def test_refuses_theta_beside_a_trajectory(self):
+        traj = sm.simulate(example1_net(), [0.75], 1)
+        with pytest.raises(sm.ValidationError, match="theta"):
+            sm.encode(traj, theta=0.5)
+
 
 class TestReconstruct:
     def test_t0_is_v0(self):
@@ -231,6 +236,22 @@ class TestTransitionGraph:
         inside = sm.step(net, [lo + 1e-9])[0]
         outside = sm.step(net, [lo - 1e-9])[0]
         assert inside >= net.theta > outside
+        # the quiet target's interval is the rest of [v_min, theta): its upper end is sharp
+        assert g.edge_kind("0", "0") == EDGE_CONDITIONAL
+        (lo, hi), = g.conditional_intervals("0", "0").values()
+        assert lo == g.v_min
+        inside = sm.step(net, [hi - 1e-9])[0]
+        outside = sm.step(net, [hi + 1e-9])[0]
+        assert outside >= net.theta > inside
+        with pytest.raises(sm.ValidationError, match="illegal"):  # a firing neuron gets 1.6
+            g.conditional_intervals("1", "0")
+
+    @pytest.mark.parametrize("src", [2, -1, "01", [0, 0]], ids=["index-2", "index-negative",
+                                                              "string-length", "array-length"])
+    def test_pattern_outside_the_graph(self, src):
+        g = sm.build_transition_graph(example1_net())
+        with pytest.raises(sm.ValidationError):
+            g.edge_kind(src, 0)
 
     def test_capacity_error(self):
         net = sm.NetworkParams(n=17, gamma=0.5, theta=1.0,

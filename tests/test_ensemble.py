@@ -116,7 +116,7 @@ class TestSweep:
         assert min(cell.death_fraction for cell in cells) < 1.0
         tasks = [(sm.EnsembleSpec(n=8, c=3.0, gamma=0.875), k) for k in range(4)]
         batch = ensemble._run_sweep_batch(tasks, seed=2, inits=3, max_transient=200, max_period=50,
-                                          tol=1e-10, polish_steps=20_000, epsilon_singular=1e-6)
+                                          tol=1e-10, polish_steps=20_000)
         assert [kind for kind, *_ in batch] != ["NeuralDeath"] * 4
 
 
@@ -246,7 +246,7 @@ class TestValidatedBeforeThePool:
         ("inits_per_network", 0), ("inits_per_network", 2.0), ("max_transient", -1),
         ("max_transient", 2.5), ("max_period", 0), ("max_period", 1.5), ("tol", -1.0),
         ("tol", math.inf), ("polish_steps", -1), ("polish_steps", True),
-        ("epsilon_singular", 0.0), ("epsilon_singular", math.nan), *GRID,
+        ("networks_per_cell", 0), ("networks_per_cell", 2.5), *GRID,
     ])
     def test_sweep(self, key, value):
         with pytest.raises(sm.ValidationError):

@@ -160,6 +160,15 @@ class TestTrajectoryAndRasterFiles:
             with pytest.raises(sm.ValidationError, match="UTF-8"):
                 read(path)
 
+    @pytest.mark.parametrize("text, message", [("# command=simulate\n", "no data"),
+                                               ("step,v_0\n0,1.0\n", "unexpected header")],
+                             ids=["no-rows", "header"])
+    def test_trajectory_file_without_its_header(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(sm.ValidationError, match=message):
+            fileio.read_trajectory_csv(path)
+
     def test_trajectory_header_without_rows(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("t,v_0,v_1\n")
@@ -224,6 +233,12 @@ class TestSweepFiles:
         path = tmp_path / "sweep.csv"
         path.write_text(fileio.SWEEP_HEADER + "\n" + row + "\n")
         with pytest.raises(sm.ValidationError, match="malformed row"):
+            fileio.read_sweep_csv(path)
+
+    def test_wrong_header(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text(fileio.SWEEP_HEADER.replace("avg_d_as", "d_as") + "\n")
+        with pytest.raises(sm.ValidationError, match="unexpected header"):
             fileio.read_sweep_csv(path)
 
     def test_rows_are_the_fields_joined(self, tmp_path):
@@ -365,6 +380,12 @@ class TestCliSimulate:
                                     "weights": [[0, 0], [0, 0]], "i_ext": [0, 0, 0]}))
         assert main(["simulate", "--net", str(path), "--v0", "zero",
                      "--t-max", "1", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("v0", ["0.1,0.2", "0.1,x"], ids=["length", "malformed"])
+    def test_bad_v0_exit_2(self, ex1_file, tmp_path, capsys, v0):
+        assert main(["simulate", "--net", ex1_file, "--v0", v0, "--t-max", "1",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "v0" in capsys.readouterr().err
 
     def test_random_v0_needs_seed(self, ex1_file, tmp_path):
         assert main(["simulate", "--net", ex1_file, "--v0", "random",
@@ -523,6 +544,15 @@ class TestCliSweep:
         assert main(["sweep", "--n", "3", "--gammas", "zero", "--cs", "1.0",
                      "--out", str(tmp_path / "s")]) == 2
 
+    def test_grid_range_is_linspace(self):
+        assert cli._parse_grid("0.25:3:8") == np.linspace(0.25, 3, 8).tolist()
+
+    @pytest.mark.parametrize("spec", ["0:1:0", "0:1", "0:1:2.5"])
+    def test_bad_grid_range_exit_2(self, tmp_path, capsys, spec):
+        assert main(["sweep", "--n", "3", "--gammas", spec, "--cs", "1.0",
+                     "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad grid spec {spec!r}")
+
 
 class TestCliLyap:
     def test_quiescent_net(self, tmp_path, capsys):
@@ -614,7 +644,12 @@ _NET_LYAP = ["lyap", "--net", "{net}", "--inits", "1", "--horizon", "20"]
     ["lyap", "--net", "{net}", "--inits", "1", "--horizon", "20", "--seed", "-1"],
     _ENSEMBLE_LYAP + ["--seed", "-1"],
     ["graph", "--net", "{net}", "--cap", "0"],
-    ["graph", "--net", "{net}", "--cap", "-1"],
+    ["graph", "--net", "{net}", "--cap", "-3"],
+    ["graph", "--net", "{net}", "--cap", "0", "--include-illegal"],
+    ["graph", "--net", "{net}", "--cap", "-3", "--include-illegal"],
+    ["simulate", "--net", "{net}", "--t-max", "5", "--noise", "0.1"],
+    ["lyap", "--gammas", "0.5", "--n", "3", "--horizon", "20"],
+    ["lyap", "--gammas", "0.5", "--cs", "1.0", "--horizon", "20"],
     _NET_LYAP + ["--n", "1"],
     _NET_LYAP + ["--cs", "1.0"],
     _NET_LYAP + ["--networks", "5"],
@@ -626,6 +661,8 @@ _NET_LYAP = ["lyap", "--net", "{net}", "--inits", "1", "--horizon", "20"]
         "orbit-tol", "orbit-eps-singular", "orbit-polish", "lyap-net-burn-in",
         "lyap-net-threads", "simulate-v0-seed", "simulate-noise-seed", "orbit-seed",
         "sweep-seed", "lyap-net-seed", "lyap-seed", "graph-cap-0", "graph-cap-negative",
+        "graph-cap-0-include-illegal", "graph-cap-negative-include-illegal",
+        "simulate-noise-without-seed", "lyap-without-cs", "lyap-without-n",
         "lyap-net-n", "lyap-net-cs", "lyap-net-networks", "lyap-net-theta", "lyap-net-i-ext",
         "lyap-net-threads-4"])
 def test_meaningless_arguments_exit_2(argv, ex1_file, tmp_path, capsys):
