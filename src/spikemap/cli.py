@@ -36,18 +36,18 @@ def _parse_grid(spec: str) -> list[float]:
             if values.size == 0:
                 raise ValueError("empty grid")
             return [float(v) for v in values]
-        return [float(v) for v in spec.split(",") if v != ""]
+        return [float(v) for v in spec.split(",")]
     except ValueError as e:
         raise ValidationError(f"bad grid spec {spec!r}: {e}") from e
 
 
-def _parse_v0(spec: str, net: NetworkParams, seed) -> np.ndarray:
+def _parse_v0(spec: str, net: NetworkParams, rng) -> np.ndarray:
     if spec == "zero":
         return np.zeros(net.n)
     if spec == "random":
-        if seed is None:
+        if rng is None:
             raise ValidationError("--v0 random requires --seed")
-        return _starts(net, 1, np.random.default_rng(seed))[0]
+        return _starts(net, 1, rng)[0]
     try:
         return np.array([float(x) for x in spec.split(",")])
     except ValueError as e:
@@ -70,9 +70,9 @@ def _config(args, *skip: str) -> dict:
 
 def _cmd_simulate(args) -> int:
     net = fileio.read_network(args.net)
-    v0 = _parse_v0(args.v0, net, args.seed)
-    rng = np.random.default_rng(args.seed) if args.noise > 0 else None
-    if args.noise > 0 and args.seed is None:
+    rng = None if args.seed is None else np.random.default_rng(args.seed)  # draws v0, then noise
+    v0 = _parse_v0(args.v0, net, rng)
+    if args.noise > 0 and rng is None:
         raise ValidationError("--noise requires --seed")
     traj = simulate(net, v0, args.t_max, sigma_b=args.noise, rng=rng)
     fileio.write_trajectory_csv(args.out + ".csv", traj, _config(args))

@@ -138,13 +138,9 @@ def reconstruct_periodic(net: NetworkParams, cycle) -> np.ndarray:
         quiet = ~fires_somewhere
         v[quiet] = acc[quiet] / (1.0 - net.gamma ** p)
 
-    # Two replay passes: after a firing coordinate's first spike the
-    # placeholder start is irrelevant, so pass two is exact at every phase.
-    states = np.empty((p, net.n), dtype=np.float64)
-    for s in range(2 * p):
-        v = _advance(net, v, eta[s % p])
-        if s >= p:
-            states[(s + 1) % p] = v
+    # Two replay passes: after a firing coordinate's first spike the placeholder
+    # start is irrelevant, so pass two, states p+1..2p, is exact at every phase.
+    states = _trajectory(net, v, 2 * p, np.concatenate([cycle, cycle]))[np.r_[2 * p, p + 1:2 * p]]
     got = encode(states, net.theta)
     if not np.array_equal(got, cycle):
         raise IllegalCodeError(

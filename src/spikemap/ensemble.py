@@ -18,10 +18,8 @@ import numpy as np
 
 from .model import NetworkParams, ValidationError, _as_count, _as_finite, _as_gamma, _as_number
 from .orbits import (
-    Undetermined,
     _batch_size,
     _cube_directions,
-    _cycle,
     _cycles,
     _detection_params,
     _fan_out,
@@ -142,15 +140,13 @@ def _run_sweep_batch(tasks, *, seed, inits, max_transient, max_period, tol, poli
     nets = [sample_network(spec, _stream(seed, spec.gamma, spec.c, k)) for spec, k in tasks]
     starts = [_starts(net, inits, _stream(seed, spec.gamma, spec.c, k, 1))
               for net, (spec, k) in zip(nets, tasks)]
-    horizon = max_transient + 2 * max_period
-    cycles = _cycles(nets, np.array(starts), max_transient, max_period, tol, polish_steps)
+    cycles = _cycles(nets, starts, max_transient, max_period, tol, polish_steps)
     out = []
-    for m, net in enumerate(nets):
-        sample = _sample([_cycle(net, *cycles[m, s]) if (m, s) in cycles else Undetermined(horizon)
-                          for s in range(len(starts[m]))], tol, horizon)
-        regime = classify_regime(sample.orbits, sample.undetermined, horizon=sample.horizon)
-        d = dist_attractor_to_S(sample.orbits) if sample.orbits else None
-        out.append((regime.kind, d, [o.period for o in sample.orbits], sample.undetermined))
+    for m in range(len(nets)):
+        orbits, _, undetermined = _sample(cycles[m * inits:(m + 1) * inits], tol)
+        d = dist_attractor_to_S(orbits) if orbits else None
+        out.append((classify_regime(orbits, undetermined).kind, d, [o.period for o in orbits],
+                    undetermined))
     return out
 
 

@@ -228,36 +228,32 @@ def _polish(stack, x0, period, tol, budget):
         idx, sub, todo, chunk, cycle, leak = _keep_live(todo, idx, sub, todo, chunk, cycle, leak)
 
 
-def _locate_entries(stack, v0, cycles: dict, tol, cap) -> dict:
-    """(t, k) for each row (m, s) of cycles: the first t <= cap at which the trajectory
-    of v0[m, s] comes within tol of a state of its cycle (same firing pattern, max
-    distance <= tol), and the lowest phase k it hits then; (cap, 0) if it never does.
+def _locate_entries(net, v0, cycles: list, tol, cap) -> list:
+    """(t, k) for each row i of the (K, N) states v0: the first t <= cap at which its
+    trajectory comes within tol of a state of cycles[i] (same firing pattern, max distance
+    <= tol), and the lowest phase k it hits then; (cap, 0) if it never does.
 
     The trajectories advance in lockstep from v0, each compared only with its own cycle.
     """
     if not cycles:
-        return {}
-    keys = list(cycles)
-    owner = np.repeat(np.arange(len(keys)), [len(cycles[key]) for key in keys])  # per cycle state
-    phase = np.concatenate([np.arange(len(cycles[key])) for key in keys])
-    states = np.concatenate([cycles[key] for key in keys])
-    net, start = np.array(keys)[owner].T  # each cycle state's row in v
-    pattern = _patterns(states, np.broadcast_to(stack.theta, (len(v0), 1, 1))[net, 0])
-    entries, v = {}, v0
+        return []
+    owner = np.repeat(np.arange(len(cycles)), [len(c) for c in cycles])  # per cycle state
+    phase = np.concatenate([np.arange(len(c)) for c in cycles])
+    states = np.concatenate(cycles)
+    pattern, entries, v = _patterns(states, net.theta), {}, v0
     for t in range(cap + 1):
-        hit = np.flatnonzero(_patterns(v, stack.theta)[net, start] == pattern)
+        hit = np.flatnonzero(_patterns(v, net.theta)[owner] == pattern)
         if hit.size:
-            hit = hit[np.abs(v[net[hit], start[hit]] - states[hit]).max(axis=-1) <= tol]
+            hit = hit[np.abs(v[owner[hit]] - states[hit]).max(axis=-1) <= tol]
         if hit.size:
             done, first = np.unique(owner[hit], return_index=True)  # the lowest phase per row
-            entries.update((keys[r], (t, int(phase[i]))) for r, i in zip(done, hit[first]))
+            entries.update((r, (t, int(phase[i]))) for r, i in zip(done.tolist(), hit[first]))
             kept = ~np.isin(owner, done)
-            owner, phase, states, pattern, net, start = (
-                a[kept] for a in (owner, phase, states, pattern, net, start))
+            owner, phase, states, pattern = (a[kept] for a in (owner, phase, states, pattern))
             if not owner.size:
-                return entries
-        v = step(stack, v)
-    return entries | dict.fromkeys((keys[r] for r in np.unique(owner)), (cap, 0))
+                break
+        v = step(net, v)
+    return [entries.get(r, (cap, 0)) for r in range(len(cycles))]
 
 
 @dataclass(frozen=True)
@@ -284,8 +280,8 @@ def _cycle(net, states, period) -> _Cycle:
     return _Cycle(period, states, raster, net.theta)
 
 
-def _report(net, states, period, transient, phase) -> OrbitReport:
-    c = _cycle(net, np.roll(states, -phase, axis=0), period)
+def _report(net, cycle: _Cycle, transient, phase) -> OrbitReport:
+    c = _cycle(net, np.roll(cycle.states, -phase, axis=0), cycle.period)
     return OrbitReport(transient, c.period, c.states, c.cycle_raster, c.min_threshold_gap)
 
 
@@ -298,23 +294,25 @@ def _detection_params(max_transient, max_period, tol, polish_steps) -> tuple:
             _as_count(polish_steps, "polish_steps", least=0))
 
 
-def _cycles(nets, v0s, max_transient, max_period, tol, polish_steps) -> dict:
-    """The polished cycle, (states, period), of each start (m, s) of the (M, S, N) states
-    v0s that finds one within max_transient + 2*max_period steps, all in lockstep.
+def _cycles(nets, v0s, max_transient, max_period, tol, polish_steps) -> list:
+    """Each start's polished cycle, a :class:`_Cycle`, or Undetermined(max_transient +
+    2*max_period) if none is found within that many steps; all in lockstep.
 
-    nets share one size N.  A row keeps exactly its own arithmetic and control flow.
-    Rows scan together; the candidates are grouped by period, in row order, and each
-    group is polished in lockstep, in runs of at most :func:`_batch_size` rows whose
-    chunks hold at most _BATCH_WEIGHTS floats.  A row whose candidate was a pseudo-orbit
-    scans on, with the other rejected rows, from where its polish stopped.  The states
-    start where the scan met the cycle, not where the start entered it.  The parameters
-    are those :func:`_detection_params` returns.
+    nets share one size N, and v0s, any shape that reshapes to (M, S, N), holds S starts
+    per network, network by network, the order of the results.  A row keeps exactly its
+    own arithmetic and control flow.  Rows scan together; the candidates are grouped by
+    period, in row order, and each group is polished in lockstep, in runs of at most
+    :func:`_batch_size` rows whose chunks hold at most _BATCH_WEIGHTS floats.  A row whose
+    candidate was a pseudo-orbit scans on, with the other rejected rows, from where its
+    polish stopped.  The states start where the scan met the cycle, not where the start
+    entered it.  The parameters are those :func:`_detection_params` returns.
     """
-    stack, n = _Stack.of(nets), v0s.shape[-1]
-    v = v0s.copy()
-    budget = np.full(v.shape[:2], max_transient + 2 * max_period)
+    stack, n = _Stack.of(nets), nets[0].n
+    v = np.array(v0s, dtype=np.float64).reshape(len(nets), -1, n)
+    horizon = max_transient + 2 * max_period
+    budget = np.full(v.shape[:2], horizon)
     live = np.ones(v.shape[:2], bool)
-    cycles = {}
+    cycles = [Undetermined(horizon)] * live.size
     for _ in range(8):  # pseudo-orbit rejections restart the scan downstream
         live &= budget > 0
         if not live.any():
@@ -330,30 +328,10 @@ def _cycles(nets, v0s, max_transient, max_period, tol, polish_steps) -> dict:
             for i in range(0, len(rows), run):
                 m, s = np.array(rows[i:i + run]).T
                 found, v[m, s] = _polish(stack[m], v[m, s], period, tol, polish_steps)
-                for row, polished in zip(rows[i:i + run], found):
+                for (j, k), polished in zip(rows[i:i + run], found):
                     if polished is not None:
-                        cycles[row], live[row] = polished, False
+                        cycles[j * v.shape[1] + k], live[j, k] = _cycle(nets[j], *polished), False
     return cycles
-
-
-def _detect(nets, v0s, max_transient, max_period, tol, polish_steps) -> list:
-    """Orbit detection from every start on every network of nets, all in lockstep.
-
-    nets share one size N, and v0s holds the same number S of starts for each network,
-    network by network: any shape that reshapes to (M, S, N).  Returns one OrbitReport
-    or Undetermined per start in that order, each bit-identical to what the start gives
-    alone: the cycles of :func:`_cycles`, each re-based at its start's entry into it by a
-    second lockstep pass, :func:`_locate_entries`.
-    """
-    v0s = np.asarray(v0s, dtype=np.float64).reshape(len(nets), -1, nets[0].n)
-    cycles = _cycles(nets, v0s, max_transient, max_period, tol, polish_steps)
-    horizon = max_transient + 2 * max_period
-    entries = _locate_entries(_Stack.of(nets), v0s, {key: c[0] for key, c in cycles.items()},
-                              tol, horizon)
-    return [
-        _report(net, *cycles[m, s], *entries[m, s]) if (m, s) in cycles else Undetermined(horizon)
-        for m, net in enumerate(nets) for s in range(v0s.shape[1])
-    ]
 
 
 def find_periodic_orbit(
@@ -379,15 +357,17 @@ def find_periodic_orbit(
     only cycle value; a rejected candidate resumes the scan on v0's own
     trajectory, which polishing never alters.
     The report is re-based at the first time the trajectory from v0 enters
-    the detected cycle.  This is the one-start case of the lockstep detection
-    that omega_sample runs on many starts at once; sweep runs it without the
+    the detected cycle.  This is the one-start case of the detection that
+    omega_sample runs on many starts at once; sweep runs it without the
     re-basing.
 
     Never raises on failure: no recurrence inside the horizon yields
     ``Undetermined(max_transient + 2*max_period)``.
     """
     v0 = _as_array(v0, (net.n,), "v0")
-    return _detect([net], v0, *_detection_params(max_transient, max_period, tol, polish_steps))[0]
+    sample = _omega(net, v0[None], 1,
+                    *_detection_params(max_transient, max_period, tol, polish_steps))
+    return sample.orbits[0] if sample.orbits else Undetermined(sample.horizon)
 
 
 @dataclass(frozen=True)
@@ -399,14 +379,15 @@ class OmegaSample:
     horizon: int
 
 
-def _sample(results, tol, horizon) -> OmegaSample:
-    """Distinct orbits of results in first-seen order, and the Undetermined count.
+def _sample(results, tol) -> tuple:
+    """The distinct orbits of results in first-seen order, the position in results of
+    each, and the Undetermined count.
 
     Two orbits are one when some rotation of one has the other's raster and lies
     within tol of its states.
     """
-    orbits, undetermined = [], 0
-    for res in results:
+    orbits, kept, undetermined = [], [], 0
+    for i, res in enumerate(results):
         if isinstance(res, Undetermined):
             undetermined += 1
             continue
@@ -417,7 +398,8 @@ def _sample(results, tol, horizon) -> OmegaSample:
                 and max_dist(states[r:r + p], prev.states) <= tol for r in range(p))
                 for prev in orbits):
             orbits.append(res)
-    return OmegaSample(orbits=orbits, undetermined=undetermined, horizon=horizon)
+            kept.append(i)
+    return orbits, kept, undetermined
 
 
 def _batch_size(n: int) -> int:
@@ -457,6 +439,25 @@ def _starts(net: NetworkParams, num_inits: int, rng: np.random.Generator) -> np.
     return rng.uniform(v_min, v_max, size=(num_inits, net.n))
 
 
+def _omega(net, v0s, threads, max_transient, max_period, tol, polish_steps) -> OmegaSample:
+    """Orbit detection from each of the (S, N) starts v0s, deduplicated: the one pipeline
+    of find_periodic_orbit and omega_sample.
+
+    Each start's cycle is found by :func:`_cycles`, in contiguous batches of at most
+    _BATCH starts, at least threads of them (see :func:`_fan_out`).  The results are
+    deduplicated here, in one process, by :func:`_sample`; then :func:`_locate_entries`
+    steps the first start that found each kept orbit, and no other, to re-base the orbit
+    at its entry.  The parameters are those :func:`_detection_params` returns.
+    """
+    cycles = functools.partial(_cycles, [net], max_transient=max_transient,
+                               max_period=max_period, tol=tol, polish_steps=polish_steps)
+    horizon = max_transient + 2 * max_period
+    orbits, kept, undetermined = _sample(_fan_out(cycles, list(v0s), threads, _BATCH), tol)
+    entries = _locate_entries(net, v0s[kept], [c.states for c in orbits], tol, horizon)
+    return OmegaSample([_report(net, c, *e) for c, e in zip(orbits, entries)], undetermined,
+                       horizon)
+
+
 def omega_sample(
     net: NetworkParams,
     num_inits: int,
@@ -472,14 +473,12 @@ def omega_sample(
     The starts are detected in lockstep, in contiguous batches of at most 64
     starts, at least threads of them.  Orbits are identified up to cyclic
     rotation of their raster first (the raster is exact) and then by state
-    proximity within tol.  Undetermined runs are counted, never raised.
+    proximity within tol.  Each orbit kept is reported as find_periodic_orbit
+    reports it from the first start that found it.  Undetermined runs are
+    counted, never raised.
     """
-    max_transient, max_period, tol, polish_steps = _detection_params(
-        max_transient, max_period, tol, polish_steps)
-    detect = functools.partial(_detect, [net], max_transient=max_transient,
-                               max_period=max_period, tol=tol, polish_steps=polish_steps)
-    results = _fan_out(detect, list(_starts(net, num_inits, rng)), threads, _BATCH)
-    return _sample(results, tol, max_transient + 2 * max_period)
+    params = _detection_params(max_transient, max_period, tol, polish_steps)
+    return _omega(net, _starts(net, num_inits, rng), threads, *params)
 
 
 def dist_traj_to_S(traj: Trajectory) -> float:
@@ -659,9 +658,8 @@ def _lyapunov(nets, v0s, dirs, ball_radius, horizon, rngs, burn_in) -> list:
     per start goes into a block of _LYAP_BLOCK rows, folded into the sums when it fills and
     after the last step: per start, in step order, one math.log and one float addition per
     step, the sequence a step-at-a-time loop over the network's starts makes, so the rates
-    are bit-identical to that loop and memory does not grow with the horizon.  A step on
-    which no companion sits on its mother rescales the whole stack in place; only one on
-    which some do takes the re-seeding branch.
+    are bit-identical to that loop and memory does not grow with the horizon.  Every step
+    rescales the companions in place; only one on which some sit on their mother re-seeds.
     """
     stack, (m_nets, inits, n) = _Stack.of(nets), v0s.shape
     mother = v0s
@@ -690,13 +688,12 @@ def _lyapunov(nets, v0s, dirs, ball_radius, horizon, rngs, burn_in) -> list:
         seps = np.maximum.reduce(np.abs(diff.transpose(3, 0, 1, 2), order="C"), axis=0)[..., None]
         row = t % rows
         np.maximum.reduce(seps, axis=2, out=block[row])
-        if np.count_nonzero(seps) == seps.size:
-            diff *= ball_radius / seps
-            np.add(mother, diff, out=comps)
-        else:
-            # a dead companion sits on its mother: divided by 1, it stays there until re-seeded
+        collapsed = np.count_nonzero(seps) < seps.size  # some companion sits on its mother
+        # divided by 1, a dead companion stays on its mother until re-seeded
+        diff *= ball_radius / (np.where(seps == 0.0, 1.0, seps) if collapsed else seps)
+        np.add(mother, diff, out=comps)
+        if collapsed:
             dead = seps[..., 0] == 0.0
-            comps[...] = mother + diff * (ball_radius / np.where(dead, 1.0, seps[..., 0]))[..., None]
             for m, i in np.argwhere(dead.any(axis=2)).tolist():
                 comps[m, i, dead[m, i]] = mother[m, i] + ball_radius * _cube_directions(
                     rngs[m], int(np.count_nonzero(dead[m, i])), n)

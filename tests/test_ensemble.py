@@ -202,6 +202,14 @@ def stacked_steps(monkeypatch) -> list:
     return stacks
 
 
+def params(*cases) -> list:
+    """(key, value) cases with explicit ids, so that deleting a case renames no other: the id
+    is key-value, or key-name for a (key, value, name) case.  The names of the list values
+    are the ones pytest gave them by position before the ids were explicit."""
+    return [pytest.param(key, value, id=f"{key}-{name[0] if name else value}")
+            for key, value, *name in cases]
+
+
 @pytest.fixture
 def no_pool(monkeypatch):
     """Fail the test if it starts a process pool."""
@@ -220,9 +228,9 @@ class TestValidatedBeforeThePool:
     SWEEP = dict(gammas=[0.5], cs=[1.0, 2.0], n=3, networks_per_cell=1, inits_per_network=1,
                  max_transient=10, max_period=5, threads=2)
     # a grid value, a field every cell's EnsembleSpec shares or the seed, on a grid of two cells
-    # so that a valid run would start the pool; "0.5", "7" and True are no numbers
-    GRID = [("gammas", [1.5]), ("gammas", ["0.5"]), ("cs", [1.0, -1.0]), ("cs", [1.0, True]),
-            ("theta", -1.0), ("i_ext", math.nan), ("seed", 1.5), ("seed", "7"), ("seed", -1)]
+    # so that a valid run would start the pool; "0.5", "7" and True are no numbers.  A grid
+    # value is a list, so each test names its own (see params)
+    GRID = [("theta", -1.0), ("i_ext", math.nan), ("seed", 1.5), ("seed", "7"), ("seed", -1)]
     NET = sm.NetworkParams(n=2, gamma=0.5, theta=1.0, weights=np.zeros((2, 2)), i_ext=np.zeros(2))
 
     def test_a_valid_run_would_start_the_pool(self):
@@ -233,21 +241,24 @@ class TestValidatedBeforeThePool:
         with pytest.raises(AssertionError, match="process pool"):
             sm.omega_sample(self.NET, 4, np.random.default_rng(0), threads=2)
 
-    @pytest.mark.parametrize("key, value", [
+    @pytest.mark.parametrize("key, value", params(
         ("inits_per_network", 0), ("inits_per_network", 1.0), ("ball_radius", 0.0),
         ("ball_radius", math.nan), ("horizon", 0), ("horizon", 2.5), ("num_directions", 0),
-        ("num_directions", True), *GRID,
-    ])
+        ("num_directions", True), ("gammas", [1.5], "value8"), ("gammas", ["0.5"], "value9"),
+        ("cs", [1.0, -1.0], "value10"), ("cs", [1.0, True], "value11"), *GRID,
+    ))
     def test_lyapunov_map(self, key, value):
         with pytest.raises(sm.ValidationError):
             sm.lyapunov_map(**{**self.LYAP, key: value})
 
-    @pytest.mark.parametrize("key, value", [
+    @pytest.mark.parametrize("key, value", params(
         ("inits_per_network", 0), ("inits_per_network", 2.0), ("max_transient", -1),
         ("max_transient", 2.5), ("max_period", 0), ("max_period", 1.5), ("tol", -1.0),
         ("tol", math.inf), ("polish_steps", -1), ("polish_steps", True),
-        ("networks_per_cell", 0), ("networks_per_cell", 2.5), *GRID,
-    ])
+        ("networks_per_cell", 0), ("networks_per_cell", 2.5), ("gammas", [1.5], "value12"),
+        ("gammas", ["0.5"], "value13"), ("cs", [1.0, -1.0], "value14"),
+        ("cs", [1.0, True], "value15"), *GRID,
+    ))
     def test_sweep(self, key, value):
         with pytest.raises(sm.ValidationError):
             sm.sweep(**{**self.SWEEP, key: value})

@@ -312,7 +312,8 @@ class TestCliSimulate:
         # tests/data by a simulation that stepped every row.  Weights are quarters and gamma
         # is 0.125 or 0.5, so every W z sum is exact in any BLAS order.  The dead net fires
         # twice and decays to exactly 0 at t = 361; the active one repeats with period 5
-        # from t = 54; the noisy run is the active one with --noise 0.05
+        # from t = 54; the noisy run is the active one with --noise 0.05, its noise drawn
+        # from the stream that drew v0, after it
         monkeypatch.chdir(DATA)
         out = str(tmp_path / "run")
         assert main(["simulate", "--v0", "random", *args, "--out", out]) == 0
@@ -547,7 +548,7 @@ class TestCliSweep:
     def test_grid_range_is_linspace(self):
         assert cli._parse_grid("0.25:3:8") == np.linspace(0.25, 3, 8).tolist()
 
-    @pytest.mark.parametrize("spec", ["0:1:0", "0:1", "0:1:2.5"])
+    @pytest.mark.parametrize("spec", ["0:1:0", "0:1", "0:1:2.5", "0.5,", ",0.5,,1"])
     def test_bad_grid_range_exit_2(self, tmp_path, capsys, spec):
         assert main(["sweep", "--n", "3", "--gammas", spec, "--cs", "1.0",
                      "--out", str(tmp_path / "s")]) == 2

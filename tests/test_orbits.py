@@ -1,4 +1,5 @@
 import math
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -6,13 +7,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import spikemap as sm
-from spikemap import orbits
+from spikemap import fileio, orbits
 from spikemap.ensemble import _lyap_samples, _run_sweep_batch, _stream
 from spikemap.model import _Stack
-from spikemap.orbits import (_batch_size, _brent_scan, _detect, _fan_out, _locate_entries, _sample,
-                             _starts)
+from spikemap.orbits import (_batch_size, _brent_scan, _cycles, _fan_out, _locate_entries, _report,
+                             _sample, _starts)
 from conftest import (example1_net, quarter_net, random_net, reference_polish, reference_sample,
                       scalar_orbit)
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def quiescent_net(n=3, gamma=0.5, i_ext=0.0):
@@ -264,6 +267,16 @@ def same_report(a, b) -> bool:
             np.float64(b.min_threshold_gap).tobytes())
 
 
+def batch_reports(nets, v0s, max_transient, max_period, tol, polish_steps) -> list:
+    """The report or Undetermined of every start of one multi-network :func:`_cycles` batch:
+    each cycle re-based at its start's entry, which _locate_entries finds for that start."""
+    cycles = _cycles(nets, v0s, max_transient, max_period, tol, polish_steps)
+    rows = zip(cycles, [net for net in nets for _ in range(v0s.shape[1])],
+               v0s.reshape(-1, nets[0].n))
+    return [c if isinstance(c, sm.Undetermined) else _report(net, c, *_locate_entries(
+        net, v0[None], [c.states], tol, max_transient + 2 * max_period)[0]) for c, net, v0 in rows]
+
+
 class TestLockstep:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1),
@@ -281,7 +294,7 @@ class TestLockstep:
         v0s[at_theta] = np.broadcast_to([[[net.theta]] for net in nets], (m, s, n))[at_theta]
         kw = dict(max_transient=max_transient, max_period=max_period, tol=tol,
                   polish_steps=polish_steps)
-        batch = _detect(nets, v0s, **kw)
+        batch = batch_reports(nets, v0s, **kw)
         for k, net in enumerate(nets):
             for j in range(s):
                 assert same_report(batch[k * s + j], sm.find_periodic_orbit(net, v0s[k, j], **kw))
@@ -356,7 +369,7 @@ class TestLockstep:
         nets = [quarter_net(rng, 3, 0.5), ramp, quarter_net(rng, 3, 0.875)]
         v0s = np.round(rng.uniform(-2.0, 2.0, (3, 2, 3)) * 4.0) / 4.0
         kw = dict(max_transient=20, max_period=10, tol=0.05, polish_steps=5)
-        batch = _detect(nets, v0s, **kw)
+        batch = batch_reports(nets, v0s, **kw)
         assert any(rejected)
         assert 0 < sum(isinstance(r, sm.Undetermined) for r in batch) < 6
         for k, net in enumerate(nets):
@@ -377,9 +390,9 @@ class TestLockstep:
 
         monkeypatch.setattr(orbits, "_polish", reject)
         nets = [quiescent_net(), quiescent_net(gamma=0.25)]
-        batch = _detect(nets, np.zeros((2, 3, 3)), max_transient=0, max_period=max_period,
-                        tol=0.0, polish_steps=0)
-        assert all(r == sm.Undetermined(2 * max_period) for r in batch)
+        batch = _cycles(nets, np.zeros((2, 3, 3)), max_transient=0, max_period=max_period, tol=0.0,
+                        polish_steps=0)
+        assert batch == [sm.Undetermined(2 * max_period)] * 6
         assert polished == [1] * (6 * scans)
 
     def test_scan_rows_leave_when_their_own_budget_is_spent(self):
@@ -393,7 +406,8 @@ class TestLockstep:
 
     def test_lockstep_stops_once_every_row_is_done(self, monkeypatch):
         # starts at rest recur after one step and enter their cycle at t = 0: the scan steps
-        # once, and the six rows are polished together in one step
+        # once, and the six rows are polished together in one step; alone, a start steps once
+        # more to be polished, and its entry pass steps none
         stacked, polished = [], []
         polish = orbits._polish
 
@@ -406,11 +420,16 @@ class TestLockstep:
         monkeypatch.setattr(orbits, "step",
                             lambda net, v: stacked.append(isinstance(net, _Stack)) or sm.step(net, v))
         monkeypatch.setattr(orbits, "_polish", counting_polish)
-        batch = _detect([quiescent_net(), quiescent_net(gamma=0.25)], np.zeros((2, 3, 3)),
-                        max_transient=10**4, max_period=100, tol=0.0, polish_steps=0)
-        assert all(r.transient == 0 and r.period == 1 for r in batch)
+        nets, kw = [quiescent_net(), quiescent_net(gamma=0.25)], dict(
+            max_transient=10**4, max_period=100, tol=0.0, polish_steps=0)
+        batch = _cycles(nets, np.zeros((2, 3, 3)), **kw)
+        assert all(c.period == 1 for c in batch)
         assert polished == [(6, 1)] and all(stacked)
         assert sum(stacked) - polished[0][1] == 1  # the steps outside polish
+        for net in nets:
+            stacked.clear()
+            report = sm.find_periodic_orbit(net, np.zeros(3), **kw)
+            assert report.transient == 0 and report.period == 1 and stacked == [True, True]
 
     def test_batches_are_contiguous_near_equal_and_at_most_size(self):
         sizes = []
@@ -441,26 +460,72 @@ class TestLockstep:
             return polish(stack, x0, period, *args)
 
         monkeypatch.setattr(orbits, "_polish", recording_polish)
-        cycles = orbits._cycles([quiescent_net(n=20)] * 64, np.zeros((64, 5, 20)), 100, 10,
-                                0.0, 0)
+        cycles = _cycles([quiescent_net(n=20)] * 64, np.zeros((64, 5, 20)), 100, 10, 0.0, 0)
         assert len(cycles) == 320 and runs == [(64, 1)] * 5
+        assert not any(isinstance(c, sm.Undetermined) for c in cycles)
         runs.clear()
         # each of 100 neurons ramps up to theta, fires and starts over: one long period
         n = 100
         ramp = sm.NetworkParams(n=n, gamma=0.99, theta=1.0, weights=np.zeros((n, n)),
                                 i_ext=np.full(n, 0.0101))
-        cycles = orbits._cycles([ramp] * 64, np.zeros((64, 1, n)), 0, 1000, 0.0, 0)
+        cycles = _cycles([ramp] * 64, np.zeros((64, 1, n)), 0, 1000, 0.0, 0)
         period = runs[0][1]
         assert len(cycles) == 64 and period > 400 and {p for _, p in runs} == {period}
+        assert not any(isinstance(c, sm.Undetermined) for c in cycles)
         assert [rows for rows, _ in runs] == [22, 22, 20]
         assert all(rows * (period + 1) * n <= 2**20 < 64 * (period + 1) * n for rows, _ in runs)
 
     def test_entry_is_the_first_time_then_the_lowest_phase(self):
-        # v halves each step: 0.4, 0.2, 0.1; at t = 2 phases 1 and 2 are both within tol
-        stack = _Stack.of([quiescent_net(n=1), quiescent_net(n=1, gamma=0.25)])
-        v0 = np.array([[[0.4], [0.0]], [[0.0], [0.7]]])
-        cycles = {(0, 0): np.array([[0.3], [0.1], [0.12], [0.5]]), (1, 1): np.array([[5.0]])}
-        assert _locate_entries(stack, v0, cycles, 0.05, 5) == {(0, 0): (2, 1), (1, 1): (5, 0)}
+        # v halves each step: 0.4, 0.2, 0.1; at t = 2 phases 1 and 2 are both within tol.
+        # From 0.7 the cycle at 5.0 is never met, so the entry is the cap
+        cycles = [np.array([[0.3], [0.1], [0.12], [0.5]]), np.array([[5.0]])]
+        entries = _locate_entries(quiescent_net(n=1), np.array([[0.4], [0.7]]), cycles, 0.05, 5)
+        assert entries == [(2, 1), (5, 0)]
+        assert _locate_entries(quiescent_net(n=1), np.empty((0, 1)), [], 0.05, 5) == []
+
+    @pytest.mark.parametrize("name, seed, kw", [
+        ("orbit_gamma0875_a_net", 0, {}),  # two orbits
+        # one orbit, found in all three batches, and 81 Undetermined starts
+        ("orbit_gamma05_net", 4, dict(max_transient=20, max_period=20)),
+    ])
+    def test_omega_sample_reports_each_orbit_from_its_first_start(self, name, seed, kw):
+        # 150 starts, three batches: each kept orbit is find_periodic_orbit's report from the
+        # first start that found it, on one process and on two
+        net = fileio.read_network(DATA / f"{name}.json")
+        lone = [sm.find_periodic_orbit(net, v0, **kw)
+                for v0 in _starts(net, 150, np.random.default_rng(seed))]
+        want, undetermined = reference_sample(lone, orbits.DEFAULT_TOL)
+        for threads in (1, 2):
+            sample = sm.omega_sample(net, 150, np.random.default_rng(seed), threads=threads, **kw)
+            assert sample.undetermined == undetermined and len(sample.orbits) == len(want)
+            for got, report in zip(sample.orbits, want):
+                assert (got.transient, got.period, got.states.tobytes(),
+                        got.cycle_raster.tobytes()) == (report.transient, report.period,
+                                                        report.states.tobytes(),
+                                                        report.cycle_raster.tobytes())
+
+    def test_entry_pass_steps_one_row_per_kept_orbit(self, monkeypatch):
+        # 150 starts find two distinct orbits: the entry pass steps their two first starts
+        rows, locating = [], []
+        locate, real_step = orbits._locate_entries, orbits.step
+
+        def recording_locate(*args):
+            locating.append(True)
+            try:
+                return locate(*args)
+            finally:
+                locating.clear()
+
+        def recording_step(net, v):
+            if locating:
+                rows.append(len(v))
+            return real_step(net, v)
+
+        monkeypatch.setattr(orbits, "_locate_entries", recording_locate)
+        monkeypatch.setattr(orbits, "step", recording_step)
+        net = fileio.read_network(DATA / "orbit_gamma0875_a_net.json")
+        sample = sm.omega_sample(net, 150, np.random.default_rng(0))
+        assert len(sample.orbits) == 2 and rows and set(rows) == {2}
 
 
 class TestSweepCycles:
@@ -482,7 +547,7 @@ class TestSweepCycles:
         nets = [sm.sample_network(spec, _stream(seed, spec.gamma, spec.c, k)) for spec, k in tasks]
         starts = [_starts(net, inits, _stream(seed, gamma, c, k, 1))
                   for k, (net, (gamma, c)) in enumerate(zip(nets, cells))]
-        reports = _detect(nets, np.array(starts), max_transient, max_period, tol, 200)
+        reports = batch_reports(nets, np.array(starts), max_transient, max_period, tol, 200)
         horizon = max_transient + 2 * max_period
         want = []
         for m in range(len(nets)):
@@ -503,11 +568,12 @@ class TestSweepCycles:
                                          for a in (res.states, res.cycle_raster)),
             res.min_threshold_gap) for res in reports)]
         results = [results[i] for i in rng.permutation(len(results))]
-        sample = _sample(results, tol, horizon)
+        got, positions, got_undetermined = _sample(results, tol)
         kept, undetermined = reference_sample(results, tol)
-        assert sample.undetermined == undetermined == 2 * sum(
+        assert got_undetermined == undetermined == 2 * sum(
             isinstance(res, sm.Undetermined) for res in reports)
-        assert len(sample.orbits) == len(kept) and all(a is b for a, b in zip(sample.orbits, kept))
+        assert len(got) == len(kept) and all(a is b for a, b in zip(got, kept))
+        assert [id(results[i]) for i in positions] == [id(res) for res in got]
 
 
 class TestDistances:
