@@ -1,8 +1,9 @@
 """Command-line entry points: simulate, graph, orbit, sweep, lyap.
 
 Exit codes: 0 on success, 2 for input/validation/IO errors, 3 when a request
-exceeds a capability limit.  All randomized commands are bit-reproducible
-under ``--seed``; every output file but the raster embeds its configuration.
+exceeds a capability limit or is too large to allocate.  All randomized commands
+are bit-reproducible under ``--seed``; every output file but the raster embeds
+its configuration.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ def main(argv=None) -> int:
         if args.command not in ("simulate", "sweep") and os.path.isdir(args.out):  # not a prefix
             raise ValidationError(f"--out: {args.out!r} is a directory")
         return args.func(args)
-    except CapacityError as e:
+    except (CapacityError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ValidationError, OSError) as e:

@@ -69,16 +69,11 @@ class EnsembleSpec:
 
 
 def sample_network(spec: EnsembleSpec, rng: np.random.Generator) -> NetworkParams:
-    """Draw one network: weights i.i.d. N(0, c^2/n), diagonal included."""
+    """Draw one network: weights i.i.d. N(0, c^2/n), diagonal included; +0.0 for c = 0."""
     sigma = spec.c / math.sqrt(spec.n)
-    w = rng.normal(0.0, sigma, size=(spec.n, spec.n)) if sigma > 0 else np.zeros((spec.n, spec.n))
-    return NetworkParams(
-        n=spec.n,
-        gamma=spec.gamma,
-        theta=spec.theta,
-        weights=w,
-        i_ext=np.full(spec.n, spec.i_ext, dtype=np.float64),
-    )
+    return NetworkParams(n=spec.n, gamma=spec.gamma, theta=spec.theta,
+                         weights=rng.normal(0.0, sigma, size=(spec.n, spec.n)),
+                         i_ext=np.full(spec.n, spec.i_ext, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -109,25 +104,34 @@ def _stream(seed: int, gamma: float, c: float, *indices: int) -> np.random.Gener
     return np.random.default_rng(np.random.SeedSequence([int(seed), *bits, *map(int, indices)]))
 
 
-def _grid_cells(worker, gammas, cs, networks_per_cell: int, threads: int, **spec):
-    """Run worker on every network of the (gamma, c) grid, a batch of networks at a time.
+def _grid_cells(worker, gammas, cs, n, networks_per_cell, inits_per_network, *, theta, i_ext,
+                seed, threads, **params):
+    """Run worker on every network of the (gamma, c) grid: sweep's and lyapunov_map's driver.
 
-    Each cell is an EnsembleSpec of its gamma, its c and the fields in spec, all checked
-    here, before any worker starts.  A task is (cell spec, network index), and worker
-    takes a batch of tasks and returns one result per task.  The batches are contiguous,
-    of at most _batch_size(n) networks, and at least threads of them.  Yields
-    (cell spec, [one result per network]) per cell in grid order (gammas outer, cs
+    Checked here, before any worker starts: each cell, an EnsembleSpec of its gamma, its c,
+    n, theta and i_ext; networks_per_cell and inits_per_network, counts >= 1; seed, an
+    integer >= 0; threads.  A task is (cell spec, network index); worker(tasks, seed=seed,
+    inits=inits_per_network, **params), params being the map's run parameters, which the
+    map checks, returns one result per task.  The batches are contiguous, of at most
+    _batch_size(n) networks, and at least threads of them.  Yields (cell spec, checked
+    inits_per_network, [one result per network]) per cell in grid order (gammas outer, cs
     inner), each as soon as the batch holding its last network is done.
     """
     cs = list(cs)
-    grid = [EnsembleSpec(gamma=g, c=c, **spec) for g in gammas for c in cs]
+    grid = [EnsembleSpec(n=n, c=c, gamma=g, theta=theta, i_ext=i_ext) for g in gammas for c in cs]
     if not grid:
         raise ValidationError("gamma and c grids must be nonempty")
-    _as_count(networks_per_cell, "networks_per_cell")
-    tasks = [(cell, k) for cell in grid for k in range(networks_per_cell)]
-    with closing(_fan_out(worker, tasks, threads, _batch_size(grid[0].n))) as results:
+    networks = _as_count(networks_per_cell, "networks_per_cell")
+    inits = _as_count(inits_per_network, "inits_per_network")
+    run = functools.partial(worker, seed=_as_count(seed, "seed", least=0), inits=inits, **params)
+    tasks = [(cell, k) for cell in grid for k in range(networks)]
+    with closing(_fan_out(run, tasks, threads, _batch_size(grid[0].n))) as results:
         for cell in grid:
-            yield cell, [next(results) for _ in range(networks_per_cell)]
+            yield cell, inits, [next(results) for _ in range(networks)]
+
+
+def _mean(xs) -> float:  # NaN for no xs
+    return float(np.mean(xs)) if xs else math.nan
 
 
 def _run_sweep_batch(tasks, *, seed, inits, max_transient, max_period, tol, polish_steps) -> list:
@@ -175,37 +179,28 @@ def sweep(
     every network of a batch at once, a batch being at most 64 contiguous
     networks of the grid (fewer for n > 128).  A cell depends only on the
     cycles found (their periods, gaps and rasters up to rotation), never on
-    transients, so the sweep does not locate them.  Every argument is checked here,
-    before any worker starts: each grid cell as an :class:`EnsembleSpec` of its gamma
-    and c with n, theta and i_ext, and the run parameters, the seed an integer >= 0.
+    transients, so the sweep does not locate them.  Every argument is checked before
+    any worker starts: each grid cell as an :class:`EnsembleSpec` of its gamma and c with
+    n, theta and i_ext, and the run parameters, the seed an integer >= 0.
     Rows come back in grid order (gammas outer, cs inner); ``progress(done, total, cell)``
     is called per cell, as the batch holding the cell's last network finishes.
     """
     gammas, cs = list(gammas), list(cs)
-    inits_per_network = _as_count(inits_per_network, "inits_per_network")
     max_transient, max_period, tol, polish_steps = _detection_params(
         max_transient, max_period, tol, polish_steps)
-    run = functools.partial(
-        _run_sweep_batch, seed=_as_count(seed, "seed", least=0), inits=inits_per_network,
-        max_transient=max_transient, max_period=max_period, tol=tol, polish_steps=polish_steps)
     cells = []
-    for spec, nets in _grid_cells(run, gammas, cs, networks_per_cell, threads,
-                                  n=n, theta=theta, i_ext=i_ext):
-        dists = [d for _, d, _, _ in nets if d is not None]
-        periods = [p for _, _, ps, _ in nets for p in ps]
-        death = sum(kind == "NeuralDeath" for kind, _, _, _ in nets) / networks_per_cell
-        avg_d = float(np.mean(dists)) if dists else math.nan
-        log_d = (
-            float(np.mean([math.log10(max(d, LOG10_FLOOR)) for d in dists]))
-            if dists else math.nan
-        )
-        avg_p = float(np.mean(periods)) if periods else math.nan
-        undet_frac = sum(u for _, _, _, u in nets) / (networks_per_cell * inits_per_network)
+    for spec, inits, nets in _grid_cells(
+            _run_sweep_batch, gammas, cs, n, networks_per_cell, inits_per_network, theta=theta,
+            i_ext=i_ext, seed=seed, threads=threads, max_transient=max_transient,
+            max_period=max_period, tol=tol, polish_steps=polish_steps):
+        kinds, gaps, periods, undetermined = zip(*nets)
+        dists = [d for d in gaps if d is not None]
         cells.append(SweepCell(
-            gamma=spec.gamma, c=spec.c, samples=networks_per_cell,
-            avg_d_as=avg_d, log10_d_as=log_d, death_fraction=death,
-            avg_period=avg_p, undetermined_fraction=undet_frac,
-        ))
+            gamma=spec.gamma, c=spec.c, samples=len(nets), avg_d_as=_mean(dists),
+            log10_d_as=_mean([math.log10(max(d, LOG10_FLOOR)) for d in dists]),
+            death_fraction=kinds.count("NeuralDeath") / len(nets),
+            avg_period=_mean([p for ps in periods for p in ps]),
+            undetermined_fraction=sum(undetermined) / (len(nets) * inits)))
         if progress is not None:
             progress(len(cells), len(gammas) * len(cs), cells[-1])
     return cells
@@ -260,13 +255,11 @@ def lyapunov_map(
     """
     ball_radius, num_directions, horizon, burn_in = _lyap_params(
         ball_radius, num_directions, horizon, burn_in)
-    run = functools.partial(
-        _run_lyap_batch, seed=_as_count(seed, "seed", least=0),
-        inits=_as_count(inits_per_network, "inits_per_network"), ball_radius=ball_radius,
-        num_directions=num_directions, horizon=horizon, burn_in=burn_in)
     return [
-        LyapCell(gamma=spec.gamma, c=spec.c, samples=networks_per_cell,
+        LyapCell(gamma=spec.gamma, c=spec.c, samples=len(nets),
                  mean_lyapunov=float(np.mean([lam for vals in nets for lam in vals])))
-        for spec, nets in _grid_cells(run, gammas, cs, networks_per_cell, threads,
-                                      n=n, theta=theta, i_ext=i_ext)
+        for spec, _, nets in _grid_cells(
+            _run_lyap_batch, gammas, cs, n, networks_per_cell, inits_per_network, theta=theta,
+            i_ext=i_ext, seed=seed, threads=threads, ball_radius=ball_radius,
+            num_directions=num_directions, horizon=horizon, burn_in=burn_in)
     ]

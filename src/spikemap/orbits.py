@@ -273,16 +273,11 @@ class _Cycle:
         return float(np.min(np.abs(self.states - self.theta)))
 
 
-def _cycle(net, states, period) -> _Cycle:
-    states.flags.writeable = False
-    raster = _fires(states, net.theta).astype(np.uint8)
-    raster.flags.writeable = False
-    return _Cycle(period, states, raster, net.theta)
-
-
-def _report(net, cycle: _Cycle, transient, phase) -> OrbitReport:
-    c = _cycle(net, np.roll(cycle.states, -phase, axis=0), cycle.period)
-    return OrbitReport(transient, c.period, c.states, c.cycle_raster, c.min_threshold_gap)
+def _report(cycle: _Cycle, transient, phase) -> OrbitReport:
+    """cycle re-based at phase: its states and raster rotated, read-only like the cycle's."""
+    states, raster = (np.roll(a, -phase, axis=0) for a in (cycle.states, cycle.cycle_raster))
+    states.flags.writeable = raster.flags.writeable = False
+    return OrbitReport(transient, cycle.period, states, raster, cycle.min_threshold_gap)
 
 
 def _detection_params(max_transient, max_period, tol, polish_steps) -> tuple:
@@ -330,7 +325,11 @@ def _cycles(nets, v0s, max_transient, max_period, tol, polish_steps) -> list:
                 found, v[m, s] = _polish(stack[m], v[m, s], period, tol, polish_steps)
                 for (j, k), polished in zip(rows[i:i + run], found):
                     if polished is not None:
-                        cycles[j * v.shape[1] + k], live[j, k] = _cycle(nets[j], *polished), False
+                        states, p = polished
+                        raster = _fires(states, nets[j].theta).astype(np.uint8)
+                        states.flags.writeable = raster.flags.writeable = False
+                        cycles[j * v.shape[1] + k] = _Cycle(p, states, raster, nets[j].theta)
+                        live[j, k] = False
     return cycles
 
 
@@ -454,8 +453,7 @@ def _omega(net, v0s, threads, max_transient, max_period, tol, polish_steps) -> O
     horizon = max_transient + 2 * max_period
     orbits, kept, undetermined = _sample(_fan_out(cycles, list(v0s), threads, _BATCH), tol)
     entries = _locate_entries(net, v0s[kept], [c.states for c in orbits], tol, horizon)
-    return OmegaSample([_report(net, c, *e) for c, e in zip(orbits, entries)], undetermined,
-                       horizon)
+    return OmegaSample([_report(c, *e) for c, e in zip(orbits, entries)], undetermined, horizon)
 
 
 def omega_sample(
@@ -525,12 +523,14 @@ def markov_horizon(epsilon: float, domain_diameter: float, gamma: float) -> int:
 def period_bound_log2(n: int, d_as: float, gamma: float) -> float:
     """log2 of the cycle-count/period bound: n * log(d_as) / log(gamma).
 
-    The bound itself, 2 ** this, overflows a float once n is large.
+    The bound itself, 2 ** this, overflows a float once n is large.  d_as = 0, an orbit
+    with a state exactly on the threshold, gives math.inf, the limit as d_as -> 0+.
     """
     _as_count(n, "n")
     if not (0.0 < _as_number(gamma, "gamma") < 1.0):
         raise ValidationError(f"gamma must lie in (0, 1), got {gamma}")
-    _as_finite(d_as, "d_as")
+    if _as_finite(d_as, "d_as", allow_zero=True) == 0.0:
+        return math.inf
     if d_as >= 1.0:
         warnings.warn("period bound is vacuous for attractor distances >= 1", stacklevel=2)
         return 0.0

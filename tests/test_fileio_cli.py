@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import pathlib
@@ -614,6 +615,45 @@ class TestCliLyap:
 
 def test_cli_bad_subcommand_exit_2():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--net", str(DATA / "orbit_gamma05_net.json"), "--t-max", "10000000000000"],
+    ["orbit", "--net", str(DATA / "orbit_gamma05_net.json"), "--inits", "100000000000000"],
+], ids=["simulate-t-max", "orbit-inits"])
+def test_a_request_too_large_to_allocate_exits_3(argv, tmp_path, capsys):
+    # 655 TiB of states and 6.39 PiB of starts: numpy refuses both before allocating anything
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
+
+
+def test_the_cli_defaults_are_the_librarys():
+    # each run default the parser repeats, against the library's own, by value and type
+    def defaults(fn):
+        return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+    def parsed(*argv):
+        return vars(cli.build_parser().parse_args([*argv, "--out", "x"]))
+
+    orbit = parsed("orbit", "--net", "n.json")
+    grid = ["--n", "3", "--gammas", "0.5", "--cs", "1"]
+    # lyap's ensemble-only defaults are set after parsing, so lyap --net can refuse the flags
+    lyap = {**parsed("lyap", *grid), **cli._LYAP_ENSEMBLE_ONLY}
+    detection = ["max_transient", "max_period", "tol"]
+    for args, fn, names in [  # {parsed flag: library parameter, None when of the same name}
+        (orbit, sm.omega_sample, {**dict.fromkeys(detection), "polish": "polish_steps",
+                                  "threads": None}),
+        (orbit, sm.classify_regime, {"eps_singular": "epsilon_singular"}),
+        (parsed("sweep", *grid), sm.sweep,
+         dict.fromkeys([*detection, "theta", "i_ext", "seed", "threads"])),
+        (lyap, sm.lyapunov_map, {"burn_in": None, "directions": "num_directions", "seed": None,
+                                 "theta": None, "i_ext": None, "threads": None}),
+    ]:
+        lib = defaults(fn)
+        for flag, name in names.items():
+            default = lib[name or flag]
+            assert (type(args[flag]), args[flag]) == (type(default), default), (fn.__name__, flag)
 
 
 _SWEEP = ["sweep", "--n", "3", "--gammas", "0.5", "--cs", "1.0", "--inits", "1",

@@ -273,7 +273,7 @@ def batch_reports(nets, v0s, max_transient, max_period, tol, polish_steps) -> li
     cycles = _cycles(nets, v0s, max_transient, max_period, tol, polish_steps)
     rows = zip(cycles, [net for net in nets for _ in range(v0s.shape[1])],
                v0s.reshape(-1, nets[0].n))
-    return [c if isinstance(c, sm.Undetermined) else _report(net, c, *_locate_entries(
+    return [c if isinstance(c, sm.Undetermined) else _report(c, *_locate_entries(
         net, v0[None], [c.states], tol, max_transient + 2 * max_period)[0]) for c, net, v0 in rows]
 
 
@@ -690,6 +690,17 @@ class TestPeriodBound:
         for gamma in ("0.5", True):
             with pytest.raises(sm.ValidationError):
                 sm.period_bound_log2(4, 0.1, gamma)
+
+    def test_an_orbit_on_the_threshold_bounds_nothing(self):
+        # dyadic weights: this net's period-55 orbit has a state exactly on theta, so
+        # dist_attractor_to_S returns 0.0, and the bound's limit as d -> 0+ is +inf
+        net = fileio.read_network(DATA / "orbit_gamma05_net.json")
+        d = sm.dist_attractor_to_S(sm.omega_sample(net, 2, np.random.default_rng(4)).orbits)
+        assert d == 0.0
+        assert sm.period_bound_log2(net.n, d, net.gamma) == math.inf
+        for bad in (-1e-300, math.nan, math.inf):
+            with pytest.raises(sm.ValidationError):
+                sm.period_bound_log2(net.n, bad, net.gamma)
 
     def test_monotone_in_distance(self):
         vals = [sm.period_bound_log2(10, d, 0.5) for d in np.logspace(-8, -1, 30)]
