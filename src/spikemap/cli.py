@@ -23,8 +23,8 @@ from .model import (
     simulate,
 )
 from .coding import build_transition_graph
-from .orbits import _lyap_params, _starts, classify_regime, dist_attractor_to_S, omega_sample
-from .ensemble import _lyap_samples, lyapunov_map, sweep
+from .orbits import _lyap_params, _lyapunov, _starts, classify_regime, dist_attractor_to_S, omega_sample
+from .ensemble import lyapunov_map, sweep
 from . import fileio
 
 
@@ -161,9 +161,8 @@ def _cmd_lyap(args) -> int:
             flag = "--" + given[0].replace("_", "-")
             raise ValidationError(f"{flag} applies only to ensemble lyap, not to lyap --net")
         net = fileio.read_network(args.net)
-        vals = _lyap_samples([net], _as_count(args.inits, "inits"),
-                             [np.random.default_rng(args.seed)],
-                             *_lyap_params(args.ball, args.directions, args.horizon, args.burn_in))[0]
+        vals = _lyapunov([net], [np.random.default_rng(args.seed)], _as_count(args.inits, "inits"),
+                         *_lyap_params(args.ball, args.directions, args.horizon, args.burn_in))[0]
         config = _config(args, "gammas", *_LYAP_ENSEMBLE_ONLY)  # all None in this mode
         fileio._write_csv(args.out, config, "init,lyapunov",
                           (f"{k},{fileio.fmt_float(lam)}" for k, lam in enumerate(vals)))

@@ -10,6 +10,7 @@ alone.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -23,6 +24,7 @@ from .model import (
     _advance,
     _as_array,
     _as_count,
+    _as_finite,
     _fires,
     _trajectory,
     compute_bounds,
@@ -78,6 +80,7 @@ def encode(traj, theta: Optional[float] = None) -> np.ndarray:
         states = np.asarray(traj, dtype=np.float64)
         if theta is None:
             raise ValidationError("encode of a raw state array requires theta")
+        theta = _as_finite(theta, "theta")
     return _fires(np.atleast_2d(states), theta).astype(np.uint8)
 
 
@@ -198,17 +201,18 @@ class TransitionGraph:
         return self.src_bits.shape[0]
 
     def _index(self, eta) -> int:
-        if isinstance(eta, (int, np.integer)):
-            idx = int(eta)
-            if not (0 <= idx < self.num_patterns):
-                raise ValidationError(f"pattern index {idx} out of range")
-            return idx
+        """A pattern's index, from an index (an integer, not a bool), a string or a vector."""
         if isinstance(eta, str):
             eta = str_to_pattern(eta)
-        bits = np.asarray(eta).astype(np.uint8)
-        if bits.shape != (self.n,):
-            raise ValidationError(f"pattern must have length {self.n}")
-        return int(_pattern_index(bits))
+        if isinstance(eta, numbers.Integral):
+            idx = _as_count(eta, "pattern index", least=0)
+            if idx >= self.num_patterns:
+                raise ValidationError(f"pattern index {idx} out of range")
+            return idx
+        bits = _check_raster(eta, self.n)  # 0/1 values, width N
+        if np.ndim(eta) != 1:
+            raise ValidationError(f"pattern must be one vector of length {self.n}")
+        return int(_pattern_index(bits[0]))
 
     def pattern(self, idx: int) -> np.ndarray:
         return self.src_bits[idx]

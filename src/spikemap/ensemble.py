@@ -19,7 +19,6 @@ import numpy as np
 from .model import NetworkParams, ValidationError, _as_count, _as_finite, _as_gamma, _as_number
 from .orbits import (
     _batch_size,
-    _cube_directions,
     _cycles,
     _detection_params,
     _fan_out,
@@ -206,31 +205,11 @@ def sweep(
     return cells
 
 
-def _lyap_samples(nets, inits: int, rngs, ball_radius: float, num_directions: int, horizon: int,
-                  burn_in: int) -> list:
-    """Per network, the rates from inits starts drawn uniformly in its invariant box, every
-    start of every network in one lockstep :func:`_lyapunov` pass.
-
-    Network m draws only from rngs[m]: each start and then its directions, in start order,
-    and then the pass's re-seeds.  The parameters are checked by the callers
-    (:func:`orbits._lyap_params`).
-    """
-    v0s, dirs = [], []
-    for net, rng in zip(nets, rngs):
-        for _ in range(inits):
-            v0s.append(_starts(net, 1, rng)[0])
-            dirs.append(_cube_directions(rng, num_directions, net.n))
-    shape = (len(nets), inits, nets[0].n)
-    return _lyapunov(nets, np.reshape(v0s, shape),
-                     np.reshape(dirs, (*shape[:2], num_directions, shape[2])),
-                     ball_radius, horizon, rngs, burn_in)
-
-
 def _run_lyap_batch(tasks, *, seed, inits, ball_radius, num_directions, horizon, burn_in) -> list:
     """The rates of each task's network and starts, every network of the batch in lockstep."""
     nets = [sample_network(spec, _stream(seed, spec.gamma, spec.c, k)) for spec, k in tasks]
     rngs = [_stream(seed, spec.gamma, spec.c, k, 2) for spec, k in tasks]
-    return _lyap_samples(nets, inits, rngs, ball_radius, num_directions, horizon, burn_in)
+    return _lyapunov(nets, rngs, inits, ball_radius, num_directions, horizon, burn_in)
 
 
 def lyapunov_map(

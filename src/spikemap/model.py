@@ -317,6 +317,8 @@ def simulate(
 
 def firing_times(raster: np.ndarray, i: int) -> np.ndarray:
     """Times t with raster[t][i] = 1, ascending; empty if neuron i never fires."""
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral):  # numpy reads a bool as a mask
+        raise ValidationError(f"neuron index must be an integer, got {i!r}")
     raster = np.asarray(raster)
     n = raster.shape[1]
     if not (0 <= i < n):

@@ -630,8 +630,7 @@ def effective_lyapunov(
     v0 = _as_array(v0, (net.n,), "v0")
     ball_radius, num_directions, horizon, burn_in = _lyap_params(
         ball_radius, num_directions, horizon, burn_in)
-    dirs = _cube_directions(rng, num_directions, net.n)  # burn-in draws nothing
-    return _lyapunov([net], v0[None, None], dirs[None, None], ball_radius, horizon, [rng],
+    return _lyapunov([net], [rng], v0[None, None], ball_radius, num_directions, horizon,
                      burn_in)[0][0]
 
 
@@ -643,12 +642,14 @@ def _lyap_params(ball_radius, num_directions, horizon, burn_in) -> tuple:
             _as_count(horizon, "horizon"), _as_count(burn_in, "burn_in", least=0))
 
 
-def _lyapunov(nets, v0s, dirs, ball_radius, horizon, rngs, burn_in) -> list:
+def _lyapunov(nets, rngs, v0s, ball_radius, num_directions, horizon, burn_in) -> list:
     """effective_lyapunov of every start of every network of nets (one size N), all in
-    lockstep; the rates, I per network.  v0s (M, I, N) holds I starts per network and dirs
-    (M, I, k, N) the directions of each, drawn before the call (burn-in draws nothing).
-    Network m re-seeds from rngs[m] alone: in step order, and within a step in start order.
-    The parameters are those :func:`_lyap_params` returns.
+    lockstep; the rates, I per network.  v0s is either I, the number of starts to draw for
+    each network uniformly in its invariant box, or an (M, I, N) array of given starts.
+    This is the one reader of the estimator's streams.  Network m reads rngs[m] alone, in
+    this order: each start it is not given and then that start's num_directions directions,
+    in start order; nothing during burn-in; then the re-seeds, in step order, and within a
+    step in start order.  The parameters are those :func:`_lyap_params` returns.
 
     The states are one (M, I, 1+k, N) array, a mother and its k companions per start,
     advanced together on the stack of the M networks, whose weights are held once.  W z is
@@ -661,12 +662,18 @@ def _lyapunov(nets, v0s, dirs, ball_radius, horizon, rngs, burn_in) -> list:
     are bit-identical to that loop and memory does not grow with the horizon.  Every step
     rescales the companions in place; only one on which some sit on their mother re-seeds.
     """
-    stack, (m_nets, inits, n) = _Stack.of(nets), v0s.shape
-    mother = v0s
+    drawn, stack, m_nets, n = np.ndim(v0s) == 0, _Stack.of(nets), len(nets), nets[0].n
+    inits = v0s if drawn else np.shape(v0s)[1]
+    pts = np.empty((m_nets, inits, 1 + num_directions, n))
+    for m, (net, rng) in enumerate(zip(nets, rngs)):
+        for i in range(inits):
+            pts[m, i, 0] = _starts(net, 1, rng)[0] if drawn else v0s[m][i]
+            pts[m, i, 1:] = ball_radius * _cube_directions(rng, num_directions, n)
+    mother = pts[:, :, 0]
     for _ in range(burn_in):
         mother = step(stack, mother)
-    mother = mother[:, :, None]
-    pts = np.concatenate([mother, mother + ball_radius * dirs], axis=2)
+    pts[:, :, 0] = mother
+    pts[:, :, 1:] += mother[:, :, None]  # each companion ball_radius from its mother
     totals, samples = [0.0] * (m_nets * inits), [0] * (m_nets * inits)
     check = 0  # the next step to compare
     rows = min(horizon, _LYAP_BLOCK)

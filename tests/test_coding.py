@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -31,6 +32,12 @@ class TestEncode:
         traj = sm.simulate(example1_net(), [0.75], 1)
         with pytest.raises(sm.ValidationError, match="theta"):
             sm.encode(traj, theta=0.5)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -1.0, 0.0, True],
+                             ids=["nan", "inf", "negative", "zero", "bool"])
+    def test_refuses_a_meaningless_theta(self, theta):
+        with pytest.raises(sm.ValidationError, match="theta"):
+            sm.encode(np.full((2, 3), 0.5), theta)
 
 
 class TestReconstruct:
@@ -246,8 +253,9 @@ class TestTransitionGraph:
         with pytest.raises(sm.ValidationError, match="illegal"):  # a firing neuron gets 1.6
             g.conditional_intervals("1", "0")
 
-    @pytest.mark.parametrize("src", [2, -1, "01", [0, 0]], ids=["index-2", "index-negative",
-                                                              "string-length", "array-length"])
+    @pytest.mark.parametrize("src", [2, -1, "01", [0, 0], [0.5], True, [2], [-1]],
+                             ids=["index-2", "index-negative", "string-length", "array-length",
+                                  "array-half", "index-bool", "array-2", "array-negative"])
     def test_pattern_outside_the_graph(self, src):
         g = sm.build_transition_graph(example1_net())
         with pytest.raises(sm.ValidationError):

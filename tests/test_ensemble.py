@@ -160,8 +160,8 @@ class TestLyapunovMap:
         stacks = stacked_steps(monkeypatch)
         nets = [sm.NetworkParams(n=3, gamma=0.5, theta=1.0, weights=np.zeros((3, 3)),
                                  i_ext=np.full(3, drive)) for drive in (0.0, 2.0)]
-        rates = ensemble._lyap_samples(nets, 2, [np.random.default_rng(s) for s in (1, 2)],
-                                       1e-3, 4, 50, 7)
+        rates = orbits._lyapunov(nets, [np.random.default_rng(s) for s in (1, 2)], 2,
+                                 1e-3, 4, 50, 7)
         assert stacks == [2] * (7 + 50)
         assert rates[1] == [-math.inf, -math.inf]
 

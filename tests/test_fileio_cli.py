@@ -719,7 +719,7 @@ def test_meaningless_arguments_exit_2(argv, ex1_file, tmp_path, capsys):
     (_ORBIT, "omega_sample"),
     (_SWEEP, "sweep"),
     (_ENSEMBLE_LYAP, "lyapunov_map"),
-    (_NET_LYAP, "_lyap_samples"),
+    (_NET_LYAP, "_lyapunov"),
 ], ids=["simulate", "graph", "orbit", "sweep", "lyap", "lyap-net"])
 def test_missing_out_directory_exits_2_before_any_work(argv, worker, ex1_file, tmp_path, capsys,
                                                       monkeypatch):
@@ -736,7 +736,7 @@ def test_missing_out_directory_exits_2_before_any_work(argv, worker, ex1_file, t
     (["graph", "--net", "{net}"], "build_transition_graph"),
     (_ORBIT, "omega_sample"),
     (_ENSEMBLE_LYAP, "lyapunov_map"),
-    (_NET_LYAP, "_lyap_samples"),
+    (_NET_LYAP, "_lyapunov"),
 ], ids=["graph", "orbit", "lyap", "lyap-net"])
 def test_out_naming_a_directory_exits_2_before_any_work(argv, worker, ex1_file, tmp_path, capsys,
                                                         monkeypatch):

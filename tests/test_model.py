@@ -272,6 +272,12 @@ class TestFiringTimes:
         with pytest.raises(IndexError):
             sm.firing_times(np.zeros((5, 2), dtype=np.uint8), 2)
 
+    @pytest.mark.parametrize("i", [True, 1.0], ids=["bool", "float"])
+    def test_index_must_be_an_integer(self, i):
+        # numpy would read True as a mask over the rows, and refuse 1.0 with a bare IndexError
+        with pytest.raises(sm.ValidationError, match="neuron index"):
+            sm.firing_times(np.eye(2, dtype=np.uint8), i)
+
     def test_driven_neuron_first_firing(self):
         # one neuron charged by a self-sustaining partner: first spike when the
         # geometric charge w12*(1-gamma^t)/(1-gamma) reaches threshold

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import spikemap as sm
 from spikemap import fileio, orbits
-from spikemap.ensemble import _lyap_samples, _run_sweep_batch, _stream
+from spikemap.ensemble import _run_sweep_batch, _stream
 from spikemap.model import _Stack
 from spikemap.orbits import (_batch_size, _brent_scan, _cycles, _fan_out, _locate_entries, _report,
                              _sample, _starts)
@@ -851,8 +851,8 @@ class TestLyapunovLockstep:
                             theta=float(rng.choice([1.0, 0.75]))) for _ in range(m)]
         seeds = rng.integers(0, 2**32, m).tolist()
         ball = 10.0 ** log10_ball
-        batch = _lyap_samples(nets, inits, [np.random.default_rng(s) for s in seeds],
-                              ball, k, 40, burn_in)
+        batch = orbits._lyapunov(nets, [np.random.default_rng(s) for s in seeds], inits,
+                                 ball, k, 40, burn_in)
         for net, s, rates in zip(nets, seeds, batch):
             want = looped_rates(net, inits, ball, k, 40, np.random.default_rng(s), burn_in)
             assert [r.hex() for r in rates] == [r.hex() for r in want]
@@ -881,8 +881,8 @@ class TestLyapunovLockstep:
             return wz(net, z)
 
         with mock.patch.object(orbits, "_wz", recorded):
-            batch = _lyap_samples(nets, inits, [np.random.default_rng(s) for s in seeds],
-                                  ball, k, 80, 5)
+            batch = orbits._lyapunov(nets, [np.random.default_rng(s) for s in seeds], inits,
+                                     ball, k, 80, 5)
         assume(any(shared) and not all(shared))
         for net, s, rates in zip(nets, seeds, batch):
             want = looped_rates(net, inits, ball, k, 80, np.random.default_rng(s), 5)
@@ -894,8 +894,8 @@ class TestLyapunovLockstep:
         # read from the network's one stream between the other's
         always = quiescent_net(i_ext=2.0)
         ordinary = quarter_net(np.random.default_rng(1), 3, 0.875)
-        rates = _lyap_samples([always, ordinary], 2, [np.random.default_rng(s) for s in (7, 2)],
-                              0.1, 4, 60, 5)
+        rates = orbits._lyapunov([always, ordinary], [np.random.default_rng(s) for s in (7, 2)], 2,
+                                 0.1, 4, 60, 5)
         assert rates[0] == [-math.inf, -math.inf]
         runs = looped_lyapunov(ordinary, 2, 0.1, 4, 60, np.random.default_rng(2), burn_in=5)
         assert runs[0][1] > 0 and runs[1][2] > 0
@@ -910,9 +910,8 @@ class TestLyapunovLockstep:
                 quiescent_net(gamma=0.5)]
         v0s = [np.full(3, 2.0), np.random.default_rng(5).uniform(-1.0, 1.5, 3), np.zeros(3)]
         seeds = (7, 2, 3)
-        rngs = [np.random.default_rng(s) for s in seeds]
-        dirs = np.array([[orbits._cube_directions(rng, 4, 3)] for rng in rngs])
-        rates = orbits._lyapunov(nets, np.reshape(v0s, (3, 1, 3)), dirs, 0.1, horizon, rngs, 5)
+        rates = orbits._lyapunov(nets, [np.random.default_rng(s) for s in seeds],
+                                 np.reshape(v0s, (3, 1, 3)), 0.1, 4, horizon, 5)
         rates = [rate for rate, in rates]
         runs = [looped_lyapunov(net, [v0], 0.1, 4, horizon, np.random.default_rng(s), burn_in=5)[0]
                 for net, v0, s in zip(nets, v0s, seeds)]
