@@ -276,12 +276,14 @@ def main(argv=None) -> int:
         if args.command not in ("simulate", "sweep") and os.path.isdir(args.out):  # not a prefix
             raise ValidationError(f"--out: {args.out!r} is a directory")
         return args.func(args)
-    except (CapacityError, MemoryError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (CapacityError, MemoryError, ValueError) as e:  # ValueError: numpy's refusal of a size
+        if isinstance(e, ValueError) and not str(e).startswith(("array is too big", "Maximum allowed")):
+            raise  # any other ValueError is a fault, not an input error
+        print(f"error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

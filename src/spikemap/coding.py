@@ -1,11 +1,11 @@
 """Raster coding: firing patterns, trajectory reconstruction from rasters, and
 the pattern-transition structure of the map.
 
-A firing pattern is a length-N 0/1 vector; a raster is a time-indexed stack
-of patterns (one line of a raster plot per step).  Because fired coordinates
+A firing pattern is one length-N 0/1 vector and a raster a 2-D stack of them,
+one per step; ``_check_raster`` holds every entry point, file I/O included, to
+that, and :func:`str_to_pattern` parses all 0/1 text.  Because fired coordinates
 are reset, the raster plus the initial state determines the whole trajectory,
-and after a neuron's first spike its potential is a function of the raster
-alone.
+and after a neuron's first spike its potential is a function of the raster alone.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "TransitionGraph",
     "build_transition_graph",
     "check_legal",
+    "firing_times",
 ]
 
 EDGE_UNCONDITIONAL = "unconditional"
@@ -55,15 +56,32 @@ class IllegalCodeError(ValueError):
     """A raster cycle is not realizable by any state of the network."""
 
 
+def _check_raster(raster, n: Optional[int] = None, ndim: int = 2) -> np.ndarray:
+    """The raster rule, as uint8: ndim dimensions (2: a raster, 1: a pattern), 0/1 values, width n."""
+    try:
+        r = np.asarray(raster)
+    except ValueError:  # ragged rows
+        raise ValidationError("raster rows must all have one length") from None
+    if r.ndim != ndim:
+        raise ValidationError(f"{('pattern', 'raster')[ndim - 1]} must be {ndim}-D, got shape {r.shape}")
+    if r.dtype.kind not in "biuf" or not ((r == 0) | (r == 1)).all():
+        raise ValidationError("a raster or pattern holds 0/1 values only")
+    if n is not None and r.shape[-1] != n:
+        raise ValidationError(f"pattern width {r.shape[-1]} does not match N={n}")
+    return r.astype(np.uint8, copy=False)
+
+
 def pattern_to_str(eta) -> str:
     """Bitstring with neuron index increasing left to right."""
-    return "".join("1" if b else "0" for b in np.asarray(eta))
+    return (_check_raster(eta, ndim=1) + np.uint8(ord("0"))).tobytes().decode()
 
 
 def str_to_pattern(s: str) -> np.ndarray:
-    if not set(s) <= {"0", "1"}:
+    """The pattern a bitstring spells, read as bytes: neuron index increasing left to right."""
+    bits = np.frombuffer(str.encode(s), dtype=np.uint8) - np.uint8(ord("0"))  # TypeError unless a str
+    if (bits > 1).any():  # any other character, '/' and below included, wraps above 1
         raise ValidationError(f"pattern string must be 0/1 characters, got {s!r}")
-    return np.array([1 if c == "1" else 0 for c in s], dtype=np.uint8)
+    return bits
 
 
 def encode(traj, theta: Optional[float] = None) -> np.ndarray:
@@ -82,18 +100,6 @@ def encode(traj, theta: Optional[float] = None) -> np.ndarray:
             raise ValidationError("encode of a raw state array requires theta")
         theta = _as_finite(theta, "theta")
     return _fires(np.atleast_2d(states), theta).astype(np.uint8)
-
-
-def _check_raster(raster, n: int) -> np.ndarray:
-    try:
-        r = np.atleast_2d(np.asarray(raster))
-    except ValueError:  # ragged rows
-        raise ValidationError("raster rows must all have one length") from None
-    if r.dtype.kind not in "biuf" or not ((r == 0) | (r == 1)).all():
-        raise ValidationError("raster must hold 0/1 values only")
-    if r.shape[1] != n:
-        raise ValidationError(f"raster width {r.shape[1]} does not match N={n}")
-    return r.astype(np.uint8, copy=False)
 
 
 def reconstruct_trajectory(net: NetworkParams, v0, raster) -> np.ndarray:
@@ -202,20 +208,17 @@ class TransitionGraph:
 
     def _index(self, eta) -> int:
         """A pattern's index, from an index (an integer, not a bool), a string or a vector."""
-        if isinstance(eta, str):
-            eta = str_to_pattern(eta)
         if isinstance(eta, numbers.Integral):
             idx = _as_count(eta, "pattern index", least=0)
             if idx >= self.num_patterns:
                 raise ValidationError(f"pattern index {idx} out of range")
             return idx
-        bits = _check_raster(eta, self.n)  # 0/1 values, width N
-        if np.ndim(eta) != 1:
-            raise ValidationError(f"pattern must be one vector of length {self.n}")
-        return int(_pattern_index(bits[0]))
+        bits = str_to_pattern(eta) if isinstance(eta, str) else eta
+        return int(_pattern_index(_check_raster(bits, self.n, ndim=1)))
 
-    def pattern(self, idx: int) -> np.ndarray:
-        return self.src_bits[idx]
+    def pattern(self, idx) -> np.ndarray:
+        """The bits of a pattern given as an index, a string or a vector."""
+        return self.src_bits[self._index(idx)]
 
     def _legal(self, a, b):
         """Whether b is a legal successor of a; a and b are indices or index arrays."""
@@ -247,8 +250,8 @@ class TransitionGraph:
     def successors(self, src) -> list[tuple[int, str]]:
         """Legal successor pattern indices of a source pattern, ascending, with edge kinds."""
         a = self._index(src)
-        _, b, kind = next(self._edge_blocks(sources=(a, a + 1)))
-        return list(zip(b.tolist(), [_EDGE_KINDS[k] for k in kind.tolist()]))
+        kind = _EDGE_KINDS[int(self.free[a] != 0)]
+        return [(b, kind) for b in np.flatnonzero(self._legal(a, np.arange(self.num_patterns))).tolist()]
 
     def counts(self) -> dict[str, int]:
         """Edge counts by kind over all 2^N x 2^N pairs, computed without enumeration."""
@@ -263,20 +266,19 @@ class TransitionGraph:
         for a, b, kind in self._edge_blocks(include_illegal):
             yield from zip(a.tolist(), b.tolist(), [_EDGE_KINDS[k] for k in kind.tolist()])
 
-    def _edge_blocks(self, include_illegal: bool = False, sources: Optional[tuple] = None):
-        """Edges of sources lo..hi-1 (default all), in order, as (a, b, kind index) array blocks.
+    def _edge_blocks(self, include_illegal: bool = False):
+        """Every edge, in order, as (a, b, kind index) array blocks.
 
         a's legal targets are ``forced[a] | s`` for the submasks s of ``free[a]``, ascending:
         the bits of k = 0..2^d-1 deposited in order onto the d set bits of ``free[a]``.
         """
         num = self.num_patterns
-        lo, hi = sources or (0, num)
-        dims = _popcount(self.free[lo:hi])
-        sizes = np.full(hi - lo, num) if include_illegal else np.int64(1) << dims
+        dims = _popcount(self.free)
+        sizes = np.full(num, num) if include_illegal else np.int64(1) << dims
         cuts = np.searchsorted(np.cumsum(sizes), np.arange(0, sizes.sum(), _EDGE_BLOCK), "right")
-        bounds = [*np.unique(lo + cuts).tolist(), hi]
+        bounds = [*np.unique(cuts).tolist(), num]
         for s0, s1 in zip(bounds, bounds[1:]):
-            size, d_blk = sizes[s0 - lo:s1 - lo], dims[s0 - lo:s1 - lo]
+            size, d_blk = sizes[s0:s1], dims[s0:s1]
             a = np.repeat(np.arange(s0, s1), size)
             kind = (self.free[a] != 0).astype(np.int64)
             if include_illegal:
@@ -331,3 +333,13 @@ def check_legal(raster, graph: TransitionGraph) -> bool:
     """True iff every consecutive pattern pair of the raster is a feasible transition."""
     idx = _pattern_index(_check_raster(raster, graph.n))
     return bool(graph._legal(idx[:-1], idx[1:]).all())
+
+
+def firing_times(raster, i: int) -> np.ndarray:
+    """Times t with raster[t][i] = 1, ascending; empty if neuron i never fires."""
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral):  # numpy reads a bool as a mask
+        raise ValidationError(f"neuron index must be an integer, got {i!r}")
+    raster = _check_raster(raster)
+    if not (0 <= i < raster.shape[1]):
+        raise IndexError(f"neuron index {i} out of range for N={raster.shape[1]}")
+    return np.flatnonzero(raster[:, i])

@@ -21,7 +21,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .model import NetworkParams, Trajectory, ValidationError
-from .coding import _EDGE_KINDS, TransitionGraph, pattern_to_str
+from .coding import _EDGE_KINDS, TransitionGraph, _check_raster, pattern_to_str, str_to_pattern
 from .orbits import OrbitReport, RegimeLabel
 from .ensemble import LyapCell, SweepCell
 
@@ -143,8 +143,8 @@ def read_trajectory_csv(path) -> tuple[dict, np.ndarray, np.ndarray]:
 
 
 def write_raster_text(path, raster) -> None:
-    """One line of 0/1 characters per row, as ``pattern_to_str`` spells it, written in one pass."""
-    raster = np.atleast_2d(np.asarray(raster, dtype=np.uint8))
+    """One line of 0/1 characters per row, as ``pattern_to_str`` spells it; checked before the file opens."""
+    raster = _check_raster(raster)
     text = np.full((raster.shape[0], raster.shape[1] + 1), ord("\n"), dtype=np.uint8)
     text[:, :-1] = np.where(raster != 0, ord("1"), ord("0"))
     with open(path, "wb") as f:
@@ -152,19 +152,16 @@ def write_raster_text(path, raster) -> None:
 
 
 def read_raster_text(path) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = [ln.strip() for ln in f if ln.strip() and not ln.startswith("#")]
-    except UnicodeDecodeError as e:
-        raise ValidationError(f"raster file {path} is not UTF-8 text: {e}") from e
-    if not lines:
-        raise ValidationError(f"raster file {path} is empty")
+    """The rows of a raster file, parsed by ``str_to_pattern``; blank and ``#`` lines are skipped."""
+    lines = [ln for ln in map(str.strip, _read_csv(path)[1]) if ln]
     if len(set(map(len, lines))) != 1:
-        raise ValidationError(f"raster file {path} has ragged lines")
-    bits = np.frombuffer("".join(lines).encode(), dtype=np.uint8) - np.uint8(ord("0"))
-    if (bits > 1).any():  # any other character, '/' and below included, wraps above 1
-        raise ValidationError(f"raster file {path} has characters other than 0/1")
-    return bits.reshape(len(lines), -1)
+        raise ValidationError(f"raster file {path} {'has ragged lines' if lines else 'is empty'}")
+    text, rows = "".join(lines), len(lines)
+    del lines  # freed before the long-lived raster is allocated; held, they raised peak RSS
+    try:
+        return str_to_pattern(text).reshape(rows, -1)
+    except ValidationError:
+        raise ValidationError(f"raster file {path} has characters other than 0/1") from None
 
 
 def write_graph_json(

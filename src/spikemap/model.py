@@ -9,9 +9,9 @@ constant external drive, synchronously:
     v_i' = gamma * v_i * (1 - z_i) + sum_j W_ij * z_j + i_ext_i,
     z_j  = 1 if v_j >= theta else 0.
 
-The map is affine on each of the 2^N domains on which the firing pattern z
-is constant, contracting with factor gamma in quiescent directions and
-collapsing fired directions to a point.
+The map is affine on each of the 2^N domains of constant firing pattern z,
+contracting quiescent directions by gamma and collapsing fired ones to a point.
+Rasters, their 0/1 rule and their spike times live in :mod:`spikemap.coding`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "compute_bounds",
     "step",
     "simulate",
-    "firing_times",
     "max_dist",
 ]
 
@@ -313,17 +312,6 @@ def simulate(
     states.flags.writeable = False
     raster.flags.writeable = False
     return Trajectory(net=net, states=states, raster=raster)
-
-
-def firing_times(raster: np.ndarray, i: int) -> np.ndarray:
-    """Times t with raster[t][i] = 1, ascending; empty if neuron i never fires."""
-    if isinstance(i, bool) or not isinstance(i, numbers.Integral):  # numpy reads a bool as a mask
-        raise ValidationError(f"neuron index must be an integer, got {i!r}")
-    raster = np.asarray(raster)
-    n = raster.shape[1]
-    if not (0 <= i < n):
-        raise IndexError(f"neuron index {i} out of range for N={n}")
-    return np.flatnonzero(raster[:, i])
 
 
 def max_dist(a, b) -> float:

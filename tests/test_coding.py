@@ -85,18 +85,20 @@ class TestReconstruct:
             sm.reconstruct_trajectory(net, np.zeros(3), np.zeros((0, 3), dtype=np.uint8))
 
 
-@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan, "1"])
+@pytest.mark.parametrize("raster", [*([[bad, 0], [0, 0]] for bad in [2, -1, 0.5, np.nan, "1"]),
+                                    np.zeros((3, 2, 2))], ids=["2", "-1", "0.5", "nan", "1", "3-D"])
 @pytest.mark.parametrize("use", ["reconstruct_trajectory", "reconstruct_periodic", "check_legal"])
-def test_raster_values_other_than_0_and_1_rejected(bad, use):
-    # none is a firing bit, though a uint8 cast takes 2 as 2, -1 as 255 (or fails) and 0.5 as 0
+def test_raster_values_other_than_0_and_1_rejected(raster, use):
+    # none is a firing bit, though a uint8 cast takes 2 as 2, -1 as 255 (or fails) and 0.5 as 0;
+    # a 3-D stack of 0/1 values is no raster either, though each of its rows has width N
     net = sm.NetworkParams(n=2, gamma=0.5, theta=1.0, weights=[[0.0, 0.1], [0.0, 0.0]],
                            i_ext=[0.0, 0.0])
     call = {"reconstruct_trajectory": lambda r: sm.reconstruct_trajectory(net, [0.0, 0.0], r),
             "reconstruct_periodic": lambda r: sm.reconstruct_periodic(net, r),
             "check_legal": lambda r: sm.check_legal(r, sm.build_transition_graph(net))}[use]
     with pytest.raises(sm.ValidationError):
-        call([[bad, 0], [0, 0]])
-    call([[0, 0], [0, 0]])  # a 0/1 raster of the same shape passes
+        call(raster)
+    call([[0, 0], [0, 0]])  # a 0/1 raster of width N passes
 
 
 class TestReconstructPeriodic:
@@ -261,6 +263,14 @@ class TestTransitionGraph:
         with pytest.raises(sm.ValidationError):
             g.edge_kind(src, 0)
 
+    @pytest.mark.parametrize("idx", [-1, True, 5, 0.5], ids=["negative", "bool", "5", "half"])
+    def test_pattern_index_outside_the_graph(self, idx):
+        # numpy would read -1 from the end and True as a mask, and refuse 5 and 0.5 with a bare
+        # IndexError
+        g = sm.build_transition_graph(_example_square_net())  # patterns 0..3
+        with pytest.raises(sm.ValidationError):
+            g.pattern(idx)
+
     def test_capacity_error(self):
         net = sm.NetworkParams(n=17, gamma=0.5, theta=1.0,
                                weights=np.zeros((17, 17)), i_ext=np.zeros(17))
@@ -413,3 +423,9 @@ class TestPatternHelpers:
     def test_bad_string(self):
         with pytest.raises(sm.ValidationError):
             sm.str_to_pattern("01x")
+
+    @pytest.mark.parametrize("eta", [[2, 0.5], [[0, 1]]], ids=["values", "2-D"])
+    def test_only_a_pattern_is_spelled(self, eta):
+        # any nonzero entry used to spell 1, so [2, 0.5] read '11'
+        with pytest.raises(sm.ValidationError):
+            sm.pattern_to_str(eta)

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -179,11 +180,20 @@ class TestTrajectoryAndRasterFiles:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 30), st.integers(1, 20), st.integers(0, 2**32 - 1))
     def test_raster_text_matches_pattern_to_str(self, tmp_path_factory, t, n, seed):
-        # reference: pattern_to_str per row; any nonzero entry spells 1
-        raster = np.random.default_rng(seed).integers(0, 3, (t, n)).astype(np.uint8)
+        # reference: pattern_to_str per row; a value other than 0 and 1 spells nothing
+        raster = np.random.default_rng(seed).integers(0, 2, (t, n)).astype(np.uint8)
         path = tmp_path_factory.mktemp("raster") / "r.txt"
         fileio.write_raster_text(path, raster)
         assert path.read_bytes() == "".join(coding.pattern_to_str(r) + "\n" for r in raster).encode()
+        with pytest.raises(sm.ValidationError):
+            fileio.write_raster_text(path, np.vstack([raster, np.full((1, n), 2, np.uint8)]))
+
+    @pytest.mark.parametrize("raster", [[[0.5, 2]], [[-1, 0]], [0, 1]], ids=["values", "negative", "1-D"])
+    def test_only_a_raster_is_written(self, tmp_path, raster):
+        # [[0.5, 2]] was written as 01, and [[-1, 0]] raised a bare OverflowError
+        with pytest.raises(sm.ValidationError):
+            fileio.write_raster_text(tmp_path / "r.txt", raster)
+        assert not any(tmp_path.iterdir())
 
 
 class TestGraphFile:
@@ -620,12 +630,31 @@ def test_cli_bad_subcommand_exit_2():
 @pytest.mark.parametrize("argv", [
     ["simulate", "--net", str(DATA / "orbit_gamma05_net.json"), "--t-max", "10000000000000"],
     ["orbit", "--net", str(DATA / "orbit_gamma05_net.json"), "--inits", "100000000000000"],
-], ids=["simulate-t-max", "orbit-inits"])
+    ["simulate", "--net", str(DATA / "orbit_gamma05_net.json"), "--t-max", "9000000000000000000"],
+    ["orbit", "--net", str(DATA / "orbit_gamma05_net.json"), "--inits", "100000000000000000000"],
+], ids=["simulate-t-max", "orbit-inits", "simulate-t-max-beyond-numpy", "orbit-inits-beyond-numpy"])
 def test_a_request_too_large_to_allocate_exits_3(argv, tmp_path, capsys):
-    # 655 TiB of states and 6.39 PiB of starts: numpy refuses both before allocating anything
+    # 655 TiB of states and 6.39 PiB of starts, whose allocation fails with a MemoryError; then
+    # sizes numpy cannot even address, which it refuses with a ValueError before allocating
     assert main(argv + ["--out", str(tmp_path / "x")]) == 3
     assert capsys.readouterr().err.startswith("error: ")
     assert not any(tmp_path.iterdir())
+
+
+def test_graph_and_simulate_write_the_bytes_pinned_in_coding_sha256(tmp_path, monkeypatch):
+    # CI's step of the same name, in process: from the repository root, as the outputs echo the
+    # relative --net path; N=9 with dyadic weights, so every sum is exact
+    monkeypatch.chdir(DATA.parent.parent)
+    net = "tests/data/orbit_gamma05_net.json"
+    for argv in (["graph", "--net", net, "--out", str(tmp_path / "graph.json")],
+                 ["graph", "--net", net, "--include-illegal", "--cap", "18",
+                  "--out", str(tmp_path / "graph-illegal.json")],
+                 ["simulate", "--net", net, "--v0", "random", "--seed", "1", "--t-max", "20000",
+                  "--out", str(tmp_path / "simulate")]):
+        assert main(argv) == 0
+    pinned = dict(line.split()[::-1] for line in (DATA / "coding.sha256").read_text().splitlines())
+    assert len(pinned) == 4
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in pinned} == pinned
 
 
 def test_the_cli_defaults_are_the_librarys():

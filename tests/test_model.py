@@ -278,6 +278,13 @@ class TestFiringTimes:
         with pytest.raises(sm.ValidationError, match="neuron index"):
             sm.firing_times(np.eye(2, dtype=np.uint8), i)
 
+    @pytest.mark.parametrize("raster", [[0, 1], [[0, 2], [1, 1]], [[0.5], [0]]],
+                             ids=["1-D", "two", "half"])
+    def test_only_a_raster_is_read(self, raster):
+        # a 1-D raster raised a bare IndexError, and any nonzero entry counted as a spike
+        with pytest.raises(sm.ValidationError, match="raster"):
+            sm.firing_times(raster, 0)
+
     def test_driven_neuron_first_firing(self):
         # one neuron charged by a self-sustaining partner: first spike when the
         # geometric charge w12*(1-gamma^t)/(1-gamma) reaches threshold
