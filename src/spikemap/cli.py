@@ -95,31 +95,17 @@ def _cmd_graph(args) -> int:
 
 def _cmd_orbit(args) -> int:
     net = fileio.read_network(args.net)
-    rng = np.random.default_rng(args.seed)
-    sample = omega_sample(
-        net,
-        args.inits,
-        rng,
-        max_transient=args.max_transient,
-        max_period=args.max_period,
-        tol=args.tol,
-        polish_steps=args.polish,
-        threads=args.threads,
-    )
-    regime = classify_regime(
-        sample.orbits, sample.undetermined,
-        epsilon_singular=args.eps_singular, horizon=sample.horizon,
-    )
+    sample = omega_sample(net, args.inits, np.random.default_rng(args.seed),
+                          max_transient=args.max_transient, max_period=args.max_period,
+                          tol=args.tol, polish_steps=args.polish, threads=args.threads)
+    regime = classify_regime(sample.orbits, sample.undetermined,
+                             epsilon_singular=args.eps_singular, horizon=sample.horizon)
     d_as = dist_attractor_to_S(sample.orbits) if sample.orbits else None
-    fileio.write_orbits_json(
-        args.out, sample.orbits, regime, d_as, sample.undetermined,
-        config=_config(args), include_states=args.include_states,
-    )
+    fileio.write_orbits_json(args.out, sample.orbits, regime, d_as, sample.undetermined,
+                             config=_config(args), include_states=args.include_states)
     d_repr = fileio.fmt_float(d_as) if d_as is not None else "nan"
-    print(
-        f"regime={regime} orbits={len(sample.orbits)} dAS={d_repr} "
-        f"undetermined={sample.undetermined}"
-    )
+    print(f"regime={regime} orbits={len(sample.orbits)} dAS={d_repr} "
+          f"undetermined={sample.undetermined}")
     return 0
 
 

@@ -201,24 +201,13 @@ def write_orbits_json(
     config: Optional[dict] = None,
     include_states: bool = False,
 ) -> None:
-    items = []
-    for o in orbits:
-        item = {
-            "transient": o.transient,
-            "period": o.period,
-            "min_threshold_gap": o.min_threshold_gap,
-            "cycle_raster": [pattern_to_str(row) for row in o.cycle_raster],
-        }
-        if include_states:
+    items = [{"transient": o.transient, "period": o.period, "min_threshold_gap": o.min_threshold_gap,
+              "cycle_raster": [pattern_to_str(row) for row in o.cycle_raster]} for o in orbits]
+    if include_states:
+        for item, o in zip(items, orbits):
             item["states"] = [[float(x) for x in row] for row in o.states]
-        items.append(item)
-    payload = {
-        "regime": str(regime),
-        "d_as": d_as,
-        "undetermined": undetermined,
-        "orbits": items,
-    }
-    _write_json(path, payload, config)
+    _write_json(path, {"regime": str(regime), "d_as": d_as, "undetermined": undetermined,
+                       "orbits": items}, config)
 
 
 def read_orbits_json(path) -> dict:

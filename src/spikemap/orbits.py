@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Union
@@ -73,7 +74,10 @@ class OrbitReport:
     ``cycle_raster`` is their encoding.  ``min_threshold_gap`` is the
     smallest |v_i - theta| over the orbit, this orbit's contribution to the
     attractor-to-singularity distance.  ``transient`` is the first time the
-    source trajectory came within tolerance of the cycle.
+    source trajectory came within tolerance of the cycle, or the detection
+    horizon if it never did.  At tol 0 it is the horizon whenever a leaking
+    coordinate, 0 in the cycle, has not decayed to exactly 0 within it:
+    always for gamma > 0.5, where the leak stalls a few subnormals away.
     """
 
     transient: int
@@ -173,11 +177,10 @@ def _polish(stack, x0, period, tol, budget):
     decays as v -> gamma*v towards the subnormals, its only cycle value is 0, and while
     the patterns repeat it feeds no other coordinate.  Closure is judged on the other
     coordinates, and the leaking ones are set to 0 in the reported cycle.  Acceptance is
-    by bit-identical chunk recurrence, or by within-tol closure once the budget runs out;
-    division by the pattern check keeps tol-acceptance honest.  Finished rows leave as
-    :func:`_keep_live` allows; an accepted row's minimal period is then extracted by
-    divisor reduction, one row at a time.  Returns each row's (states, minimal period),
-    or None if rejected, and the (G, N) states the rows stopped at.
+    by bit-identical chunk recurrence, or by within-tol closure once the budget runs out.
+    Finished rows leave as :func:`_keep_live` allows.  Returns each row's closed states,
+    one per phase of period, and whether they closed bit-exactly, or None if rejected; and
+    the (G, N) states the rows stopped at.  :func:`_cycles` finds the least period.
     """
     budget = max(budget, 2 * period)
     found, resume = [None] * len(x0), x0.copy()
@@ -215,13 +218,7 @@ def _polish(stack, x0, period, tol, budget):
             resume[idx[accepted]] = ends[:, period]
             for i, states, ex in zip(idx[accepted].tolist(), ends[:, :period],
                                      exact[accepted].tolist()):
-                minimal = period
-                for d in (d for d in range(1, period) if period % d == 0):  # the proper divisors
-                    shifted = np.roll(states, -d, axis=0)
-                    if (np.array_equal(shifted, states) if ex else max_dist(shifted, states) <= tol):
-                        minimal = d
-                        break
-                found[i] = states[:minimal], minimal
+                found[i] = states, ex
         todo &= ~done
         if not todo.any():
             return found, resume
@@ -260,8 +257,8 @@ def _locate_entries(net, v0, cycles: list, tol, cap) -> list:
 class _Cycle:
     """A detected cycle as dedupe and regime classification read it: an OrbitReport
     without the transient.  Its period, gap and raster up to rotation do not depend on
-    the phase its states start at.  The gap is computed when first read: dedupe reads
-    only the period, states and raster, so a dropped duplicate never computes it."""
+    the phase its states start at.  The gap, and the states and raster held twice over
+    that :meth:`rotation_is` slices, are computed when first read."""
 
     period: int
     states: np.ndarray
@@ -271,6 +268,17 @@ class _Cycle:
     @functools.cached_property
     def min_threshold_gap(self) -> float:
         return float(np.min(np.abs(self.states - self.theta)))
+
+    @functools.cached_property
+    def _twice(self) -> tuple:
+        return np.concatenate([self.states] * 2), np.concatenate([self.cycle_raster] * 2)
+
+    def rotation_is(self, r, other, tol) -> bool:
+        """Whether rotation r of this cycle is other: the same raster row at every phase, and
+        states within tol.  The one rule by which detection calls two cycles one."""
+        (states, raster), p = self._twice, self.period
+        return (np.array_equal(raster[r:r + p], other.cycle_raster)
+                and max_dist(states[r:r + p], other.states) <= tol)
 
 
 def _report(cycle: _Cycle, transient, phase) -> OrbitReport:
@@ -299,8 +307,11 @@ def _cycles(nets, v0s, max_transient, max_period, tol, polish_steps) -> list:
     period, in row order, and each group is polished in lockstep, in runs of at most
     :func:`_batch_size` rows whose chunks hold at most _BATCH_WEIGHTS floats.  A row whose
     candidate was a pseudo-orbit scans on, with the other rejected rows, from where its
-    polish stopped.  The states start where the scan met the cycle, not where the start
-    entered it.  The parameters are those :func:`_detection_params` returns.
+    polish stopped.  A polished cycle is kept at the least divisor d of its candidate
+    period whose rotation by d is the cycle itself (:meth:`_Cycle.rotation_is`, at tol 0
+    if it closed bit-exactly): so it fires the raster it reports.  The states start where
+    the scan met the cycle, not where the start entered it.  The parameters are those
+    :func:`_detection_params` returns.
     """
     stack, n = _Stack.of(nets), nets[0].n
     v = np.array(v0s, dtype=np.float64).reshape(len(nets), -1, n)
@@ -325,10 +336,13 @@ def _cycles(nets, v0s, max_transient, max_period, tol, polish_steps) -> list:
                 found, v[m, s] = _polish(stack[m], v[m, s], period, tol, polish_steps)
                 for (j, k), polished in zip(rows[i:i + run], found):
                     if polished is not None:
-                        states, p = polished
-                        raster = _fires(states, nets[j].theta).astype(np.uint8)
+                        (states, exact), theta = polished, nets[j].theta
+                        raster = _fires(states, theta).astype(np.uint8)
                         states.flags.writeable = raster.flags.writeable = False
-                        cycles[j * v.shape[1] + k] = _Cycle(p, states, raster, nets[j].theta)
+                        full = _Cycle(period, states, raster, theta)
+                        p = next((d for d in range(1, period) if period % d == 0
+                                  and full.rotation_is(d, full, 0.0 if exact else tol)), period)
+                        cycles[j * v.shape[1] + k] = _Cycle(p, states[:p], raster[:p], theta)
                         live[j, k] = False
     return cycles
 
@@ -382,20 +396,16 @@ def _sample(results, tol) -> tuple:
     """The distinct orbits of results in first-seen order, the position in results of
     each, and the Undetermined count.
 
-    Two orbits are one when some rotation of one has the other's raster and lies
-    within tol of its states.
+    An orbit is dropped when some rotation of a kept one of its period is it, by
+    :meth:`_Cycle.rotation_is`: only kept orbits are ever held twice over.
     """
     orbits, kept, undetermined = [], [], 0
     for i, res in enumerate(results):
         if isinstance(res, Undetermined):
             undetermined += 1
             continue
-        p = res.period  # rotation r of the cycle is rows r:r+p of it twice over
-        raster, states = np.concatenate([res.cycle_raster] * 2), np.concatenate([res.states] * 2)
-        if not any(prev.period == p and any(
-                np.array_equal(raster[r:r + p], prev.cycle_raster)
-                and max_dist(states[r:r + p], prev.states) <= tol for r in range(p))
-                for prev in orbits):
+        if not any(prev.period == res.period and any(
+                prev.rotation_is(r, res, tol) for r in range(res.period)) for prev in orbits):
             orbits.append(res)
             kept.append(i)
     return orbits, kept, undetermined
@@ -542,7 +552,8 @@ _REGIME_KINDS = ("NeuralDeath", "FullActivity", "StablePeriodic", "NearSingular"
 
 @dataclass(frozen=True)
 class RegimeLabel:
-    """Tagged long-run regime; NearSingular carries the measured gap, Undetermined the horizon."""
+    """Tagged long-run regime: NearSingular carries the measured gap, Undetermined the horizon,
+    each finite and >= 0; the other kinds carry no value.  parse reads what str writes."""
 
     kind: str
     value: Optional[float] = None
@@ -550,6 +561,11 @@ class RegimeLabel:
     def __post_init__(self):
         if self.kind not in _REGIME_KINDS:
             raise ValidationError(f"unknown regime kind {self.kind!r}")
+        if self.kind in ("NearSingular", "Undetermined"):  # held as a float, so str can parse back
+            value = _as_finite(self.value, f"the value of {self.kind}", allow_zero=True)
+            object.__setattr__(self, "value", value)
+        elif self.value is not None:
+            raise ValidationError(f"{self.kind} takes no value, got {self.value!r}")
 
     def __str__(self) -> str:
         if self.kind == "NearSingular":
@@ -560,10 +576,11 @@ class RegimeLabel:
 
     @staticmethod
     def parse(s: str) -> "RegimeLabel":
-        if "(" in s:
-            kind, _, rest = s.partition("(")
-            return RegimeLabel(kind, float(rest.rstrip(")")))
-        return RegimeLabel(s)
+        m = re.fullmatch(r"(\w+)(?:\((.*)\))?", s)
+        try:
+            return RegimeLabel(m[1], None if m[2] is None else float(m[2]))
+        except (TypeError, ValueError):  # no match, or no number where the value goes
+            raise ValidationError(f"malformed regime label {s!r}") from None
 
 
 def classify_regime(
@@ -577,10 +594,12 @@ def classify_regime(
     Any undetermined run makes the whole sample Undetermined.  Otherwise a
     lone quiescent (resp. all-firing) fixed point is NeuralDeath (resp.
     FullActivity); remaining cases are NearSingular when the measured
-    attractor gap falls below epsilon_singular, else StablePeriodic.
+    attractor gap falls below epsilon_singular, else StablePeriodic.  undetermined_count
+    and horizon are counts >= 0.
     """
     _as_finite(epsilon_singular, "epsilon_singular")
-    if undetermined_count > 0:
+    horizon = _as_count(horizon, "horizon", least=0)
+    if _as_count(undetermined_count, "undetermined_count", least=0) > 0:
         return RegimeLabel("Undetermined", float(horizon))
     if not orbits:
         raise RuntimeError("no orbits and no undetermined runs: empty sample")

@@ -183,7 +183,8 @@ def reference_polish(net, x0, period, tol, budget):
     not 0 already.  A rejection after such a zeroing returns the state the same
     number of steps down x0's own trajectory, simulated afresh.  Accepts a chunk
     that recurs bit for bit, or closes within tol once the budget is spent; then
-    reduces to the least period whose rotation closes the same way.
+    reduces to the least period whose rotation fires the same patterns and closes the
+    same way, so that the reduced states fire the raster they are reported with.
     """
     theta = net.theta
     budget = max(budget, 2 * period)
@@ -224,6 +225,6 @@ def reference_polish(net, x0, period, tol, budget):
     states = chunk[:period].copy()
     for d in range(1, period + 1):
         shifted = np.roll(states, -d, axis=0)
-        if period % d == 0 and (np.array_equal(shifted, states) if exact
-                                else sm.max_dist(shifted, states) <= tol):
+        if period % d == 0 and np.array_equal(shifted >= theta, states >= theta) and (
+                np.array_equal(shifted, states) if exact else sm.max_dist(shifted, states) <= tol):
             return (states[:d], d), x

@@ -467,6 +467,14 @@ class TestCliOrbit:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         assert line == "regime=NeuralDeath orbits=1 dAS=1.0 undetermined=0"
 
+    def test_alternating_cycle_within_tol_is_stable_periodic(self, tmp_path, capsys):
+        # its two phases, firing 00 and 10, lie 0.02 apart: within tol, but one period-2 cycle
+        assert main(["orbit", "--net", str(DATA / "orbit_alternating_net.json"), "--inits", "1",
+                     "--seed", "0", "--tol", "0.05", "--polish", "0",
+                     "--out", str(tmp_path / "o.json")]) == 0
+        assert capsys.readouterr().out.startswith("regime=StablePeriodic orbits=1 ")
+        assert fileio.read_orbits_json(tmp_path / "o.json")["orbits"][0]["period"] == 2
+
     def test_ghost_all_undetermined(self, ex1_file, tmp_path, capsys):
         assert main(["orbit", "--net", ex1_file, "--inits", "3", "--max-transient", "5",
                      "--max-period", "5", "--seed", "1",

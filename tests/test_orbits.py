@@ -10,8 +10,8 @@ import spikemap as sm
 from spikemap import fileio, orbits
 from spikemap.ensemble import _run_sweep_batch, _stream
 from spikemap.model import _Stack
-from spikemap.orbits import (_batch_size, _brent_scan, _cycles, _fan_out, _locate_entries, _report,
-                             _sample, _starts)
+from spikemap.orbits import (_batch_size, _brent_scan, _Cycle, _cycles, _fan_out, _locate_entries,
+                             _report, _sample, _starts)
 from conftest import (example1_net, quarter_net, random_net, reference_polish, reference_sample,
                       scalar_orbit)
 
@@ -24,22 +24,34 @@ def quiescent_net(n=3, gamma=0.5, i_ext=0.0):
 
 
 def polish_alone(net, x, period, tol, budget):
-    """orbits._polish on a group of one row: (states, period) or None, and the resume state."""
+    """orbits._polish on a group of one row: (states, closed bit-exactly) or None, and the
+    resume state."""
     found, resume = orbits._polish(_Stack.of([net]), np.array([x], dtype=np.float64), period, tol,
                                    budget)
     return found[0], resume[0]
 
 
+def least_period(net, states, exact, tol):
+    """Closed states cut to their least period as _cycles cuts them: (states, period)."""
+    period = len(states)
+    full = _Cycle(period, states, sm.encode(states, net.theta), net.theta)
+    p = next(d for d in range(1, period + 1)
+             if period % d == 0 and full.rotation_is(d, full, 0.0 if exact else tol))
+    return states[:p], p
+
+
 def assert_polish_equals_reference(nets, xs, period, tol, budget):
-    """Each row of one group polish, bit for bit, as reference_polish on that row alone."""
+    """Each row of one group polish, cut to its least period, bit for bit as reference_polish
+    on that row alone.  Returns the cut rows, (states, period) or None, and the resume states."""
     found, resume = orbits._polish(_Stack.of(nets), np.array(xs), period, tol, budget)
-    for net, x, got, at in zip(nets, xs, found, resume):
+    cut = [None if got is None else least_period(net, *got, tol) for net, got in zip(nets, found)]
+    for net, x, got, at in zip(nets, xs, cut, resume):
         want, want_at = reference_polish(net, x, period, tol, budget)
         assert at.tobytes() == want_at.tobytes()
         assert (got is None) == (want is None)
         if got is not None:
             assert got[1] == want[1] and got[0].tobytes() == want[0].tobytes()
-    return found, resume
+    return cut, resume
 
 
 class TestFindPeriodicOrbit:
@@ -567,13 +579,59 @@ class TestSweepCycles:
             res.transient, res.period, *(np.roll(a, -int(rng.integers(res.period)), axis=0)
                                          for a in (res.states, res.cycle_raster)),
             res.min_threshold_gap) for res in reports)]
-        results = [results[i] for i in rng.permutation(len(results))]
+        # as _cycles returns them: every network of the batch has theta 1
+        results = [res if isinstance(res, sm.Undetermined) else
+                   _Cycle(res.period, res.states, res.cycle_raster, 1.0)
+                   for res in (results[i] for i in rng.permutation(len(results)))]
         got, positions, got_undetermined = _sample(results, tol)
         kept, undetermined = reference_sample(results, tol)
         assert got_undetermined == undetermined == 2 * sum(
             isinstance(res, sm.Undetermined) for res in reports)
         assert len(got) == len(kept) and all(a is b for a, b in zip(got, kept))
         assert [id(results[i]) for i in positions] == [id(res) for res in got]
+
+
+def assert_fires_its_own_raster(net, cycle):
+    """Stepped once, each phase of cycle fires the raster row of the phase after it."""
+    assert np.array_equal(sm.encode(sm.step(net, cycle.states), net.theta),
+                          np.roll(cycle.cycle_raster, -1, axis=0))
+
+
+class TestCycleMatch:
+    ALTERNATING = fileio.read_network(DATA / "orbit_alternating_net.json")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-10, 0.05]),
+           st.sampled_from([0, 3, 200]), st.just(False))
+    # a period-2 cycle firing 00 then 10, its phases 0.02 apart: within tol 0.05 of each other
+    @example(0, 0.05, 0, True)
+    def test_every_cycle_fires_its_own_raster(self, seed, tol, polish_steps, alternating):
+        # through find_periodic_orbit, omega_sample and a multi-network _cycles batch
+        rng = np.random.default_rng(seed)
+        n = 2 if alternating else int(rng.integers(1, 7))
+        nets = [quarter_net(rng, n, float(rng.choice([0.0, 0.5, 0.875]))), random_net(rng, n)]
+        nets += [self.ALTERNATING] if alternating else []
+        kw = dict(max_transient=300, max_period=30, tol=tol, polish_steps=polish_steps)
+        starts = np.array([_starts(net, 4, rng) for net in nets])
+        batch = _cycles(nets, starts, **kw)
+        for m, net in enumerate(nets):
+            sample = sm.omega_sample(net, 4, np.random.default_rng(seed), **kw)
+            lone = [sm.find_periodic_orbit(net, v0, **kw) for v0 in starts[m]]
+            for cycle in [*batch[4 * m:4 * m + 4], *sample.orbits, *lone]:
+                if not isinstance(cycle, sm.Undetermined):
+                    assert_fires_its_own_raster(net, cycle)
+
+    def test_phases_of_one_cycle_within_tol_are_one_cycle(self):
+        # the least-period reduction and dedupe compare the firing patterns, not only the
+        # distance: the alternating net is on one period-2 cycle, not on two fixed points
+        net = self.ALTERNATING
+        report = sm.find_periodic_orbit(net, [0.0, 0.0], tol=0.05, polish_steps=0)
+        assert report.period == 2 and report.cycle_raster.tolist() == [[0, 0], [1, 0]]
+        assert sm.classify_regime([report], 0).kind == "StablePeriodic"
+        for threads in (1, 2):  # three batches of starts, both phases in each
+            sample = sm.omega_sample(net, 150, np.random.default_rng(0), tol=0.05,
+                                     polish_steps=0, threads=threads)
+            assert [o.period for o in sample.orbits] == [2] and sample.undetermined == 0
 
 
 class TestDistances:
@@ -739,12 +797,39 @@ class TestClassifyRegime:
 
     def test_label_round_trip(self):
         for label in (sm.RegimeLabel("NeuralDeath"), sm.RegimeLabel("NearSingular", 2.5e-8),
-                      sm.RegimeLabel("Undetermined", 120000.0)):
-            assert sm.RegimeLabel.parse(str(label)).kind == label.kind
+                      sm.RegimeLabel("Undetermined", 120000.0), sm.RegimeLabel("NearSingular", 0.0),
+                      sm.RegimeLabel("NearSingular", np.float64(1e-7)),
+                      sm.RegimeLabel("Undetermined", 0), sm.RegimeLabel("StablePeriodic")):
+            assert sm.RegimeLabel.parse(str(label)) == label
+        assert type(sm.RegimeLabel("Undetermined", np.int64(3)).value) is float
 
     def test_unknown_kind(self):
         with pytest.raises(sm.ValidationError, match="Bogus"):
             sm.RegimeLabel("Bogus")
+
+    @pytest.mark.parametrize("count, horizon", [(-1, 0), (1.5, 0), (True, 0), (1, math.nan),
+                                                (1, -5), (0, 2.0)])
+    def test_counts_are_checked(self, count, horizon):
+        with pytest.raises(sm.ValidationError):
+            sm.classify_regime([self._death_orbit()], count, horizon=horizon)
+
+    @pytest.mark.parametrize("kind, value", [
+        ("Undetermined", None), ("NearSingular", None), ("NearSingular", math.nan),
+        ("Undetermined", math.inf), ("NearSingular", -1e-9), ("NearSingular", "1e-9"),
+        ("NeuralDeath", 0.0), ("StablePeriodic", 1.0), ("FullActivity", math.nan),
+    ])
+    def test_value_only_where_the_kind_carries_one(self, kind, value):
+        with pytest.raises(sm.ValidationError):
+            sm.RegimeLabel(kind, value)
+
+    @pytest.mark.parametrize("text", [
+        "NearSingular(abc)", "NearSingular(1e-9", "NearSingular()", "NearSingular(nan)",
+        "Undetermined", "Undetermined(-3)", "StablePeriodic(", "StablePeriodic(1)", "Bogus", "",
+        "NeuralDeath ", "(1.0)",
+    ])
+    def test_malformed_label_is_refused(self, text):
+        with pytest.raises(sm.ValidationError):
+            sm.RegimeLabel.parse(text)
 
 
 def looped_lyapunov(net, v0s, ball_radius, num_directions, horizon, rng, burn_in=0):
