@@ -22,11 +22,13 @@ from .model import (
     Trajectory,
     ValidationError,
     _advance,
+    _affine,
     _as_array,
     _as_count,
     _as_finite,
     _fires,
     _trajectory,
+    _wz,
     compute_bounds,
 )
 
@@ -311,7 +313,9 @@ def build_transition_graph(net: NetworkParams, cap: int = GRAPH_CAP_DEFAULT) -> 
     num = 1 << n
     src_bits = np.unpackbits(np.arange(num, dtype="<u8")[:, None].view(np.uint8), axis=1,
                              count=n, bitorder="little")
-    currents = _advance(net, 0.0, src_bits.astype(np.float64))  # as step sends a fired neuron
+    wz = _wz(net, src_bits.astype(np.float64))
+    # as step sends a fired neuron: its leak term gamma*v*(1-1) is +0.0, a scalar here
+    currents = _affine(net, 0.0, 0.0, wz)
     theta, gamma = net.theta, net.gamma
     v_min = compute_bounds(net).v_min
     fired = src_bits == 1
@@ -320,7 +324,7 @@ def build_transition_graph(net: NetworkParams, cap: int = GRAPH_CAP_DEFAULT) -> 
     # One that cannot stay below fires, as in step, even where rounding allows neither.
     stays = ~_fires(gamma * v_min + currents, theta)
     reaches = gamma * theta + currents > theta
-    forced = _pattern_index(np.where(fired, _fires(currents, theta), ~stays))
+    forced = _pattern_index(fired & _fires(currents, theta) | ~fired & ~stays)
     free = _pattern_index(~fired & stays & reaches)
     for arr in (src_bits, currents, forced, free):
         arr.flags.writeable = False

@@ -170,20 +170,25 @@ def write_graph_json(
     """The graph as ``json.dump({"n", "edges", "config"}, indent=1)`` writes it, but streamed.
 
     Edges in ``iter_edges`` order (sources, then targets, ascending), assembled in numpy blocks
-    and written as bytes: each block is its NUL-padded records with the padding dropped.
+    and written as bytes: each block is its NUL-padded records with the padding dropped.  A record's
+    two pattern names are fields of it, so each is filled with one n-byte element per edge.
     """
     n = graph.n
     records = [f',\n  {{\n   "from": "{"F" * n}",\n   "to": "{"T" * n}",\n   "kind": "{kind}"\n  }}'
                for kind in _EDGE_KINDS]  # one edge of each kind, opening with its separator
-    table = np.array(records, dtype=bytes).view(np.uint8).reshape(len(records), -1)  # NUL-padded
-    at_from, at_to = records[0].index("F"), records[0].index("T")
-    names = graph.src_bits + np.uint8(ord("0"))
+    table = np.array(records, dtype=bytes)  # NUL-padded to the longest
+    name = np.dtype((np.void, n))
+    # fields over the record's bytes: a copy of this dtype would copy the fields alone
+    fields = np.dtype({"names": ["from", "to"], "formats": [name, name], "itemsize": table.itemsize,
+                       "offsets": [records[0].index("F"), records[0].index("T")]})
+    names = (graph.src_bits + np.uint8(ord("0"))).view(name)[:, 0]
     before, _, after = _json_text({"n": n, "edges": []}, config).partition('"edges": []')
     with open(path, "wb") as f:
         f.write((before + '"edges": [').encode())
         for i, (a, b, kind) in enumerate(graph._edge_blocks(include_illegal)):
             text = table[kind]
-            text[:, at_from:at_from + n], text[:, at_to:at_to + n] = names[a], names[b]
+            edges = text.view(fields)
+            edges["from"], edges["to"] = names[a], names[b]
             f.write(text.tobytes().replace(b"\0", b"")[i == 0:])  # the first edge drops its comma
         f.write(("\n ]" + after).encode())
 
