@@ -234,20 +234,16 @@ class TransitionGraph:
         """Per-neuron sub-intervals of [v_min, theta) that enable a conditional edge.
 
         Keys are the neurons whose outcome genuinely depends on the potential;
-        intervals are half-open [lo, hi).
+        intervals are half-open [lo, hi), split at the least double from which
+        step fires the neuron.
         """
         a, b = self._index(src), self._index(dst)
         if not self._legal(a, b):
             raise ValidationError("edge is illegal; no enabling interval exists")
-        theta, gamma = self.net.theta, self.net.gamma
-        out: dict[int, tuple[float, float]] = {}
-        for i in np.flatnonzero(self.pattern(self.free[a])):
-            split = (theta - self.currents[a, i]) / gamma  # gamma > 0 whenever a neuron is free
-            if self.src_bits[b, i] == 1:
-                out[int(i)] = (max(self.v_min, split), theta)
-            else:
-                out[int(i)] = (self.v_min, min(split, theta))
-        return out
+        net, wz = self.net, _wz(self.net, self.src_bits[a].astype(np.float64))
+        split = _least_double(lambda v: _fires(_affine(net, v, 0.0, wz), net.theta), net.n).tolist()
+        return {i: (split[i], net.theta) if self.src_bits[b, i] else (self.v_min, split[i])
+                for i in np.flatnonzero(self.pattern(self.free[a])).tolist()}
 
     def successors(self, src) -> list[tuple[int, str]]:
         """Legal successor pattern indices of a source pattern, ascending, with edge kinds."""
@@ -300,6 +296,26 @@ class TransitionGraph:
         return not self.free.any()
 
 
+def _least_double(fires, shape) -> np.ndarray:
+    """Per element, the least double x for which ``fires(x)`` holds: fires tests an array of
+    the given shape, element by element, and must be monotone in x, false at -inf and true at
+    +inf, as the map's threshold test is in any one of its terms, since rounding is monotone.
+
+    Bisects the doubles in their order, which ``key`` maps to int64 order (and back, as its
+    own inverse): fires holds at ``hi`` and not at ``lo``, and 64 halvings leave them adjacent.
+    """
+    def key(bits):
+        return bits ^ ((bits >> 63) & np.int64(0x7FFFFFFFFFFFFFFF))
+
+    lo, hi = (np.full(shape, key(np.float64(end).view(np.int64))) for end in (-np.inf, np.inf))
+    with np.errstate(over="ignore"):  # a sum beyond the float range rounds to inf, monotonically
+        for _ in range(64):
+            mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+            up = fires(key(mid).view(np.float64))
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return key(hi).view(np.float64)
+
+
 def build_transition_graph(net: NetworkParams, cap: int = GRAPH_CAP_DEFAULT) -> TransitionGraph:
     """Classify all pattern transitions of the network.
 
@@ -316,16 +332,18 @@ def build_transition_graph(net: NetworkParams, cap: int = GRAPH_CAP_DEFAULT) -> 
     wz = _wz(net, src_bits.astype(np.float64))
     # as step sends a fired neuron: its leak term gamma*v*(1-1) is +0.0, a scalar here
     currents = _affine(net, 0.0, 0.0, wz)
-    theta, gamma = net.theta, net.gamma
+    theta = net.theta
     v_min = compute_bounds(net).v_min
     fired = src_bits == 1
-    # A quiescent neuron stays below theta from v_min and reaches it from some v < theta
-    # (strict >: the supremum is not attained; at gamma = 0 the two exclude each other).
-    # One that cannot stay below fires, as in step, even where rounding allows neither.
-    stays = ~_fires(gamma * v_min + currents, theta)
-    reaches = gamma * theta + currents > theta
-    forced = _pattern_index(fired & _fires(currents, theta) | ~fired & ~stays)
-    free = _pattern_index(~fired & stays & reaches)
+    # step is monotone in a quiescent neuron's own v, so it fires from all of [v_min, theta)
+    # iff it does from v_min, and from some of it iff it does from the largest double below
+    # theta; one that fires from all is forced to, as in step.  step is monotone in the
+    # neuron's W z too, so from each end it fires iff its W z reaches the least that fires it.
+    ends = np.array([[v_min], [np.nextafter(theta, -np.inf)]])
+    w_min, w_top = _least_double(lambda w: _fires(_affine(net, ends, 0.0, w), theta), (2, n))
+    sinks = wz >= w_min
+    forced = _pattern_index(fired & _fires(currents, theta) | ~fired & sinks)
+    free = _pattern_index(~fired & ~sinks & (wz >= w_top))
     for arr in (src_bits, currents, forced, free):
         arr.flags.writeable = False
     return TransitionGraph(

@@ -331,7 +331,42 @@ class TestEdgeEnumeration:
 
 
 class TestGraphAgreesWithStep:
-    """The graph's currents are step's bits, so its forced bits agree at the threshold."""
+    """The graph's currents are step's bits, so its forced bits agree at the threshold; a
+    quiescent neuron's bits are step's from both ends of [v_min, theta)."""
+
+    def test_ghost_orbit_is_legal(self):
+        # criterion 1's ramp v(t) = 1 - 0.5^t rounds onto theta at t=54: from the largest
+        # double below theta the quiescent neuron fires, though 0.5*theta + 0.5 > theta fails
+        net = example1_net()
+        g = sm.build_transition_graph(net)
+        assert g.edge_kind("0", "1") == EDGE_CONDITIONAL
+        assert sm.check_legal(sm.simulate(net, [0.0], 60).raster, g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5), st.sampled_from([0.0, 0.25, 0.5, 0.875]) | st.floats(0.0, 0.99),
+           st.integers(0, 2**32 - 1))
+    def test_quiescent_bits_match_step_from_both_ends(self, n, gamma, seed):
+        # drives that put gamma*theta + current on theta where pattern {j} fires, so rounding
+        # decides whether a quiescent neuron reaches theta; step is monotone in the neuron's own
+        # v, so from v_min it fires iff forced, and from just below theta iff forced or free
+        rng = np.random.default_rng(seed)
+        w = quarter_net(rng, n, gamma).weights
+        net = sm.NetworkParams(n=n, gamma=gamma, theta=1.0, weights=w,
+                               i_ext=(1.0 - gamma) - w[:, int(rng.integers(n))])
+        g = sm.build_transition_graph(net)
+        fired = g.src_bits == 1
+        for v_quiet, mask in ((g.v_min, g.forced), (np.nextafter(net.theta, -np.inf), g.forced | g.free)):
+            after = np.array([sm.step(net, v) for v in np.where(fired, net.theta, v_quiet)])
+            assert np.array_equal(after >= net.theta, ((mask[:, None] >> np.arange(n)) & 1) == 1)
+        if g.free.any():  # each free neuron fires from where its interval splits, not from below it
+            a = int(np.flatnonzero(g.free)[0])
+            cut = g.conditional_intervals(a, int(g.forced[a] | g.free[a]))
+            free = list(cut)
+            v = np.where(fired[a], net.theta, g.v_min)
+            v[free] = [lo for lo, _ in cut.values()]
+            assert (sm.step(net, v)[free] >= net.theta).all()
+            v[free] = np.nextafter(v[free], -np.inf)
+            assert (sm.step(net, v)[free] < net.theta).all()
 
     def test_threshold_equal_to_a_fired_neurons_current(self):
         # theta set, bit for bit, to what step sends a fired neuron: the neuron then lands

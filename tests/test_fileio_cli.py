@@ -651,17 +651,18 @@ def test_a_request_too_large_to_allocate_exits_3(argv, tmp_path, capsys):
 
 def test_graph_and_simulate_write_the_bytes_pinned_in_coding_sha256(tmp_path, monkeypatch):
     # CI's step of the same name, in process: from the repository root, as the outputs echo the
-    # relative --net path; N=9 with dyadic weights, so every sum is exact
+    # relative --net path; N=9 with dyadic weights, and the ghost's N=1, so every sum is exact
     monkeypatch.chdir(DATA.parent.parent)
     net = "tests/data/orbit_gamma05_net.json"
     for argv in (["graph", "--net", net, "--out", str(tmp_path / "graph.json")],
                  ["graph", "--net", net, "--include-illegal", "--cap", "18",
                   "--out", str(tmp_path / "graph-illegal.json")],
+                 ["graph", "--net", "tests/data/orbit_ghost_net.json", "--out", str(tmp_path / "graph-ghost.json")],
                  ["simulate", "--net", net, "--v0", "random", "--seed", "1", "--t-max", "20000",
                   "--out", str(tmp_path / "simulate")]):
         assert main(argv) == 0
     pinned = dict(line.split()[::-1] for line in (DATA / "coding.sha256").read_text().splitlines())
-    assert len(pinned) == 4
+    assert len(pinned) == 5
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in pinned} == pinned
 
 
