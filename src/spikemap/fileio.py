@@ -66,12 +66,14 @@ def _read_csv(path) -> tuple[dict, list[str]]:
             lines = f.read().splitlines()
     except UnicodeDecodeError as e:
         raise ValidationError(f"file {path} is not UTF-8 text: {e}") from e
-    config = {}
+    config, rows = {}, []
     for line in lines:
         if line.startswith("#"):
             key, _, value = line[1:].strip().partition("=")
             config[key] = value
-    return config, [ln for ln in lines if ln and not ln.startswith("#")]
+        elif line:
+            rows.append(line)
+    return config, rows
 
 
 def _json_text(payload: dict, config: Optional[dict] = None) -> str:

@@ -553,7 +553,8 @@ _REGIME_KINDS = ("NeuralDeath", "FullActivity", "StablePeriodic", "NearSingular"
 @dataclass(frozen=True)
 class RegimeLabel:
     """Tagged long-run regime: NearSingular carries the measured gap, Undetermined the horizon,
-    each finite and >= 0; the other kinds carry no value.  parse reads what str writes."""
+    each finite and >= 0, the horizon a whole number; the other kinds carry no value.  parse
+    reads what str writes."""
 
     kind: str
     value: Optional[float] = None
@@ -563,6 +564,8 @@ class RegimeLabel:
             raise ValidationError(f"unknown regime kind {self.kind!r}")
         if self.kind in ("NearSingular", "Undetermined"):  # held as a float, so str can parse back
             value = _as_finite(self.value, f"the value of {self.kind}", allow_zero=True)
+            if self.kind == "Undetermined" and not value.is_integer():  # str prints it as an int
+                raise ValidationError(f"the horizon of Undetermined must be a whole number, got {value}")
             object.__setattr__(self, "value", value)
         elif self.value is not None:
             raise ValidationError(f"{self.kind} takes no value, got {self.value!r}")

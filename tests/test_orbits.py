@@ -815,7 +815,7 @@ class TestClassifyRegime:
 
     @pytest.mark.parametrize("kind, value", [
         ("Undetermined", None), ("NearSingular", None), ("NearSingular", math.nan),
-        ("Undetermined", math.inf), ("NearSingular", -1e-9), ("NearSingular", "1e-9"),
+        ("Undetermined", math.inf), ("Undetermined", 1.5), ("NearSingular", -1e-9), ("NearSingular", "1e-9"),
         ("NeuralDeath", 0.0), ("StablePeriodic", 1.0), ("FullActivity", math.nan),
     ])
     def test_value_only_where_the_kind_carries_one(self, kind, value):
