@@ -21,7 +21,6 @@ from .model import (
     NetworkParams,
     Trajectory,
     ValidationError,
-    _advance,
     _affine,
     _as_array,
     _as_count,
@@ -136,7 +135,7 @@ def reconstruct_periodic(net: NetworkParams, cycle) -> np.ndarray:
     if p == 0:
         raise ValidationError("cycle must be nonempty")
     eta = cycle.astype(np.float64)
-    currents = _advance(net, 0.0, eta)  # currents[t]: where pattern t sends a fired neuron
+    currents = _affine(net, 0.0, 0.0, _wz(net, eta))  # currents[t]: where pattern t sends a fired neuron
     fires_somewhere = cycle.any(axis=0)
 
     # Phase-0 state: closed-form geometric sum for never-firing coordinates;

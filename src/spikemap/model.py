@@ -213,12 +213,6 @@ def _affine(net: NetworkParams, v, z: np.ndarray, wz: np.ndarray) -> np.ndarray:
     return net.gamma * v * (1.0 - z) + wz + net.i_ext
 
 
-def _advance(net: NetworkParams, v, z: np.ndarray) -> np.ndarray:
-    """The affine map on the domain of firing pattern z: a float 0/1 vector or a (K, N) stack,
-    or (M, S, N) states when net is a :class:`_Stack` of M networks."""
-    return _affine(net, v, z, _wz(net, z))
-
-
 def step(net: NetworkParams, v) -> np.ndarray:
     """One synchronous update.  All firing states are read from the input state.
 
@@ -226,7 +220,8 @@ def step(net: NetworkParams, v) -> np.ndarray:
     so do (M, S, N) states on a :class:`_Stack` of M networks.
     """
     v = np.asarray(v, dtype=np.float64)
-    return _advance(net, v, _fires(v, net.theta).astype(np.float64))
+    z = _fires(v, net.theta).astype(np.float64)
+    return _affine(net, v, z, _wz(net, z))
 
 
 @dataclass(frozen=True)
@@ -258,7 +253,8 @@ def _trajectory(net: NetworkParams, v: np.ndarray, t_max: int, raster=None) -> n
     states[0] = v
     t, seen = 0, {hash(v.tobytes()): 0}
     while t < t_max:
-        v = step(net, v) if raster is None else _advance(net, v, raster[t].astype(np.float64))
+        z = None if raster is None else raster[t].astype(np.float64)
+        v = step(net, v) if z is None else _affine(net, v, z, _wz(net, z))
         t += 1
         states[t] = v
         key = v.tobytes()

@@ -26,7 +26,6 @@ from .model import (
     Trajectory,
     _Stack,
     ValidationError,
-    _advance,
     _affine,
     _as_array,
     _as_count,
@@ -200,7 +199,7 @@ def _polish(stack, x0, period, tol, budget):
             off = patterns[:, period] != patterns[:, 0]
             cycle = patterns[:, 1:]
             fired = _fires(chunk[:, :-1], sub.theta)
-            current = _advance(sub, 0.0, fired.astype(np.float64))  # W z + i_ext, as step sums it
+            current = _affine(sub, 0.0, 0.0, _wz(sub, fired.astype(np.float64)))  # W z + i_ext
             leak = ~fired.any(axis=1) & (current == 0.0).all(axis=1) & (chunk[:, period] != 0.0)
         else:
             wrong = patterns[:, 1:] != cycle

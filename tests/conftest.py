@@ -3,7 +3,7 @@
 import numpy as np
 
 import spikemap as sm
-from spikemap.model import _advance
+from spikemap.model import _affine, _wz
 
 
 def random_net(rng, n=None, gamma=None, coupling=1.5, i_ext_high=0.2, theta=1.0):
@@ -32,7 +32,8 @@ def stepped_states(net, v0, t_max, raster=None):
     v = np.asarray(v0, dtype=np.float64)
     states = [v]
     for t in range(t_max):
-        v = sm.step(net, v) if raster is None else _advance(net, v, raster[t].astype(np.float64))
+        z = None if raster is None else raster[t].astype(np.float64)
+        v = sm.step(net, v) if z is None else _affine(net, v, z, _wz(net, z))
         states.append(v)
     return np.array(states)
 
