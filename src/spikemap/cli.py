@@ -29,17 +29,17 @@ from . import fileio
 
 
 def _parse_grid(spec: str) -> list[float]:
-    """Either comma-separated values or lo:hi:count for a uniform grid."""
+    """Either comma-separated values or lo:hi:count for a uniform grid, count >= 1."""
     try:
-        if ":" in spec:
-            lo, hi, count = spec.split(":")
-            values = np.linspace(float(lo), float(hi), int(count))
-            if values.size == 0:
-                raise ValueError("empty grid")
-            return [float(v) for v in values]
-        return [float(v) for v in spec.split(",")]
+        if ":" not in spec:
+            return [float(v) for v in spec.split(",")]
+        lo, hi, count = spec.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+        if count < 1:
+            raise ValueError("empty grid")
     except ValueError as e:
         raise ValidationError(f"bad grid spec {spec!r}: {e}") from e
+    return np.linspace(lo, hi, count).tolist()  # a count numpy cannot address: its exit 3
 
 
 def _parse_v0(spec: str, net: NetworkParams, rng) -> np.ndarray:

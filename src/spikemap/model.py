@@ -75,11 +75,11 @@ def _as_count(k, name: str, least: int = 1) -> int:
 
 
 def _as_number(x, name: str) -> float:
-    """x as a float; a bool or a string is no number here, though Python converts it."""
+    """x as a float, -0.0 as 0.0; a bool or a string is no number here, though Python converts it."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise ValidationError(f"{name} must be a number, got {x!r}")
     try:
-        return float(x)
+        return float(x) + 0.0  # equal values, equal bits: -0.0 + 0.0 is +0.0
     except OverflowError:
         raise ValidationError(f"{name} is beyond the float range, got {x!r}") from None
 
@@ -107,6 +107,11 @@ def _as_gamma(x) -> float:
 _fires = np.greater_equal
 
 
+class Bounds(NamedTuple):
+    v_min: float
+    v_max: float
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Fixed parameters of an N-neuron network.
@@ -118,8 +123,9 @@ class NetworkParams:
 
     Every field is checked here, once: a bool, a string or a value outside the
     float range is refused wherever a number is expected, and the arrays are
-    copied.  Instances are immutable (arrays are marked read-only) and safe to
-    share across threads.
+    copied.  So is the invariant box of :func:`compute_bounds`, computed here
+    once: its ends and its width must be finite.  Instances are immutable
+    (arrays are marked read-only) and safe to share across threads.
     """
 
     n: int
@@ -141,6 +147,14 @@ class NetworkParams:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "i_ext", ie)
+        with np.errstate(over="ignore"):  # an overflowed sum is refused below, not warned of
+            low = np.min(np.where(w < 0.0, w, 0.0).sum(axis=1) + ie)
+            high = np.max(np.where(w > 0.0, w, 0.0).sum(axis=1) + ie)
+        scale = 1.0 / (1.0 - gamma)
+        box = Bounds(min(0.0, scale * float(low)), max(0.0, scale * float(high)))
+        if not math.isfinite(box.v_max - box.v_min):  # v_min <= 0 <= v_max: both ends finite
+            raise ValidationError(f"the invariant box [{box.v_min}, {box.v_max}] must be finite")
+        object.__setattr__(self, "_bounds", box)  # compute_bounds' box
 
 
 @dataclass(frozen=True)
@@ -177,25 +191,14 @@ class _Stack:
                         for a in (self.weights, self.gamma, self.theta, self.i_ext)))
 
 
-class Bounds(NamedTuple):
-    v_min: float
-    v_max: float
-
-
 def compute_bounds(net: NetworkParams) -> Bounds:
     """Invariant phase-space box [v_min, v_max]^N : one step maps it into itself.
 
     v_min floors the most inhibited neuron's geometric accumulation, v_max
     caps the most excited one; empty weight sums contribute 0, and the box
-    always contains the reset value 0.
+    always contains the reset value 0.  It is computed once, with the network.
     """
-    w = net.weights
-    neg = np.where(w < 0.0, w, 0.0).sum(axis=1)
-    pos = np.where(w > 0.0, w, 0.0).sum(axis=1)
-    scale = 1.0 / (1.0 - net.gamma)
-    v_min = min(0.0, scale * float(np.min(neg + net.i_ext)))
-    v_max = max(0.0, scale * float(np.max(pos + net.i_ext)))
-    return Bounds(v_min, v_max)
+    return net._bounds
 
 
 def _wz(net: NetworkParams, z: np.ndarray) -> np.ndarray:

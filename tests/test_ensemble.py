@@ -78,6 +78,13 @@ class TestSweep:
         with pytest.raises(sm.ValidationError):
             sm.sweep([], [1.0], n=3, networks_per_cell=1, inits_per_network=1)
 
+    def test_negative_zero_is_zero(self):
+        # -0.0 is held as 0.0: the same streams and cells, and no rng.normal at scale -0.0
+        kwargs = dict(n=4, networks_per_cell=2, inits_per_network=2,
+                      max_transient=150, max_period=40, seed=3)
+        cells = sm.sweep([-0.0, 0.5], [-0.0, 2.0], **kwargs)
+        assert repr(cells) == repr(sm.sweep([0.0, 0.5], [0.0, 2.0], **kwargs))
+
     def test_threads_match_serial(self):
         kwargs = dict(n=4, networks_per_cell=2, inits_per_network=2,
                       max_transient=150, max_period=40, seed=3)
@@ -132,6 +139,12 @@ class TestLyapunovMap:
                                 inits_per_network=2, ball_radius=1e-3, horizon=300,
                                 i_ext=0.1, burn_in=200, seed=1)
         assert cells[0].mean_lyapunov <= math.log(0.5) + 1e-6
+
+    def test_negative_zero_is_zero(self):
+        kwargs = dict(n=4, networks_per_cell=2, inits_per_network=2, ball_radius=1e-3,
+                      horizon=100, burn_in=20, seed=4)
+        cells = sm.lyapunov_map([-0.0, 0.5], [-0.0, 2.0], **kwargs)
+        assert repr(cells) == repr(sm.lyapunov_map([0.0, 0.5], [0.0, 2.0], **kwargs))
 
     def test_threads_match_serial(self):
         kwargs = dict(n=4, networks_per_cell=2, inits_per_network=2, ball_radius=1e-3,

@@ -359,6 +359,21 @@ class TestCliSimulate:
             assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("fields", [
+        {"weights": [[1e308, 1e308], [1e308, 1e308]]},
+        {"gamma": 0.999999, "weights": [[-1e303, 0.0], [0.0, 0.0]]},
+    ], ids=["row-sum", "leak-scale"])
+    def test_a_network_whose_box_is_not_finite_exits_2(self, tmp_path, capsys, fields):
+        # no start can be drawn from the box, and the map's sums overflow in it
+        payload = {"n": 2, "gamma": 0.5, "theta": 1.0, "i_ext": [0.0, 0.0], **fields}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(payload))
+        for argv in (["simulate", "--v0", "random", "--seed", "1", "--t-max", "1"],
+                     ["simulate", "--v0", "1,1", "--t-max", "1"], ["graph"], ["orbit"],
+                     ["lyap", "--inits", "1", "--horizon", "20"]):
+            assert main(argv + ["--net", str(path), "--out", str(tmp_path / "x")]) == 2
+            assert capsys.readouterr().err.startswith("error: the invariant box")
+
+    @pytest.mark.parametrize("fields", [
         {"gamma": "x"},
         {"weights": [[0.0, "w"], [0.0, 0.0]]},
         {"weights": [[0.0, 0.0], [0.0]]},
@@ -621,6 +636,12 @@ class TestCliLyap:
         assert rows[0] == "gamma,c,samples,mean_lyapunov"
         assert abs(float(rows[1].split(",")[3]) - math.log(0.5)) <= 1e-9
 
+    def test_ensemble_box_not_finite_exits_2(self, tmp_path, capsys):
+        # weights of scale 1e308/sqrt(2) sum beyond the float range
+        assert main(["lyap", "--n", "2", "--gammas", "0.5", "--cs", "1e308", "--inits", "1",
+                     "--horizon", "10", "--out", str(tmp_path / "l.csv")]) == 2
+        assert "invariant box" in capsys.readouterr().err
+
     def test_ensemble_config_records_the_defaults(self, tmp_path):
         assert main(["lyap", "--n", "2", "--gammas", "0.5", "--cs", "0.0", "--inits", "1",
                      "--horizon", "10", "--out", str(tmp_path / "l.csv")]) == 0
@@ -636,14 +657,26 @@ def test_cli_bad_subcommand_exit_2():
 
 
 @pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "4", "--gammas", "0.5", "--cs=-0", "--networks", "1", "--inits", "1"],
+    ["lyap", "--n", "4", "--gammas", "0.5", "--cs=-0", "--inits", "1", "--horizon", "10"],
+], ids=["sweep", "lyap"])
+def test_a_negative_zero_coupling_is_zero_and_exits_0(argv, tmp_path):
+    # -0 is read as 0, not passed to rng.normal as a scale of -0.0
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
     ["simulate", "--net", str(DATA / "orbit_gamma05_net.json"), "--t-max", "10000000000000"],
     ["orbit", "--net", str(DATA / "orbit_gamma05_net.json"), "--inits", "100000000000000"],
     ["simulate", "--net", str(DATA / "orbit_gamma05_net.json"), "--t-max", "9000000000000000000"],
     ["orbit", "--net", str(DATA / "orbit_gamma05_net.json"), "--inits", "100000000000000000000"],
-], ids=["simulate-t-max", "orbit-inits", "simulate-t-max-beyond-numpy", "orbit-inits-beyond-numpy"])
+    ["sweep", "--n", "3", "--gammas", "0:1:100000000000000000000", "--cs", "1"],
+], ids=["simulate-t-max", "orbit-inits", "simulate-t-max-beyond-numpy", "orbit-inits-beyond-numpy",
+        "sweep-grid-beyond-numpy"])
 def test_a_request_too_large_to_allocate_exits_3(argv, tmp_path, capsys):
     # 655 TiB of states and 6.39 PiB of starts, whose allocation fails with a MemoryError; then
-    # sizes numpy cannot even address, which it refuses with a ValueError before allocating
+    # sizes numpy cannot even address, which it refuses with a ValueError before allocating:
+    # a grid count too, a well-formed spec and no bad one (exit 2)
     assert main(argv + ["--out", str(tmp_path / "x")]) == 3
     assert capsys.readouterr().err.startswith("error: ")
     assert not any(tmp_path.iterdir())

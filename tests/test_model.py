@@ -29,6 +29,25 @@ class TestComputeBounds:
         net = sm.NetworkParams(n=1, gamma=0.5, theta=1.0, weights=[[0.0]], i_ext=[0.5])
         assert sm.compute_bounds(net) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("gamma, weights", [
+        (0.5, [[1e308, 1e308], [1e308, 1e308]]),  # a row sum overflows: v_max is inf
+        (0.999999, [[-1e303, 0.0], [0.0, 0.0]]),  # 1/(1 - gamma) carries v_min to -inf
+        (0.5, [[-6e307, 0.0], [0.0, 6e307]]),  # both ends finite, the width is not
+    ], ids=["row-sum", "leak-scale", "width"])
+    def test_a_box_that_is_not_finite_is_refused(self, gamma, weights):
+        # rng.uniform cannot draw a start from it, and the map's sums overflow in it
+        with pytest.raises(sm.ValidationError, match="invariant box"):
+            sm.NetworkParams(n=2, gamma=gamma, theta=1.0, weights=weights, i_ext=[0.0, 0.0])
+
+    def test_the_box_is_computed_once_with_the_network(self):
+        net = sm.NetworkParams(n=2, gamma=0.5, theta=1.0,
+                               weights=[[0.0, 1.0], [-1.0, 0.0]], i_ext=[0.0, 0.0])
+        assert sm.compute_bounds(net) is sm.compute_bounds(net)
+
+    def test_a_negative_zero_gamma_is_held_as_zero(self):
+        net = sm.NetworkParams(n=1, gamma=-0.0, theta=1.0, weights=[[0.0]], i_ext=[0.0])
+        assert math.copysign(1.0, net.gamma) == 1.0
+
 
 class TestSpikingState:
     # the firing test is exactly v >= theta, as encode applies it
