@@ -32,14 +32,14 @@ def _parse_grid(spec: str) -> list[float]:
     """Either comma-separated values or lo:hi:count for a uniform grid, count >= 1."""
     try:
         if ":" not in spec:
-            return [float(v) for v in spec.split(",")]
+            return [float(v) + 0.0 for v in spec.split(",")]  # -0 as 0, as the cells hold it
         lo, hi, count = spec.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
         if count < 1:
             raise ValueError("empty grid")
     except ValueError as e:
         raise ValidationError(f"bad grid spec {spec!r}: {e}") from e
-    return np.linspace(lo, hi, count).tolist()  # a count numpy cannot address: its exit 3
+    return (np.linspace(lo, hi, count) + 0.0).tolist()  # a count numpy cannot address: exit 3
 
 
 def _parse_v0(spec: str, net: NetworkParams, rng) -> np.ndarray:

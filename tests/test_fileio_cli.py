@@ -661,8 +661,10 @@ def test_cli_bad_subcommand_exit_2():
     ["lyap", "--n", "4", "--gammas", "0.5", "--cs=-0", "--inits", "1", "--horizon", "10"],
 ], ids=["sweep", "lyap"])
 def test_a_negative_zero_coupling_is_zero_and_exits_0(argv, tmp_path):
-    # -0 is read as 0, not passed to rng.normal as a scale of -0.0
+    # -0 is read as 0, not passed to rng.normal as a scale of -0.0, and written as 0.0 in
+    # every file, the heatmap's column header too
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert not any("-0.0" in path.read_text() for path in tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
