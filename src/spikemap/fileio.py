@@ -25,6 +25,8 @@ from .coding import _EDGE_KINDS, TransitionGraph, _check_raster, pattern_to_str,
 from .orbits import OrbitReport, RegimeLabel
 from .ensemble import LyapCell, SweepCell
 
+_EDGE_FIELDS = ("from", "to", "kind")  # what each graph file's edge string holds, in order
+
 __all__ = [
     "fmt_float",
     "write_network",
@@ -169,14 +171,17 @@ def read_raster_text(path) -> np.ndarray:
 def write_graph_json(
     path, graph: TransitionGraph, include_illegal: bool = False, config: Optional[dict] = None
 ) -> None:
-    """The graph as ``json.dump({"n", "edges", "config"}, indent=1)`` writes it, but streamed.
+    """The graph as ``json.dump({"n", "edge_fields", "edges", "config"}, indent=1)`` writes it, streamed.
 
-    Edges in ``iter_edges`` order (sources, then targets, ascending), assembled in numpy blocks
-    and written as bytes: each block is its NUL-padded records with the padding dropped.  A record's
-    two pattern names are fields of it, so each is filled with one n-byte element per edge.
+    Each edge is one string ``"<from> <to> <kind>"``, the fields ``edge_fields`` names: the two
+    patterns as ``pattern_to_str`` spells them, then the kind, as in ``"0110 0100 conditional"``;
+    ``src, dst, kind = edge.split()`` takes one apart.  Edges come in ``iter_edges`` order (sources,
+    then targets, ascending), assembled in numpy blocks and written as bytes: each block is its
+    NUL-padded records with the padding dropped.  A record's two pattern names are fields of it, so
+    each is filled with one n-byte element per edge.
     """
     n = graph.n
-    records = [f',\n  {{\n   "from": "{"F" * n}",\n   "to": "{"T" * n}",\n   "kind": "{kind}"\n  }}'
+    records = [f',\n  "{"F" * n} {"T" * n} {kind}"'
                for kind in _EDGE_KINDS]  # one edge of each kind, opening with its separator
     table = np.array(records, dtype=bytes)  # NUL-padded to the longest
     name = np.dtype((np.void, n))
@@ -184,7 +189,8 @@ def write_graph_json(
     fields = np.dtype({"names": ["from", "to"], "formats": [name, name], "itemsize": table.itemsize,
                        "offsets": [records[0].index("F"), records[0].index("T")]})
     names = (graph.src_bits + np.uint8(ord("0"))).view(name)[:, 0]
-    before, _, after = _json_text({"n": n, "edges": []}, config).partition('"edges": []')
+    header = {"n": n, "edge_fields": _EDGE_FIELDS, "edges": []}
+    before, _, after = _json_text(header, config).partition('"edges": []')
     with open(path, "wb") as f:
         f.write((before + '"edges": [').encode())
         for i, (a, b, kind) in enumerate(graph._edge_blocks(include_illegal)):
@@ -196,7 +202,19 @@ def write_graph_json(
 
 
 def read_graph_json(path) -> dict:
-    return _read_json(path)
+    """The parsed graph file, its top level checked once: ``edge_fields`` as written, ``edges`` a list.
+
+    The edge strings are returned as they are, not split or checked one by one.
+    """
+    payload = _read_json(path)
+    top = payload if isinstance(payload, dict) else {}
+    edges, fields = top.get("edges"), list(_EDGE_FIELDS)
+    if top.get("edge_fields") == fields and isinstance(edges, list):
+        return payload
+    if isinstance(edges, list) and edges and isinstance(edges[0], dict):
+        raise ValidationError(f"graph file {path} has the older schema of one dict per edge; write it again")
+    raise ValidationError(f"graph file {path} is no JSON object with edge_fields {fields} "
+                          "and a list of edges")
 
 
 def write_orbits_json(

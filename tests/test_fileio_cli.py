@@ -207,7 +207,7 @@ class TestGraphFile:
            st.integers(1, 300))
     def test_bytes_match_dict_writer(self, tmp_path_factory, size, gamma, seed, with_config,
                                      block):
-        # reference: a list of edge dicts, then json.dump(indent=1)
+        # reference: a list of "from to kind" edge strings, then json.dump(indent=1)
         n, include_illegal = size
         tmp = tmp_path_factory.mktemp("graph")
         g = sm.build_transition_graph(quarter_net(np.random.default_rng(seed), n, gamma))
@@ -216,14 +216,27 @@ class TestGraphFile:
         with mock.patch.object(coding, "_EDGE_BLOCK", block):
             fileio.write_graph_json(tmp / "new.json", g, include_illegal, config)
         names = ["".join(str(int(x)) for x in bits) for bits in g.src_bits]
-        payload = {"n": n, "edges": [{"from": names[a], "to": names[b], "kind": kind}
-                                     for a, b, kind in submask_walk_edges(g, include_illegal)]}
+        payload = {"n": n, "edge_fields": ["from", "to", "kind"],
+                   "edges": [f"{names[a]} {names[b]} {kind}"
+                             for a, b, kind in submask_walk_edges(g, include_illegal)]}
         if config:
             payload["config"] = {k: str(v) for k, v in config.items()}
         with open(tmp / "old.json", "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=1)
             f.write("\n")
         assert (tmp / "new.json").read_bytes() == (tmp / "old.json").read_bytes()
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"n": 1, "edges": [{"from": "0", "to": "0", "kind": "unconditional"}]},
+         "older schema of one dict per edge"),
+        (["0 0 unconditional"], "is no JSON object"),
+        ({"n": 1, "edge_fields": ["from", "to", "kind"]}, "and a list of edges"),
+    ], ids=["dict-per-edge", "array", "no-edges"])
+    def test_reader_refuses_another_top_level(self, tmp_path, payload, message):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload, indent=1))
+        with pytest.raises(sm.ValidationError, match=message):
+            fileio.read_graph_json(path)
 
 
 class TestSweepFiles:
@@ -439,7 +452,7 @@ class TestCliGraph:
         assert "conditional=0" in capsys.readouterr().out
         data = fileio.read_graph_json(tmp_path / "g.json")
         assert data["n"] == 2
-        assert all(e["kind"] != "illegal" for e in data["edges"])
+        assert all(e.split()[2] != "illegal" for e in data["edges"])
 
     def test_silent_network_edges(self, tmp_path):
         net = sm.NetworkParams(n=2, gamma=0.5, theta=1.0,
@@ -448,7 +461,7 @@ class TestCliGraph:
         fileio.write_network(nf, net)
         main(["graph", "--net", str(nf), "--out", str(tmp_path / "g.json")])
         data = fileio.read_graph_json(tmp_path / "g.json")
-        assert {e["to"] for e in data["edges"]} == {"00"}
+        assert {e.split()[1] for e in data["edges"]} == {"00"}
 
     def test_cap_exit_3(self, tmp_path):
         net = sm.NetworkParams(n=17, gamma=0.5, theta=1.0,
