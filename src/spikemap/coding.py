@@ -10,6 +10,7 @@ and after a neuron's first spike its potential is a function of the raster alone
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -160,8 +161,23 @@ def reconstruct_periodic(net: NetworkParams, cycle) -> np.ndarray:
 
 
 def _pattern_index(bits: np.ndarray):
-    """Index of a 0/1 pattern (or of each row of a stack of them): bit i is neuron i."""
-    return bits.astype(np.int64) @ (np.int64(1) << np.arange(bits.shape[-1], dtype=np.int64))
+    """Index of a 0/1 pattern (or of each row of a stack of them): bit i is neuron i, as int64.
+
+    The flags, padded to whole bytes of 8, are read as little-endian uint64 words, one per 8
+    neurons.  Times 0x0102040810204080 (bit 7j + 7 for j = 0..7), byte k's flag lands on bit
+    56 + k; the 64 partial products fall on distinct bits, so nothing carries into the top
+    byte, and a shift by 56 leaves the word's 8 flags.  The words are OR-ed together 8 bits apart.
+    """
+    n = bits.shape[-1]
+    flags = np.zeros(bits.shape[:-1] + (-(-n // 8) * 8,), dtype=np.uint8)
+    flags[..., :n] = bits
+    words = flags.view("<u8")  # multiplied and shifted in place, with no temporary arrays
+    words *= np.uint64(0x0102040810204080)
+    words >>= np.uint64(56)
+    idx = words[..., 0].copy()
+    for w in range(1, words.shape[-1]):
+        idx |= words[..., w] << np.uint64(8 * w)
+    return idx.view(np.int64)
 
 
 def _popcount(masks: np.ndarray) -> np.ndarray:
@@ -183,21 +199,29 @@ class TransitionGraph:
     conditions factorize neuron by neuron: a fired neuron's next bit is
     forced by its (state-independent) incoming current, while a quiescent
     neuron may be forced or free depending on whether the current plus the
-    leaked potential can straddle the threshold on [v_min, theta).  So the
-    legal successors of pattern a form a cube, held as two bit masks (bit i
-    is neuron i): pattern b follows a iff it agrees with ``forced[a]`` on
-    every neuron outside ``free[a]``.  An edge is ``unconditional`` when the
-    cube is one pattern, ``conditional`` when it has free neurons (whose
-    outcome then depends on the potential), and ``illegal`` when b lies
-    outside the cube.
+    leaked potential can straddle the threshold on [v_min, theta).  Each
+    is a threshold on the neuron's W z (see :func:`build_transition_graph`).
+    So the legal successors of pattern a form a cube, held as two bit masks
+    (bit i is neuron i): pattern b follows a iff it agrees with
+    ``forced[a]`` on every neuron outside ``free[a]``.  An edge is
+    ``unconditional`` when the cube is one pattern, ``conditional`` when it
+    has free neurons (whose outcome then depends on the potential), and
+    ``illegal`` when b lies outside the cube.
     """
 
     net: NetworkParams
     v_min: float
     src_bits: np.ndarray  # (2^N, N) uint8, row a is the bits of pattern a
-    currents: np.ndarray  # (2^N, N) current injected by each source pattern
     forced: np.ndarray    # (2^N,) int64 mask, next bits of the non-free neurons
     free: np.ndarray      # (2^N,) int64 mask, neurons whose next bit is free
+
+    @functools.cached_property
+    def currents(self) -> np.ndarray:
+        """(2^N, N) read-only, where each source pattern sends a fired neuron, with step's bits:
+        its leak term gamma*v*(1-1) is +0.0.  Computed on first read; the build needs only W z."""
+        currents = _affine(self.net, 0.0, 0.0, _wz(self.net, self.src_bits.astype(np.float64)))
+        currents.flags.writeable = False
+        return currents
 
     @property
     def n(self) -> int:
@@ -266,8 +290,9 @@ class TransitionGraph:
     def _edge_blocks(self, include_illegal: bool = False):
         """Every edge, in order, as (a, b, kind index) array blocks.
 
-        a's legal targets are ``forced[a] | s`` for the submasks s of ``free[a]``, ascending:
-        the bits of k = 0..2^d-1 deposited in order onto the d set bits of ``free[a]``.
+        a's legal targets are ``forced[a] | s`` for the submasks s of ``free[a]``, ascending,
+        built by doubling: the first 2^j of them, each OR-ed with the j-th lowest bit of
+        ``free[a]``, are the next 2^j.
         """
         num = self.num_patterns
         dims = _popcount(self.free)
@@ -284,9 +309,14 @@ class TransitionGraph:
             else:
                 b, first = self.forced[a], np.cumsum(size) - size
                 for d in np.unique(d_blk[d_blk > 0]).tolist():
-                    rows, k = np.flatnonzero(d_blk == d), np.arange(1 << d)
-                    bit = np.nonzero(self.src_bits[self.free[s0 + rows]])[1].reshape(-1, d, 1)
-                    b[first[rows, None] + k] |= sum(((k >> j) & 1) << bit[:, j] for j in range(d))
+                    rows = np.flatnonzero(d_blk == d)
+                    mask, sub = self.free[s0 + rows], np.empty((rows.size, 1 << d), dtype=np.int64)
+                    sub[:, 0] = self.forced[s0 + rows]
+                    for j in range(d):
+                        low = mask & -mask
+                        sub[:, 1 << j:2 << j] = sub[:, :1 << j] | low[:, None]
+                        mask ^= low
+                    b[first[rows, None] + np.arange(1 << d)] = sub
             yield a, b, kind
 
     @property
@@ -320,7 +350,9 @@ def build_transition_graph(net: NetworkParams, cap: int = GRAPH_CAP_DEFAULT) -> 
 
     Refuses networks with N above ``cap``, an integer >= 1 (the construction
     enumerates all 2^N source patterns; per-neuron factorization keeps each
-    one O(N)).
+    one O(N)).  Every next bit is a pattern's W z compared with the least
+    double that fires the neuron; one bisection finds those doubles for a
+    fired neuron and for both ends of a quiescent one's [v_min, theta).
     """
     if net.n > _as_count(cap, "cap"):
         raise CapacityError(f"transition graph needs N <= {cap}, got N={net.n}")
@@ -329,25 +361,23 @@ def build_transition_graph(net: NetworkParams, cap: int = GRAPH_CAP_DEFAULT) -> 
     src_bits = np.unpackbits(np.arange(num, dtype="<u8")[:, None].view(np.uint8), axis=1,
                              count=n, bitorder="little")
     wz = _wz(net, src_bits.astype(np.float64))
-    # as step sends a fired neuron: its leak term gamma*v*(1-1) is +0.0, a scalar here
-    currents = _affine(net, 0.0, 0.0, wz)
     theta = net.theta
     v_min = compute_bounds(net).v_min
     fired = src_bits == 1
-    # step is monotone in a quiescent neuron's own v, so it fires from all of [v_min, theta)
-    # iff it does from v_min, and from some of it iff it does from the largest double below
-    # theta; one that fires from all is forced to, as in step.  step is monotone in the
-    # neuron's W z too, so from each end it fires iff its W z reaches the least that fires it.
-    ends = np.array([[v_min], [np.nextafter(theta, -np.inf)]])
-    w_min, w_top = _least_double(lambda w: _fires(_affine(net, ends, 0.0, w), theta), (2, n))
+    # step sends a fired neuron to its current, whose leak term gamma*v*(1-1) is +0.0, the
+    # same term as a quiescent neuron's from v = 0.0.  step is monotone in a quiescent
+    # neuron's own v, so it fires from all of [v_min, theta) iff it does from v_min, and from
+    # some of it iff it does from the largest double below theta; one that fires from all is
+    # forced to, as in step.  step is monotone in the neuron's W z too, so from each of the
+    # three ends it fires iff its W z reaches the least that fires it.
+    ends = np.array([[0.0], [v_min], [np.nextafter(theta, -np.inf)]])
+    w_fire, w_min, w_top = _least_double(lambda w: _fires(_affine(net, ends, 0.0, w), theta), (3, n))
     sinks = wz >= w_min
-    forced = _pattern_index(fired & _fires(currents, theta) | ~fired & sinks)
+    forced = _pattern_index(fired & (wz >= w_fire) | ~fired & sinks)
     free = _pattern_index(~fired & ~sinks & (wz >= w_top))
-    for arr in (src_bits, currents, forced, free):
+    for arr in (src_bits, forced, free):
         arr.flags.writeable = False
-    return TransitionGraph(
-        net=net, v_min=v_min, src_bits=src_bits, currents=currents, forced=forced, free=free
-    )
+    return TransitionGraph(net=net, v_min=v_min, src_bits=src_bits, forced=forced, free=free)
 
 
 def check_legal(raster, graph: TransitionGraph) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 from typing import Optional, get_type_hints
@@ -131,18 +132,37 @@ def write_trajectory_csv(path, traj: Trajectory, config: Optional[dict] = None) 
 
 
 def read_trajectory_csv(path) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Returns (config, times, states), parsed in one numpy pass."""
-    config, rows = _read_csv(path)
-    if not rows:
-        raise ValidationError(f"trajectory file {path} has no data")
-    header = rows[0].split(",")
-    if header[0] != "t":
-        raise ValidationError(f"trajectory file {path} has an unexpected header")
-    row = np.dtype([("t", np.int64), ("v", np.float64, (len(header) - 1,))])
+    """Returns (config, times, states), the rows parsed by one ``np.loadtxt`` on the open file.
+
+    The config is the ``# key=value`` lines before the header; after it, ``#`` lines are
+    skipped as comments, and blank lines are skipped everywhere.
+    """
     try:
-        data = np.loadtxt(rows[1:], delimiter=",", dtype=row, ndmin=1) if rows[1:] else np.empty(0, row)
-    except ValueError as e:
-        raise ValidationError(f"trajectory file {path} has a malformed row: {e}") from e
+        with open(path, "r", encoding="utf-8") as f:
+            config, header = {}, None
+            for line in f:
+                if line.startswith("#"):
+                    key, _, value = line[1:].strip().partition("=")
+                    config[key] = value
+                elif line != "\n":
+                    header = line.rstrip("\n").split(",")
+                    break
+            if header is None:
+                raise ValidationError(f"trajectory file {path} has no data")
+            if header[0] != "t":
+                raise ValidationError(f"trajectory file {path} has an unexpected header")
+            row = np.dtype([("t", np.int64), ("v", np.float64, (len(header) - 1,))])
+            # the first row is looked for here: numpy warns when it finds none
+            first = next((line for line in f if line != "\n" and not line.startswith("#")), None)
+            try:
+                data = (np.empty(0, row) if first is None else
+                        np.loadtxt(itertools.chain([first], f), delimiter=",", dtype=row, ndmin=1))
+            except UnicodeDecodeError:
+                raise
+            except ValueError as e:
+                raise ValidationError(f"trajectory file {path} has a malformed row: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"file {path} is not UTF-8 text: {e}") from e
     return config, data["t"], data["v"]
 
 

@@ -1,9 +1,12 @@
 """Shared helpers for the test suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 import spikemap as sm
-from spikemap.model import _affine, _wz
+from spikemap.coding import _least_double
+from spikemap.model import _affine, _fires, _wz
 
 
 def random_net(rng, n=None, gamma=None, coupling=1.5, i_ext_high=0.2, theta=1.0):
@@ -108,6 +111,46 @@ def submask_walk_edges(graph, include_illegal=False):
             if not s:
                 break
     return edges
+
+
+def reference_graph(net):
+    """The transition graph's construction before the fired neurons' bits were read off W z:
+    currents, forced and free, and ``edges(include_illegal)``, every edge as one block of
+    (a, b, kind index) arrays.
+
+    A fired neuron's next bit is ``_fires(currents, theta)`` of the currents
+    ``_affine(net, 0.0, 0.0, W z)``; a quiescent neuron's are W z compared with the least
+    doubles that fire it from v_min and from just below theta.  Masks are summed as
+    ``bits @ 2**i``, and each source's submasks are deposited on the bits ``np.nonzero``
+    finds in its free mask.
+    """
+    n, theta, num = net.n, net.theta, 1 << net.n
+    src_bits = ((np.arange(num)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    wz = _wz(net, src_bits.astype(np.float64))
+    currents = _affine(net, 0.0, 0.0, wz)
+    fired = src_bits == 1
+    ends = np.array([[sm.compute_bounds(net).v_min], [np.nextafter(theta, -np.inf)]])
+    w_min, w_top = _least_double(lambda w: _fires(_affine(net, ends, 0.0, w), theta), (2, n))
+    weights = np.int64(1) << np.arange(n, dtype=np.int64)
+    forced = (fired & _fires(currents, theta) | ~fired & (wz >= w_min)).astype(np.int64) @ weights
+    free = (~fired & (wz < w_min) & (wz >= w_top)).astype(np.int64) @ weights
+
+    def edges(include_illegal=False):
+        if include_illegal:
+            a, b = np.repeat(np.arange(num), num), np.tile(np.arange(num), num)
+            kind = np.where(b & ~free[a] == forced[a], free[a] != 0, 2).astype(np.int64)
+            return a, b, kind
+        dims = np.array([bin(mask).count("1") for mask in free.tolist()], dtype=np.int64)
+        size = np.int64(1) << dims
+        a = np.repeat(np.arange(num), size)
+        b, first = forced[a], np.cumsum(size) - size
+        for d in np.unique(dims[dims > 0]).tolist():
+            rows, k = np.flatnonzero(dims == d), np.arange(1 << d)
+            bit = np.nonzero(src_bits[free[rows]])[1].reshape(-1, d, 1)
+            b[first[rows, None] + k] |= sum(((k >> j) & 1) << bit[:, j] for j in range(d))
+        return a, b, (free[a] != 0).astype(np.int64)
+
+    return SimpleNamespace(currents=currents, forced=forced, free=free, edges=edges)
 
 
 def scalar_orbit(net, v0, max_transient, max_period, tol, polish_steps):

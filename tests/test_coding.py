@@ -9,7 +9,8 @@ import spikemap as sm
 from spikemap import coding
 from spikemap.coding import EDGE_CONDITIONAL, EDGE_ILLEGAL, EDGE_UNCONDITIONAL
 from conftest import (
-    batch_step, direct_sum_state, example1_net, quarter_net, random_net, submask_walk_edges,
+    batch_step, direct_sum_state, example1_net, quarter_net, random_net, reference_graph,
+    submask_walk_edges,
 )
 
 
@@ -404,6 +405,73 @@ class TestGraphAgreesWithStep:
         assert np.array_equal(after[fired], g.currents[fired])
         forced_bits = (g.forced[:, None] >> np.arange(n)) & 1
         assert np.array_equal((after >= net.theta)[fired], forced_bits[fired] == 1)
+
+
+class TestGraphAgreesWithReference:
+    """The build and the enumeration give the bits of the reference construction: every next
+    bit read off W z, submasks by doubling and masks by multiplies leave nothing to rounding."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 10), st.sampled_from([0.0, 0.5, 0.875]) | st.floats(0.0, 0.99),
+           st.sampled_from(["quarters", "quiescent-tie", "theta-at-current"]),
+           st.integers(0, 2**32 - 1), st.integers(1, 300) | st.just(coding._EDGE_BLOCK))
+    def test_matches_reference_graph(self, n, gamma, drive, seed, block):
+        rng = np.random.default_rng(seed)
+        net = quarter_net(rng, n, gamma)
+        w = net.weights
+        if drive == "quiescent-tie":  # gamma*theta + current on theta where pattern {j} fires
+            net = sm.NetworkParams(n=n, gamma=gamma, theta=1.0, weights=w,
+                                   i_ext=(1.0 - gamma) - w[:, int(rng.integers(n))])
+        elif drive == "theta-at-current":  # theta is, bit for bit, where pattern a sends neuron i
+            bits = rng.integers(0, 2, n)
+            current = sm.step(net, np.where(bits == 1, 2.0, 0.0))
+            positive = [i for i in np.flatnonzero(bits).tolist() if current[i] > 0.0]
+            if positive:
+                net = sm.NetworkParams(n=n, gamma=gamma, theta=current[positive[0]], weights=w,
+                                       i_ext=net.i_ext)
+        g, ref = sm.build_transition_graph(net), reference_graph(net)
+        assert np.array_equal(g.forced, ref.forced) and np.array_equal(g.free, ref.free)
+        assert g.forced.dtype == g.free.dtype == np.int64
+        assert g.currents.tobytes() == ref.currents.tobytes()
+        with mock.patch.object(coding, "_EDGE_BLOCK", block):  # blocks that split anywhere
+            for include_illegal in (False, True) if n <= 7 else (False,):
+                got = [np.concatenate(x) for x in zip(*g._edge_blocks(include_illegal))]
+                for x, want in zip(got, ref.edges(include_illegal)):
+                    assert x.dtype == want.dtype and np.array_equal(x, want)
+
+    def test_currents_are_computed_on_first_read_and_kept(self):
+        g = sm.build_transition_graph(quarter_net(np.random.default_rng(3), 5, 0.5))
+        assert "currents" not in vars(g)
+        currents = g.currents
+        assert g.currents is currents and not currents.flags.writeable
+        with pytest.raises(ValueError):
+            currents[0, 0] = 1.0
+
+
+class TestPatternIndex:
+    """_pattern_index, which check_legal and TransitionGraph._index rest on, against
+    sum(bit_i << i) read as int64, for any width, dtype and memory layout."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([*range(1, 21), 64]), st.integers(0, 12),
+           st.sampled_from([np.bool_, np.uint8, np.int64]), st.integers(0, 2**32 - 1))
+    def test_matches_a_sum_of_shifted_bits(self, width, rows, dtype, seed):
+        stack = np.random.default_rng(seed).integers(0, 2, (rows, 2 * width)).astype(dtype)
+
+        def want(row):
+            index = sum(int(bit) << i for i, bit in enumerate(row.tolist()))
+            return index - (1 << 64) if index >= 1 << 63 else index
+
+        layouts = {"contiguous": np.ascontiguousarray(stack[:, :width]),
+                   "row-strided": stack[:, width:], "column-strided": stack[:, ::2],
+                   "fortran": np.asfortranarray(stack[:, :width])}
+        for layout, bits in layouts.items():
+            got = coding._pattern_index(bits)
+            assert got.dtype == np.int64 and got.shape == (rows,), layout
+            assert got.tolist() == [want(row) for row in bits], layout
+            for row in bits[:3]:  # one pattern, 1-D
+                one = coding._pattern_index(row)
+                assert one.shape == () and int(one) == want(row), layout
 
 
 class TestIsMarkovNatural:

@@ -161,6 +161,10 @@ class TestTrajectoryAndRasterFiles:
         for read in (fileio.read_trajectory_csv, fileio.read_raster_text, fileio.read_sweep_csv):
             with pytest.raises(sm.ValidationError, match="UTF-8"):
                 read(path)
+        # a byte in a row well past the first buffer, decoded only as the rows are parsed
+        path.write_bytes(b"t,v_0\n" + b"".join(b"%d,1.0\n" % t for t in range(5000)) + b"5000,\xff\n")
+        with pytest.raises(sm.ValidationError, match="UTF-8"):
+            fileio.read_trajectory_csv(path)
 
     @pytest.mark.parametrize("text, message", [("# command=simulate\n", "no data"),
                                                ("step,v_0\n0,1.0\n", "unexpected header")],
@@ -172,10 +176,20 @@ class TestTrajectoryAndRasterFiles:
             fileio.read_trajectory_csv(path)
 
     def test_trajectory_header_without_rows(self, tmp_path):
+        # no rows is no error, and numpy's "input contained no data" warning is never raised
         path = tmp_path / "t.csv"
-        path.write_text("t,v_0,v_1\n")
-        _, times, states = fileio.read_trajectory_csv(path)
-        assert times.shape == (0,) and states.shape == (0, 2)
+        for after in ("", "\n", "# seed=4\n\n# late\n"):
+            path.write_text("t,v_0,v_1\n" + after)
+            _, times, states = fileio.read_trajectory_csv(path)
+            assert times.shape == (0,) and states.shape == (0, 2)
+
+    def test_trajectory_config_comes_from_before_the_header(self, tmp_path):
+        # later # lines are comments, skipped between rows; blank lines are skipped anywhere
+        path = tmp_path / "t.csv"
+        path.write_text("\n# command=simulate\n\n# seed=3\nt,v_0\n0,1.5\n# seed=4\n\n1,2.5\n# late=1\n")
+        config, times, states = fileio.read_trajectory_csv(path)
+        assert config == {"command": "simulate", "seed": "3"}
+        assert times.tolist() == [0, 1] and states.tolist() == [[1.5], [2.5]]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 30), st.integers(1, 20), st.integers(0, 2**32 - 1))
