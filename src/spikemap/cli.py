@@ -29,7 +29,7 @@ from . import fileio
 
 
 def _parse_grid(spec: str) -> list[float]:
-    """Either comma-separated values or lo:hi:count for a uniform grid, count >= 1."""
+    """Either comma-separated values or lo:hi:count for a uniform grid, count >= 1 (1 needs lo == hi)."""
     try:
         if ":" not in spec:
             return [float(v) + 0.0 for v in spec.split(",")]  # -0 as 0, as the cells hold it
@@ -37,6 +37,8 @@ def _parse_grid(spec: str) -> list[float]:
         lo, hi, count = float(lo), float(hi), int(count)
         if count < 1:
             raise ValueError("empty grid")
+        if count == 1 and lo != hi:
+            raise ValueError("one point cannot span lo != hi")
     except ValueError as e:
         raise ValidationError(f"bad grid spec {spec!r}: {e}") from e
     return (np.linspace(lo, hi, count) + 0.0).tolist()  # a count numpy cannot address: exit 3

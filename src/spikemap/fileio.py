@@ -1,17 +1,20 @@
 """Self-describing file formats: network JSON, trajectory CSV, raster text,
 transition-graph JSON, orbit-report JSON, and sweep/heatmap/lyap CSV.
 
-Every CSV starts with ``# key=value`` comment lines echoing the effective
-configuration, and the graph and orbit JSON embed it under ``"config"``.
-Floats are written in shortest round-trip form.  A sweep or lyap CSV has a
-column per field of SweepCell or LyapCell, named after it and in declared
-order.  The network, trajectory, raster and sweep readers reproduce the
-written objects exactly; the graph and orbit readers return the parsed JSON
-as a plain dict, and the heatmap and lyap CSVs, made for plotting, have no reader.
+Every file is UTF-8 text with LF line ends.  A CSV opens with ``# key=value``
+lines echoing the effective configuration, and the graph and orbit JSON embed
+it under ``"config"``.  Floats are written in shortest round-trip form.  A sweep
+or lyap CSV has a column per field of SweepCell or LyapCell, named after it and
+in declared order.  The text readers skip blank and ``#`` lines anywhere and take
+the config from the ``#`` lines before the first other line.  The network,
+trajectory, raster and sweep readers reproduce the written objects exactly; the
+graph and orbit readers return the parsed JSON as a plain dict, and the heatmap
+and lyap CSVs, made for plotting, have no reader.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -62,21 +65,29 @@ def _write_csv(path, config: Optional[dict], header: str, rows) -> None:
             f.write(row + "\n")
 
 
-def _read_csv(path) -> tuple[dict, list[str]]:
-    """(config, rows): the ``# key=value`` lines as a dict, then the nonblank data lines."""
+@contextlib.contextmanager
+def _read_csv(path):
+    """``with _read_csv(path) as (config, lines)``: the ``# key=value`` lines before the first line
+    that is neither blank (whitespace only) nor ``#``, and the open file's lines from that one on,
+    the blank ones dropped.  A byte that is not UTF-8 raises ValidationError wherever it is read.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
+            lines, config = itertools.filterfalse(str.isspace, f), {}  # no line read is "", so line[0] exists
+            for line in lines:
+                if line[0] != "#":
+                    lines = itertools.chain([line], lines)
+                    break
+                key, _, value = line[1:].strip().partition("=")
+                config[key] = value
+            yield config, lines
     except UnicodeDecodeError as e:
         raise ValidationError(f"file {path} is not UTF-8 text: {e}") from e
-    config, rows = {}, []
-    for line in lines:
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            config[key] = value
-        elif line:
-            rows.append(line)
-    return config, rows
+
+
+def _data(lines):
+    """The lines that are no ``#`` comment, their surrounding whitespace stripped."""
+    return (line.strip() for line in lines if line[0] != "#")
 
 
 def _json_text(payload: dict, config: Optional[dict] = None) -> str:
@@ -86,7 +97,7 @@ def _json_text(payload: dict, config: Optional[dict] = None) -> str:
 
 
 def _write_json(path, payload: dict, config: Optional[dict] = None) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(_json_text(payload, config))
 
 
@@ -132,37 +143,23 @@ def write_trajectory_csv(path, traj: Trajectory, config: Optional[dict] = None) 
 
 
 def read_trajectory_csv(path) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Returns (config, times, states), the rows parsed by one ``np.loadtxt`` on the open file.
-
-    The config is the ``# key=value`` lines before the header; after it, ``#`` lines are
-    skipped as comments, and blank lines are skipped everywhere.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            config, header = {}, None
-            for line in f:
-                if line.startswith("#"):
-                    key, _, value = line[1:].strip().partition("=")
-                    config[key] = value
-                elif line != "\n":
-                    header = line.rstrip("\n").split(",")
-                    break
-            if header is None:
-                raise ValidationError(f"trajectory file {path} has no data")
-            if header[0] != "t":
-                raise ValidationError(f"trajectory file {path} has an unexpected header")
-            row = np.dtype([("t", np.int64), ("v", np.float64, (len(header) - 1,))])
-            # the first row is looked for here: numpy warns when it finds none
-            first = next((line for line in f if line != "\n" and not line.startswith("#")), None)
-            try:
-                data = (np.empty(0, row) if first is None else
-                        np.loadtxt(itertools.chain([first], f), delimiter=",", dtype=row, ndmin=1))
-            except UnicodeDecodeError:
+    """Returns (config, times, states), the rows after the header parsed by one ``np.loadtxt``."""
+    with _read_csv(path) as (config, lines):
+        header = next(_data(lines), None)
+        if header is None:
+            raise ValidationError(f"trajectory file {path} has no data")
+        header = header.split(",")
+        if header[0] != "t":
+            raise ValidationError(f"trajectory file {path} has an unexpected header")
+        row = np.dtype([("t", np.int64), ("v", np.float64, (len(header) - 1,))])
+        first = next(_data(lines), None)  # looked for here: numpy warns when it finds no row
+        try:
+            data = (np.empty(0, row) if first is None else
+                    np.loadtxt(itertools.chain([first], lines), delimiter=",", dtype=row, ndmin=1))
+        except ValueError as e:
+            if isinstance(e, UnicodeDecodeError):
                 raise
-            except ValueError as e:
-                raise ValidationError(f"trajectory file {path} has a malformed row: {e}") from e
-    except UnicodeDecodeError as e:
-        raise ValidationError(f"file {path} is not UTF-8 text: {e}") from e
+            raise ValidationError(f"trajectory file {path} has a malformed row: {e}") from e
     return config, data["t"], data["v"]
 
 
@@ -176,8 +173,9 @@ def write_raster_text(path, raster) -> None:
 
 
 def read_raster_text(path) -> np.ndarray:
-    """The rows of a raster file, parsed by ``str_to_pattern``; blank and ``#`` lines are skipped."""
-    lines = [ln for ln in map(str.strip, _read_csv(path)[1]) if ln]
+    """The data lines of a raster file, parsed by ``str_to_pattern``."""
+    with _read_csv(path) as (_, lines):
+        lines = list(_data(lines))
     if len(set(map(len, lines))) != 1:
         raise ValidationError(f"raster file {path} {'has ragged lines' if lines else 'is empty'}")
     text, rows = "".join(lines), len(lines)
@@ -256,7 +254,11 @@ def write_orbits_json(
 
 
 def read_orbits_json(path) -> dict:
-    return _read_json(path)
+    """The parsed orbit file, its top level checked once: an object whose ``orbits`` is a list."""
+    payload = _read_json(path)
+    if isinstance(payload, dict) and isinstance(payload.get("orbits"), list):
+        return payload
+    raise ValidationError(f"orbit file {path} is no JSON object with a list of orbits")
 
 
 @functools.cache
@@ -282,7 +284,8 @@ def write_sweep_csv(path, cells: list[SweepCell], config: Optional[dict] = None)
 
 
 def read_sweep_csv(path) -> tuple[dict, list[SweepCell]]:
-    config, rows = _read_csv(path)
+    with _read_csv(path) as (config, lines):
+        rows = list(_data(lines))
     if not rows or rows[0] != SWEEP_HEADER:
         raise ValidationError(f"sweep file {path} has an unexpected header")
     kinds = _columns(SweepCell)[1]

@@ -331,6 +331,75 @@ class TestOrbitFile:
         assert np.array_equal(np.stack(rows), report.cycle_raster)
 
 
+    @pytest.mark.parametrize("payload", [[1, 2], {"regime": "StablePeriodic"}, {"orbits": 3}],
+                             ids=["array", "no-orbits", "orbits-not-a-list"])
+    def test_reader_refuses_another_top_level(self, tmp_path, payload):
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(sm.ValidationError, match="no JSON object with a list of orbits"):
+            fileio.read_orbits_json(path)
+
+
+# per text reader: the reader, its header line (None: the raster has none), and row t of a file
+TEXT_FILES = {
+    "trajectory": (fileio.read_trajectory_csv, "t,v_0", lambda t: f"{t},{t}.5"),
+    "sweep": (fileio.read_sweep_csv, fileio.SWEEP_HEADER, lambda t: f"0.5,{t}.0,5,0.1,-1.0,0.0,2.0,0.0"),
+    "raster": (fileio.read_raster_text, None, lambda t: f"{t % 4:02b}"),
+}
+
+
+def _read_text(tmp_path, kind, text):
+    """(config, data) as the reader of this kind reads ``text``; the raster has no config."""
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes(text.encode())
+    got = TEXT_FILES[kind][0](path)
+    if kind == "raster":
+        return None, got.tolist()
+    if kind == "trajectory":
+        return got[0], (got[1].tolist(), got[2].tolist())
+    return got
+
+
+def _data_lines(kind, rows):
+    _, header, row = TEXT_FILES[kind]
+    return [header] * (header is not None) + [row(t) for t in range(rows)]
+
+
+class TestTextFileRule:
+    """The trajectory, sweep and raster readers read their text by one rule."""
+
+    @pytest.mark.parametrize("kind", ["trajectory", "sweep"])
+    def test_config_is_the_comments_before_the_first_data_line(self, tmp_path, kind):
+        first, *rest = _data_lines(kind, 3)
+        text = "\n# command=x\n  \n# seed=3\n" + first + "\n# seed=4\n" + "\n".join(rest) + "\n# late=1\n"
+        config, data = _read_text(tmp_path, kind, text)
+        assert config == {"command": "x", "seed": "3"}
+        assert data == _read_text(tmp_path, kind, "\n".join([first] + rest) + "\n")[1]
+
+    @pytest.mark.parametrize("kind", list(TEXT_FILES))
+    def test_comment_and_blank_lines_are_skipped_anywhere(self, tmp_path, kind):
+        lines = _data_lines(kind, 3)
+        noisy = ["", "# a", "  \t"] + [f"{line}\n# b\n\n \n" for line in lines] + ["#", "\t"]
+        got = _read_text(tmp_path, kind, "\n".join(noisy) + "\n")[1]
+        assert got == _read_text(tmp_path, kind, "\n".join(lines) + "\n")[1]
+
+    @pytest.mark.parametrize("kind", list(TEXT_FILES))
+    def test_crlf_reads_as_lf(self, tmp_path, kind):
+        lines = ["# command=x", "", "# seed=3"] + _data_lines(kind, 4) + ["# late", ""]
+        lf = _read_text(tmp_path, kind, "\n".join(lines))
+        assert _read_text(tmp_path, kind, "\r\n".join(lines)) == lf
+
+    @pytest.mark.parametrize("kind", list(TEXT_FILES))
+    def test_a_bad_byte_past_the_first_buffer(self, tmp_path, kind):
+        # decoded only as the rows are read, chunks of 8 KiB after the config and the header
+        lines = _data_lines(kind, 20000)
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(("\n".join(lines) + "\n").encode() + lines[-1].encode()[:-1] + b"\xff\n")
+        assert path.stat().st_size > 2 ** 15
+        with pytest.raises(sm.ValidationError, match="UTF-8"):
+            TEXT_FILES[kind][0](path)
+
+
 def test_fmt_float_round_trips():
     for x in (0.1, 1.0, 2.0 ** -50, math.pi, -0.0, 1e300, float("nan"), float("-inf")):
         s = fileio.fmt_float(x)
@@ -609,7 +678,10 @@ class TestCliSweep:
     def test_grid_range_is_linspace(self):
         assert cli._parse_grid("0.25:3:8") == np.linspace(0.25, 3, 8).tolist()
 
-    @pytest.mark.parametrize("spec", ["0:1:0", "0:1", "0:1:2.5", "0.5,", ",0.5,,1"])
+    def test_one_point_grid_needs_lo_equal_to_hi(self):
+        assert cli._parse_grid("0.5:0.5:1") == [0.5]
+
+    @pytest.mark.parametrize("spec", ["0:1:0", "0:1", "0:1:2.5", "0.5,", ",0.5,,1", "0.5:0.9:1"])
     def test_bad_grid_range_exit_2(self, tmp_path, capsys, spec):
         assert main(["sweep", "--n", "3", "--gammas", spec, "--cs", "1.0",
                      "--out", str(tmp_path / "s")]) == 2
