@@ -59,13 +59,15 @@ class IllegalCodeError(ValueError):
 
 
 def _check_raster(raster, n: Optional[int] = None, ndim: int = 2) -> np.ndarray:
-    """The raster rule, as uint8: ndim dimensions (2: a raster, 1: a pattern), 0/1 values, width n."""
+    """The raster rule, as uint8: ndim nonempty dimensions (2: raster, 1: pattern), 0/1 values, width n."""
     try:
         r = np.asarray(raster)
     except ValueError:  # ragged rows
         raise ValidationError("raster rows must all have one length") from None
     if r.ndim != ndim:
         raise ValidationError(f"{('pattern', 'raster')[ndim - 1]} must be {ndim}-D, got shape {r.shape}")
+    if 0 in r.shape:  # a raster codes at least its start state, a pattern at least one neuron
+        raise ValidationError(f"a raster or pattern must be nonempty, got shape {r.shape}")
     if r.dtype.kind not in "biuf" or not ((r == 0) | (r == 1)).all():
         raise ValidationError("a raster or pattern holds 0/1 values only")
     if n is not None and r.shape[-1] != n:
@@ -116,8 +118,6 @@ def reconstruct_trajectory(net: NetworkParams, v0, raster) -> np.ndarray:
     :func:`spikemap.model._trajectory`).
     """
     raster = _check_raster(raster, net.n)
-    if raster.shape[0] == 0:
-        raise ValidationError("raster must have at least one row")
     return _trajectory(net, _as_array(v0, (net.n,), "v0"), raster.shape[0] - 1, raster)
 
 
@@ -133,8 +133,6 @@ def reconstruct_periodic(net: NetworkParams, cycle) -> np.ndarray:
     """
     cycle = _check_raster(cycle, net.n)
     p = cycle.shape[0]
-    if p == 0:
-        raise ValidationError("cycle must be nonempty")
     eta = cycle.astype(np.float64)
     currents = _affine(net, 0.0, 0.0, _wz(net, eta))  # currents[t]: where pattern t sends a fired neuron
     fires_somewhere = cycle.any(axis=0)

@@ -87,11 +87,13 @@ class TestReconstruct:
 
 
 @pytest.mark.parametrize("raster", [*([[bad, 0], [0, 0]] for bad in [2, -1, 0.5, np.nan, "1"]),
-                                    np.zeros((3, 2, 2))], ids=["2", "-1", "0.5", "nan", "1", "3-D"])
+                                    np.zeros((3, 2, 2)), np.zeros((0, 2)), np.zeros((2, 0))],
+                         ids=["2", "-1", "0.5", "nan", "1", "3-D", "no-rows", "no-neurons"])
 @pytest.mark.parametrize("use", ["reconstruct_trajectory", "reconstruct_periodic", "check_legal"])
 def test_raster_values_other_than_0_and_1_rejected(raster, use):
     # none is a firing bit, though a uint8 cast takes 2 as 2, -1 as 255 (or fails) and 0.5 as 0;
-    # a 3-D stack of 0/1 values is no raster either, though each of its rows has width N
+    # a 3-D stack of 0/1 values is no raster either, though each of its rows has width N, and
+    # nor is an empty one, which codes no start state (check_legal returned True for it)
     net = sm.NetworkParams(n=2, gamma=0.5, theta=1.0, weights=[[0.0, 0.1], [0.0, 0.0]],
                            i_ext=[0.0, 0.0])
     call = {"reconstruct_trajectory": lambda r: sm.reconstruct_trajectory(net, [0.0, 0.0], r),
@@ -527,8 +529,8 @@ class TestPatternHelpers:
         with pytest.raises(sm.ValidationError):
             sm.str_to_pattern("01x")
 
-    @pytest.mark.parametrize("eta", [[2, 0.5], [[0, 1]]], ids=["values", "2-D"])
+    @pytest.mark.parametrize("eta", [[2, 0.5], [[0, 1]], np.zeros(0)], ids=["values", "2-D", "empty"])
     def test_only_a_pattern_is_spelled(self, eta):
-        # any nonzero entry used to spell 1, so [2, 0.5] read '11'
+        # any nonzero entry used to spell 1, so [2, 0.5] read '11'; the empty pattern read ''
         with pytest.raises(sm.ValidationError):
             sm.pattern_to_str(eta)

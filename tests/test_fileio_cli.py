@@ -192,7 +192,7 @@ class TestTrajectoryAndRasterFiles:
         assert times.tolist() == [0, 1] and states.tolist() == [[1.5], [2.5]]
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 30), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 30), st.integers(1, 20), st.integers(0, 2**32 - 1))
     def test_raster_text_matches_pattern_to_str(self, tmp_path_factory, t, n, seed):
         # reference: pattern_to_str per row; a value other than 0 and 1 spells nothing
         raster = np.random.default_rng(seed).integers(0, 2, (t, n)).astype(np.uint8)
@@ -202,9 +202,11 @@ class TestTrajectoryAndRasterFiles:
         with pytest.raises(sm.ValidationError):
             fileio.write_raster_text(path, np.vstack([raster, np.full((1, n), 2, np.uint8)]))
 
-    @pytest.mark.parametrize("raster", [[[0.5, 2]], [[-1, 0]], [0, 1]], ids=["values", "negative", "1-D"])
+    @pytest.mark.parametrize("raster", [[[0.5, 2]], [[-1, 0]], [0, 1], np.zeros((0, 3)), np.zeros((3, 0))],
+                             ids=["values", "negative", "1-D", "no-rows", "no-neurons"])
     def test_only_a_raster_is_written(self, tmp_path, raster):
-        # [[0.5, 2]] was written as 01, and [[-1, 0]] raised a bare OverflowError
+        # [[0.5, 2]] was written as 01, and [[-1, 0]] raised a bare OverflowError; the empty
+        # rasters were written as b"" and b"\n" * 3, which read_raster_text refuses
         with pytest.raises(sm.ValidationError):
             fileio.write_raster_text(tmp_path / "r.txt", raster)
         assert not any(tmp_path.iterdir())

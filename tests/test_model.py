@@ -297,10 +297,12 @@ class TestFiringTimes:
         with pytest.raises(sm.ValidationError, match="neuron index"):
             sm.firing_times(np.eye(2, dtype=np.uint8), i)
 
-    @pytest.mark.parametrize("raster", [[0, 1], [[0, 2], [1, 1]], [[0.5], [0]]],
-                             ids=["1-D", "two", "half"])
+    @pytest.mark.parametrize("raster", [[0, 1], [[0, 2], [1, 1]], [[0.5], [0]], np.zeros((0, 2)),
+                                        np.zeros((2, 0))],
+                             ids=["1-D", "two", "half", "no-rows", "no-neurons"])
     def test_only_a_raster_is_read(self, raster):
-        # a 1-D raster raised a bare IndexError, and any nonzero entry counted as a spike
+        # a 1-D raster raised a bare IndexError, and any nonzero entry counted as a spike; an
+        # empty raster gave [] or a bare IndexError
         with pytest.raises(sm.ValidationError, match="raster"):
             sm.firing_times(raster, 0)
 
