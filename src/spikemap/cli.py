@@ -258,6 +258,8 @@ def main(argv=None) -> int:
     try:
         if (getattr(args, "seed", None) or 0) < 0:  # numpy seeds are nonnegative
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+        if not os.path.basename(args.out):  # "" or a path ending in a separator
+            raise ValidationError(f"--out: {args.out!r} names no file")
         out_dir = os.path.dirname(args.out) or "."  # checked before any work, not at the write
         if not os.path.isdir(out_dir):
             raise ValidationError(f"--out: no directory {out_dir!r}")

@@ -6,7 +6,7 @@ lines echoing the effective configuration, and the graph and orbit JSON embed
 it under ``"config"``.  Floats are written in shortest round-trip form.  A sweep
 or lyap CSV has a column per field of SweepCell or LyapCell, named after it and
 in declared order.  The text readers skip blank and ``#`` lines anywhere and take
-the config from the ``#`` lines before the first other line.  The network,
+the config from the ``# key=value`` lines before the first other line.  The network,
 trajectory, raster and sweep readers reproduce the written objects exactly; the
 graph and orbit readers return the parsed JSON as a plain dict, and the heatmap
 and lyap CSVs, made for plotting, have no reader.
@@ -69,7 +69,8 @@ def _write_csv(path, config: Optional[dict], header: str, rows) -> None:
 def _read_csv(path):
     """``with _read_csv(path) as (config, lines)``: the ``# key=value`` lines before the first line
     that is neither blank (whitespace only) nor ``#``, and the open file's lines from that one on,
-    the blank ones dropped.  A byte that is not UTF-8 raises ValidationError wherever it is read.
+    the blank ones dropped; a ``#`` line without ``=`` is a comment.  A byte that is not UTF-8
+    raises ValidationError wherever it is read.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -78,8 +79,9 @@ def _read_csv(path):
                 if line[0] != "#":
                     lines = itertools.chain([line], lines)
                     break
-                key, _, value = line[1:].strip().partition("=")
-                config[key] = value
+                key, eq, value = line[1:].strip().partition("=")
+                if eq:
+                    config[key] = value
             yield config, lines
     except UnicodeDecodeError as e:
         raise ValidationError(f"file {path} is not UTF-8 text: {e}") from e
@@ -130,6 +132,11 @@ def read_network(path) -> NetworkParams:
     return NetworkParams(**payload)
 
 
+def _trajectory_header(n: int) -> str:
+    """The one header of a trajectory file of n neurons, written and read."""
+    return "t," + ",".join(f"v_{i}" for i in range(n))
+
+
 def write_trajectory_csv(path, traj: Trajectory, config: Optional[dict] = None) -> None:
     """One row per state; each distinct state, keyed by its bytes, is formatted once."""
     states = np.ascontiguousarray(traj.states)
@@ -138,7 +145,7 @@ def write_trajectory_csv(path, traj: Trajectory, config: Optional[dict] = None) 
     for t, key in enumerate(keys):
         if key not in text:
             text[key] = ",".join(map(repr, states[t].tolist()))
-    _write_csv(path, config, "t," + ",".join(f"v_{i}" for i in range(traj.net.n)),
+    _write_csv(path, config, _trajectory_header(traj.net.n),
                (f"{t},{text[key]}" for t, key in enumerate(keys)))
 
 
@@ -148,10 +155,10 @@ def read_trajectory_csv(path) -> tuple[dict, np.ndarray, np.ndarray]:
         header = next(_data(lines), None)
         if header is None:
             raise ValidationError(f"trajectory file {path} has no data")
-        header = header.split(",")
-        if header[0] != "t":
+        n = header.count(",")
+        if not n or header != _trajectory_header(n):
             raise ValidationError(f"trajectory file {path} has an unexpected header")
-        row = np.dtype([("t", np.int64), ("v", np.float64, (len(header) - 1,))])
+        row = np.dtype([("t", np.int64), ("v", np.float64, (n,))])
         first = next(_data(lines), None)  # looked for here: numpy warns when it finds no row
         try:
             data = (np.empty(0, row) if first is None else

@@ -292,7 +292,8 @@ def simulate(
     is copied, not stepped (see :func:`_trajectory`): the same bits, as the map is
     a function of the state's bits.  With sigma_b > 0 a Gaussian perturbation is added at
     every step (an rng is then required), drawn step by step so that only the
-    states are held.  A negative or non-finite sigma_b is rejected.
+    states are held.  A negative or non-finite sigma_b is rejected, and so is a noisy
+    trajectory that leaves the float range.
     """
     t_max = _as_count(t_max, "t_max", least=0)
     sigma_b = _as_finite(sigma_b, "sigma_b", allow_zero=True)
@@ -304,9 +305,12 @@ def simulate(
     else:
         states = np.empty((t_max + 1, net.n), dtype=np.float64)
         states[0] = v
-        for t in range(1, t_max + 1):
-            v = step(net, v) + rng.normal(0.0, sigma_b, net.n)
-            states[t] = v
+        with np.errstate(over="ignore", invalid="ignore"):  # a state beyond the float range is refused below
+            for t in range(1, t_max + 1):
+                v = step(net, v) + rng.normal(0.0, sigma_b, net.n)
+                states[t] = v
+        if not np.isfinite(states).all():
+            raise ValidationError(f"the noisy trajectory leaves the float range (sigma_b={sigma_b})")
     raster = _fires(states, net.theta).astype(np.uint8)
     states.flags.writeable = False
     raster.flags.writeable = False

@@ -167,8 +167,10 @@ class TestTrajectoryAndRasterFiles:
             fileio.read_trajectory_csv(path)
 
     @pytest.mark.parametrize("text, message", [("# command=simulate\n", "no data"),
-                                               ("step,v_0\n0,1.0\n", "unexpected header")],
-                             ids=["no-rows", "header"])
+                                               ("step,v_0\n0,1.0\n", "unexpected header"),
+                                               ("t\n0\n1\n", "unexpected header"),
+                                               ("t,x,y\n0,1.0,2.0\n", "unexpected header")],
+                             ids=["no-rows", "header", "no-neurons", "other-names"])
     def test_trajectory_file_without_its_header(self, tmp_path, text, message):
         path = tmp_path / "t.csv"
         path.write_text(text)
@@ -379,6 +381,14 @@ class TestTextFileRule:
         assert data == _read_text(tmp_path, kind, "\n".join([first] + rest) + "\n")[1]
 
     @pytest.mark.parametrize("kind", list(TEXT_FILES))
+    def test_a_comment_without_equals_is_no_config(self, tmp_path, kind):
+        # the trajectory and sweep readers kept {'hello there': '', '': '', 'seed': '2'}
+        lines = _data_lines(kind, 2)
+        config, data = _read_text(tmp_path, kind, "# hello there\n#\n# seed=2\n" + "\n".join(lines) + "\n")
+        assert config == (None if kind == "raster" else {"seed": "2"})
+        assert data == _read_text(tmp_path, kind, "\n".join(lines) + "\n")[1]
+
+    @pytest.mark.parametrize("kind", list(TEXT_FILES))
     def test_comment_and_blank_lines_are_skipped_anywhere(self, tmp_path, kind):
         lines = _data_lines(kind, 3)
         noisy = ["", "# a", "  \t"] + [f"{line}\n# b\n\n \n" for line in lines] + ["#", "\t"]
@@ -445,6 +455,14 @@ class TestCliSimulate:
                      "--t-max", "0", "--out", out]) == 0
         _, times, _ = fileio.read_trajectory_csv(out + ".csv")
         assert len(times) == 1
+
+    def test_noise_beyond_the_float_range_exit_2(self, tmp_path, capsys):
+        # this run exited 0 with -inf in row 3 of its CSV
+        argv = ["simulate", "--net", str(DATA / "orbit_gamma05_net.json"), "--noise", "1e308", "--seed", "1",
+                "--t-max", "3", "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert "float range" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("content", [b"{oops", b'{"n": 1, "gamma": 0.5\xff}', b"[1, 2]"],
                              ids=["json-syntax", "non-utf8", "json-array"])
@@ -887,7 +905,8 @@ def test_meaningless_arguments_exit_2(argv, ex1_file, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv, worker", [
+# each command, and the function that does its work
+_EVERY_COMMAND = pytest.mark.parametrize("argv, worker", [
     (["simulate", "--net", "{net}", "--t-max", "5"], "simulate"),
     (["graph", "--net", "{net}"], "build_transition_graph"),
     (_ORBIT, "omega_sample"),
@@ -895,6 +914,9 @@ def test_meaningless_arguments_exit_2(argv, ex1_file, tmp_path, capsys):
     (_ENSEMBLE_LYAP, "lyapunov_map"),
     (_NET_LYAP, "_lyapunov"),
 ], ids=["simulate", "graph", "orbit", "sweep", "lyap", "lyap-net"])
+
+
+@_EVERY_COMMAND
 def test_missing_out_directory_exits_2_before_any_work(argv, worker, ex1_file, tmp_path, capsys,
                                                       monkeypatch):
     monkeypatch.setattr(cli, worker, lambda *a, **k: pytest.fail(f"{worker} ran"))
@@ -904,6 +926,20 @@ def test_missing_out_directory_exits_2_before_any_work(argv, worker, ex1_file, t
     err = capsys.readouterr().err
     assert err == f"error: --out: no directory {str(missing)!r}\n"
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("out", ["", "sub/"], ids=["empty", "trailing-separator"])
+@_EVERY_COMMAND
+def test_out_naming_no_file_exits_2_before_any_work(argv, worker, out, ex1_file, tmp_path, capsys,
+                                                    monkeypatch):
+    # simulate wrote the hidden files .csv and .raster, and sweep sub/.csv and sub/.heatmap.csv
+    monkeypatch.setattr(cli, worker, lambda *a, **k: pytest.fail(f"{worker} ran"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main([a.format(net=ex1_file) for a in argv] + ["--out", out]) == 2
+    assert capsys.readouterr().err == f"error: --out: {out!r} names no file\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("argv, worker", [

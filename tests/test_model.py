@@ -193,6 +193,11 @@ class TestSimulate:
         with pytest.raises(sm.ValidationError):
             sm.simulate(example1_net(), [0.0], 5, sigma_b=sigma_b, rng=np.random.default_rng(0))
 
+    def test_noise_beyond_the_float_range_rejected(self):
+        # draws of 1e308 scale overflow to inf, which later steps make nan; neither is a state
+        with pytest.raises(sm.ValidationError, match="float range"):
+            sm.simulate(example1_net(), [0.0], 50, sigma_b=1e308, rng=np.random.default_rng(0))
+
     def test_negative_horizon_rejected(self):
         for t_max in (-1, 2.0):  # 2.0 is no integer either
             with pytest.raises(sm.ValidationError):
