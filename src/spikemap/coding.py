@@ -1,11 +1,11 @@
 """Raster coding: firing patterns, trajectory reconstruction from rasters, and
 the pattern-transition structure of the map.
 
-A firing pattern is one length-N 0/1 vector and a raster a 2-D stack of them,
-one per step; ``_check_raster`` holds every entry point, file I/O included, to
-that, and :func:`str_to_pattern` parses all 0/1 text.  Because fired coordinates
-are reset, the raster plus the initial state determines the whole trajectory,
-and after a neuron's first spike its potential is a function of the raster alone.
+A firing pattern is a length-N 0/1 vector and a raster a 2-D stack of them, one
+per step, made from states by :func:`spikemap.model.encode` alone; ``_check_raster``
+holds every entry point, file I/O included, to that rule, and :func:`str_to_pattern`
+parses all 0/1 text.  As fired coordinates are reset, the raster and the initial state
+determine the trajectory; after a neuron's first spike, the raster alone fixes its potential.
 """
 
 from __future__ import annotations
@@ -20,23 +20,21 @@ import numpy as np
 from .model import (
     CapacityError,
     NetworkParams,
-    Trajectory,
     ValidationError,
     _affine,
     _as_array,
     _as_count,
-    _as_finite,
     _fires,
     _trajectory,
     _wz,
     compute_bounds,
+    encode,
 )
 
 __all__ = [
     "IllegalCodeError",
     "pattern_to_str",
     "str_to_pattern",
-    "encode",
     "reconstruct_trajectory",
     "reconstruct_periodic",
     "TransitionGraph",
@@ -88,24 +86,6 @@ def str_to_pattern(s: str) -> np.ndarray:
     return bits
 
 
-def encode(traj, theta: Optional[float] = None) -> np.ndarray:
-    """Raster of a trajectory: raster[t][i] = 1 iff state t has v_i >= theta.
-
-    Accepts a Trajectory (theta taken from its network, so none may be given) or
-    a (T, N) array of states together with an explicit theta.
-    """
-    if isinstance(traj, Trajectory):
-        if theta is not None:
-            raise ValidationError("encode of a Trajectory takes theta from its network")
-        states, theta = traj.states, traj.net.theta
-    else:
-        states = np.asarray(traj, dtype=np.float64)
-        if theta is None:
-            raise ValidationError("encode of a raw state array requires theta")
-        theta = _as_finite(theta, "theta")
-    return _fires(np.atleast_2d(states), theta).astype(np.uint8)
-
-
 def reconstruct_trajectory(net: NetworkParams, v0, raster) -> np.ndarray:
     """All states of the trajectory implied by v0 and its raster, one per raster row.
 
@@ -150,8 +130,7 @@ def reconstruct_periodic(net: NetworkParams, cycle) -> np.ndarray:
     # Two replay passes: after a firing coordinate's first spike the placeholder
     # start is irrelevant, so pass two, states p+1..2p, is exact at every phase.
     states = _trajectory(net, v, 2 * p, np.concatenate([cycle, cycle]))[np.r_[2 * p, p + 1:2 * p]]
-    got = encode(states, net.theta)
-    if not np.array_equal(got, cycle):
+    if not np.array_equal(encode(states, net.theta), cycle):
         raise IllegalCodeError(
             "raster cycle is not realizable: reconstructed states encode to a different cycle"
         )

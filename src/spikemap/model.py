@@ -11,7 +11,8 @@ constant external drive, synchronously:
 
 The map is affine on each of the 2^N domains of constant firing pattern z,
 contracting quiescent directions by gamma and collapsing fired ones to a point.
-Rasters, their 0/1 rule and their spike times live in :mod:`spikemap.coding`.
+States become a raster here, by :func:`encode` alone; a raster's 0/1 rule, the
+reconstruction of states from it and its spike times live in :mod:`spikemap.coding`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "Trajectory",
     "compute_bounds",
     "step",
+    "encode",
     "simulate",
     "max_dist",
 ]
@@ -44,19 +46,21 @@ class CapacityError(RuntimeError):
     """Request exceeds a hard size limit (e.g. the graph enumeration cap)."""
 
 
-def _as_array(x, shape: tuple, name: str) -> np.ndarray:
-    """x as a new C-ordered float64 array of the given shape, checked finite.
-
-    Only numbers are accepted: a bool, a string or an integer too large for any
-    integer dtype is refused, though numpy would convert some of them.
-    """
+def _numbers(x, name: str) -> np.ndarray:
+    """x as an array of numbers only: a bool, a string, an object or an integer too large
+    for any integer dtype is refused, though numpy would convert some of them."""
     try:
         a = np.asarray(x)
     except ValueError as e:  # a ragged nesting
         raise ValidationError(f"{name} must be a regular array of numbers: {e}") from None
     if a.dtype.kind not in "iuf":
         raise ValidationError(f"{name} must hold numbers only, got dtype {a.dtype}")
-    a = np.array(a, dtype=np.float64, order="C")
+    return a
+
+
+def _as_array(x, shape: tuple, name: str) -> np.ndarray:
+    """x as a new C-ordered float64 array of the given shape, of :func:`_numbers`, checked finite."""
+    a = np.array(_numbers(x, name), dtype=np.float64, order="C")
     if a.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -105,6 +109,12 @@ def _as_gamma(x) -> float:
 # v >= theta, with no tolerance band.  Bound to the ufunc itself so the hot
 # path pays no extra Python frame.
 _fires = np.greater_equal
+
+
+def encode(states, theta: float) -> np.ndarray:
+    """The raster of a (T, N) array of states, one state read as T = 1: raster[t][i] = 1 iff
+    v_i >= theta in state t.  The one place states become a raster; a Trajectory's is its raster."""
+    return _fires(np.atleast_2d(_numbers(states, "states")), _as_finite(theta, "theta")).astype(np.uint8)
 
 
 class Bounds(NamedTuple):
@@ -311,7 +321,7 @@ def simulate(
                 states[t] = v
         if not np.isfinite(states).all():
             raise ValidationError(f"the noisy trajectory leaves the float range (sigma_b={sigma_b})")
-    raster = _fires(states, net.theta).astype(np.uint8)
+    raster = encode(states, net.theta)
     states.flags.writeable = False
     raster.flags.writeable = False
     return Trajectory(net=net, states=states, raster=raster)

@@ -35,6 +35,7 @@ from .model import (
     _fires,
     _wz,
     compute_bounds,
+    encode,
     max_dist,
     step,
 )
@@ -336,7 +337,7 @@ def _cycles(nets, v0s, max_transient, max_period, tol, polish_steps) -> list:
                 for (j, k), polished in zip(rows[i:i + run], found):
                     if polished is not None:
                         (states, exact), theta = polished, nets[j].theta
-                        raster = _fires(states, theta).astype(np.uint8)
+                        raster = encode(states, theta)
                         states.flags.writeable = raster.flags.writeable = False
                         full = _Cycle(period, states, raster, theta)
                         p = next((d for d in range(1, period) if period % d == 0

@@ -20,19 +20,23 @@ class TestEncode:
 
     def test_ghost_ramp_silent(self):
         traj = sm.simulate(example1_net(), [0.0], 30)
-        assert not sm.encode(traj).any()
+        assert not traj.raster.any()
+        assert np.array_equal(sm.encode(traj.states, traj.net.theta), traj.raster)
 
     def test_full_activity(self):
         assert sm.encode(np.full((4, 3), 2.0), 1.0).all()
 
     def test_requires_theta_for_arrays(self):
-        with pytest.raises(sm.ValidationError):
+        with pytest.raises(TypeError):  # theta is a required argument
             sm.encode(np.zeros((2, 2)))
 
-    def test_refuses_theta_beside_a_trajectory(self):
-        traj = sm.simulate(example1_net(), [0.75], 1)
-        with pytest.raises(sm.ValidationError, match="theta"):
-            sm.encode(traj, theta=0.5)
+    @pytest.mark.parametrize("states", [sm.simulate(example1_net(), [0.75], 1), np.array([["0.5"]]),
+                                        [[True, False]], [[0.5], [0.5, 1.0]]],
+                             ids=["trajectory", "strings", "bools", "ragged"])
+    def test_refuses_states_that_are_not_numbers(self, states):
+        # a Trajectory's raster is traj.raster; encode reads state arrays only
+        with pytest.raises(sm.ValidationError, match="states"):
+            sm.encode(states, 0.5)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -1.0, 0.0, True],
                              ids=["nan", "inf", "negative", "zero", "bool"])
