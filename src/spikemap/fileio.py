@@ -149,16 +149,17 @@ def write_trajectory_csv(path, traj: Trajectory, config: Optional[dict] = None) 
                (f"{t},{text[key]}" for t, key in enumerate(keys)))
 
 
-def read_trajectory_csv(path) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Returns (config, times, states), the rows after the header parsed by one ``np.loadtxt``."""
+def _read_rows(path, what: str, layout) -> tuple[dict, np.ndarray]:
+    """(config, rows) of a CSV file whose header line, of n commas, is the header of
+    ``layout(n)``, a (header, numpy row dtype) pair; the rows after it are parsed by one
+    ``np.loadtxt``, so a value it does not read as its field's dtype is a malformed row."""
     with _read_csv(path) as (config, lines):
         header = next(_data(lines), None)
         if header is None:
-            raise ValidationError(f"trajectory file {path} has no data")
-        n = header.count(",")
-        if not n or header != _trajectory_header(n):
-            raise ValidationError(f"trajectory file {path} has an unexpected header")
-        row = np.dtype([("t", np.int64), ("v", np.float64, (n,))])
+            raise ValidationError(f"{what} file {path} has no data")
+        expected, row = layout(header.count(","))
+        if header != expected:
+            raise ValidationError(f"{what} file {path} has an unexpected header")
         first = next(_data(lines), None)  # looked for here: numpy warns when it finds no row
         try:
             data = (np.empty(0, row) if first is None else
@@ -166,7 +167,14 @@ def read_trajectory_csv(path) -> tuple[dict, np.ndarray, np.ndarray]:
         except ValueError as e:
             if isinstance(e, UnicodeDecodeError):
                 raise
-            raise ValidationError(f"trajectory file {path} has a malformed row: {e}") from e
+            raise ValidationError(f"{what} file {path} has a malformed row: {e}") from e
+    return config, data
+
+
+def read_trajectory_csv(path) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Returns (config, times, states), the rows after the header parsed by one ``np.loadtxt``."""
+    config, data = _read_rows(path, "trajectory", lambda n: (
+        _trajectory_header(n), np.dtype([("t", np.int64), ("v", np.float64, (n,))])))
     return config, data["t"], data["v"]
 
 
@@ -291,21 +299,11 @@ def write_sweep_csv(path, cells: list[SweepCell], config: Optional[dict] = None)
 
 
 def read_sweep_csv(path) -> tuple[dict, list[SweepCell]]:
-    with _read_csv(path) as (config, lines):
-        rows = list(_data(lines))
-    if not rows or rows[0] != SWEEP_HEADER:
-        raise ValidationError(f"sweep file {path} has an unexpected header")
-    kinds = _columns(SweepCell)[1]
-    cells = []
-    for row in rows[1:]:
-        values = row.split(",")
-        try:
-            if len(values) != len(kinds):
-                raise ValueError(f"{len(values)} fields, want {len(kinds)}")
-            cells.append(SweepCell(*[kind(value) for kind, value in zip(kinds, values)]))
-        except ValueError as e:
-            raise ValidationError(f"sweep file {path} has a malformed row: {e}") from e
-    return config, cells
+    """Returns (config, cells), the rows parsed as :func:`read_trajectory_csv` parses its rows."""
+    names, kinds = _columns(SweepCell)
+    row = np.dtype([(name, np.int64 if kind is int else np.float64) for name, kind in zip(names, kinds)])
+    config, data = _read_rows(path, "sweep", lambda n: (SWEEP_HEADER, row))
+    return config, [SweepCell(*values) for values in data.tolist()]
 
 
 def write_heatmap_csv(path, cells: list[SweepCell], gammas, cs, config: Optional[dict] = None) -> None:

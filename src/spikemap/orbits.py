@@ -291,10 +291,15 @@ def _report(cycle: _Cycle, transient, phase) -> OrbitReport:
 def _detection_params(max_transient, max_period, tol, polish_steps) -> tuple:
     """Orbit detection's run parameters, checked once at the public boundary, before any
     worker starts: max_transient and polish_steps counts >= 0, max_period a count >= 1, tol
-    finite and >= 0."""
-    return (_as_count(max_transient, "max_transient", least=0),
-            _as_count(max_period, "max_period"), _as_finite(tol, "tol", allow_zero=True),
-            _as_count(polish_steps, "polish_steps", least=0))
+    finite and >= 0, and the horizon max_transient + 2*max_period at most 2**53, as a
+    RegimeLabel holds it in a float."""
+    params = (_as_count(max_transient, "max_transient", least=0),
+              _as_count(max_period, "max_period"), _as_finite(tol, "tol", allow_zero=True),
+              _as_count(polish_steps, "polish_steps", least=0))
+    horizon = params[0] + 2 * params[1]
+    if horizon > 2**53:
+        raise ValidationError(f"the horizon max_transient + 2*max_period must be <= 2**53, got {horizon}")
+    return params
 
 
 def _cycles(nets, v0s, max_transient, max_period, tol, polish_steps) -> list:

@@ -269,9 +269,15 @@ class TestSweepFiles:
 
     @pytest.mark.parametrize("row", ["0.5,1.0,5,0.1,-1.0,0.0,2.0",
                                      "0.5,1.0,5,0.1,-1.0,0.0,2.0,0.0,0.0",
-                                     "0.5,1.0,five,0.1,-1.0,0.0,2.0,0.0"],
-                             ids=["short", "long", "non-numeric"])
+                                     "0.5,1.0,five,0.1,-1.0,0.0,2.0,0.0",
+                                     "0_1,1.0,5,0.1,-1.0,0.0,2.0,0.0",
+                                     "0.5,1.0,1_0,0.1,-1.0,0.0,2.0,0.0",
+                                     "0.5,1.0,99999999999999999999,0.1,-1.0,0.0,2.0,0.0"],
+                             ids=["short", "long", "non-numeric", "float-underscore",
+                                  "int-underscore", "int64-overflow"])
     def test_malformed_row(self, tmp_path, row):
+        # read by np.loadtxt, as trajectory rows are: Python's float() and int() took the
+        # underscores (0_1 as 1.0, 1_0 as 10) and a count beyond int64
         path = tmp_path / "sweep.csv"
         path.write_text(fileio.SWEEP_HEADER + "\n" + row + "\n")
         with pytest.raises(sm.ValidationError, match="malformed row"):
@@ -300,6 +306,11 @@ class TestSweepFiles:
         assert row == "0.5,-0.0,10,nan,-inf,0.25,inf,0.1"
         assert (tmp_path / "sweep.csv").read_bytes() == (
             f"# seed=2\n{fileio.SWEEP_HEADER}\n{row}\n{row}\n").encode()
+        # read back as the same fields: nan, the infinities and -0.0, and an int count
+        read_config, back = fileio.read_sweep_csv(tmp_path / "sweep.csv")
+        assert type(back[0].samples) is int
+        fileio.write_sweep_csv(tmp_path / "again.csv", back, read_config)
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
         assert fileio.SWEEP_HEADER == ("gamma,c,samples,avg_d_as,log10_d_as,death_fraction,"
                                        "avg_period,undetermined_fraction")
         row = ",".join([fileio.fmt_float(lyap.gamma), fileio.fmt_float(lyap.c), str(lyap.samples),
@@ -394,6 +405,14 @@ class TestTextFileRule:
         noisy = ["", "# a", "  \t"] + [f"{line}\n# b\n\n \n" for line in lines] + ["#", "\t"]
         got = _read_text(tmp_path, kind, "\n".join(noisy) + "\n")[1]
         assert got == _read_text(tmp_path, kind, "\n".join(lines) + "\n")[1]
+
+    @pytest.mark.parametrize("kind", ["trajectory", "sweep"])
+    def test_a_comment_after_a_rows_last_field_is_dropped(self, tmp_path, kind):
+        # both readers parse their rows by np.loadtxt; the sweep reader's own parse kept the #
+        header, *rows = _data_lines(kind, 3)
+        noted = [header] + [row + " # a note" for row in rows]
+        got = _read_text(tmp_path, kind, "\n".join(noted) + "\n")
+        assert got == _read_text(tmp_path, kind, "\n".join([header] + rows) + "\n")
 
     @pytest.mark.parametrize("kind", list(TEXT_FILES))
     def test_crlf_reads_as_lf(self, tmp_path, kind):
@@ -889,6 +908,11 @@ _NET_LYAP = ["lyap", "--net", "{net}", "--inits", "1", "--horizon", "20"]
     _NET_LYAP + ["--theta", "1.0"],
     _NET_LYAP + ["--i-ext", "0.0"],
     _NET_LYAP + ["--threads", "4"],
+    # a detection horizon beyond 2**53: the budget array became uint64, then object
+    ["orbit", "--net", "{net}", "--inits", "2", "--max-period", "5000000000000000000"],
+    ["sweep", "--n", "3", "--gammas", "0.5", "--cs", "1", "--networks", "1", "--inits", "1",
+     "--max-period", "4611686018427387904"],
+    ["orbit", "--net", "{net}", "--inits", "2", "--max-period", str(10**20)],
 ], ids=["sweep-networks", "sweep-threads", "orbit-threads", "lyap-networks",
         "lyap-inits", "lyap-threads", "lyap-net-inits", "simulate-noise",
         "orbit-tol", "orbit-eps-singular", "orbit-polish", "lyap-net-burn-in",
@@ -897,7 +921,8 @@ _NET_LYAP = ["lyap", "--net", "{net}", "--inits", "1", "--horizon", "20"]
         "graph-cap-0-include-illegal", "graph-cap-negative-include-illegal",
         "simulate-noise-without-seed", "lyap-without-cs", "lyap-without-n",
         "lyap-net-n", "lyap-net-cs", "lyap-net-networks", "lyap-net-theta", "lyap-net-i-ext",
-        "lyap-net-threads-4"])
+        "lyap-net-threads-4", "orbit-horizon-uint64", "sweep-horizon-uint64",
+        "orbit-horizon-beyond-uint64"])
 def test_meaningless_arguments_exit_2(argv, ex1_file, tmp_path, capsys):
     argv = [a.format(net=ex1_file) for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
@@ -928,11 +953,13 @@ def test_missing_out_directory_exits_2_before_any_work(argv, worker, ex1_file, t
     assert not missing.exists()
 
 
-@pytest.mark.parametrize("out", ["", "sub/"], ids=["empty", "trailing-separator"])
+@pytest.mark.parametrize("out", ["", "sub/", ".", "..", "sub/."],
+                         ids=["empty", "trailing-separator", "dot", "dot-dot", "sub-dot"])
 @_EVERY_COMMAND
 def test_out_naming_no_file_exits_2_before_any_work(argv, worker, out, ex1_file, tmp_path, capsys,
                                                     monkeypatch):
-    # simulate wrote the hidden files .csv and .raster, and sweep sub/.csv and sub/.heatmap.csv
+    # simulate wrote the hidden files .csv and .raster (..csv and ..raster for "."), and sweep
+    # sub/.csv and sub/.heatmap.csv
     monkeypatch.setattr(cli, worker, lambda *a, **k: pytest.fail(f"{worker} ran"))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()

@@ -356,7 +356,7 @@ class TestMapProperties:
     def test_contraction_and_collapse(self):
         # same raster => max-metric gap shrinks by gamma each step; once every
         # neuron has fired the pair is bit-identical
-        rng = np.random.default_rng(13)
+        rng, signs = np.random.default_rng(13), np.random.default_rng(0)
         cases = collapsed = 0
         while cases < 60:
             net = random_net(rng, coupling=2.0, i_ext_high=0.5)
@@ -373,6 +373,10 @@ class TestMapProperties:
             other = sm.simulate(net, v0 + rng.uniform(-d0, d0, net.n), horizon)
             d_init = sm.max_dist(mother.states[0], other.states[0])
             assert np.array_equal(mother.raster, other.raster)
+            # the certified radius holds at its edge: a perturbation of max-norm just below r
+            edge = v0 + (1 - 1e-9) * r * signs.choice([-1.0, 1.0], net.n)
+            assert sm.max_dist(edge, v0) < r
+            assert np.array_equal(sm.simulate(net, edge, horizon).raster, mother.raster)
             for t in range(1, t_eff + 1):
                 gap = sm.max_dist(mother.states[t], other.states[t])
                 # +1e-14: last-ulp rounding of the states can poke above the bound

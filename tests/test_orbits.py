@@ -241,6 +241,27 @@ class TestFindPeriodicOrbit:
                 sm.find_periodic_orbit(example1_net(), [0.0], **horizons)
 
 
+# each run of orbit detection, given its horizons
+_DETECTIONS = {
+    "find_periodic_orbit": lambda **kw: sm.find_periodic_orbit(quiescent_net(), [0.0] * 3, **kw),
+    "omega_sample": lambda **kw: sm.omega_sample(quiescent_net(), 2, np.random.default_rng(0), **kw),
+    "sweep": lambda **kw: sm.sweep([0.5], [1.0], n=3, networks_per_cell=1, inits_per_network=1, **kw),
+}
+
+
+@pytest.mark.parametrize("run", list(_DETECTIONS))
+def test_a_horizon_beyond_2_53_is_refused(run):
+    # a RegimeLabel holds the horizon max_transient + 2*max_period as a float; beyond 2**53 the
+    # budget array turned uint64, then object, and failed in the scan or printed another horizon
+    for horizons in ({"max_transient": 0, "max_period": 2**52 + 1},
+                     {"max_transient": 2**53 - 1, "max_period": 1},
+                     {"max_transient": 10**20, "max_period": 1}):
+        with pytest.raises(sm.ValidationError, match="2\\*\\*53"):
+            _DETECTIONS[run](**horizons)
+    result = _DETECTIONS[run](max_transient=2**53 - 2, max_period=1)  # the horizon 2**53 runs
+    assert not isinstance(result, sm.Undetermined)
+
+
 class TestOmegaSample:
     def test_neural_death_single_orbit(self):
         sample = sm.omega_sample(quiescent_net(), 6, np.random.default_rng(0),
@@ -620,6 +641,9 @@ class TestCycleMatch:
             for cycle in [*batch[4 * m:4 * m + 4], *sample.orbits, *lone]:
                 if not isinstance(cycle, sm.Undetermined):
                     assert_fires_its_own_raster(net, cycle)
+                    if tol == 0.0:  # closes bit for bit, leaking coordinates at 0 included
+                        assert np.array_equal(sm.step(net, cycle.states),
+                                              np.roll(cycle.states, -1, axis=0))
 
     def test_phases_of_one_cycle_within_tol_are_one_cycle(self):
         # the least-period reduction and dedupe compare the firing patterns, not only the
